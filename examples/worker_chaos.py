@@ -17,55 +17,75 @@ Exits non-zero on any violation, so CI can run it as a stress step::
     python examples/worker_chaos.py [seed]      # default seed: 0
 """
 
+import hashlib
 import os
 import random
 import signal
 import sys
 import tempfile
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.analysis.parallel import execute_sweep
+from repro.analysis.parallel import run_sweep
 from repro.cache import RunCache
 from repro.exec import ProcessPoolBackend
 
 FREQ_MHZ = [600, 700, 800, 900, 1000, 1100, 1200, 1300, 1400]
 
 
+@dataclass(frozen=True)
+class SabotagedPoint:
+    """One operating point whose worker may be killed on first sight.
+
+    A sweep task (the protocol of :func:`run_sweep`): module-level and
+    frozen, so it pickles into pool workers.  The key leaves the kill
+    marker out, so a warm resume of the sabotaged sweep hits the points
+    it stored.
+    """
+
+    frequency: float
+    marker: Optional[str] = None
+
+    @property
+    def label(self) -> str:
+        return f"stat@{self.frequency / 1e6:.0f}MHz"
+
+    def key(self) -> str:
+        text = f"worker-chaos:{self.frequency}"
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def run(self):
+        """One measured run; the saboteur kills this worker once."""
+        if self.marker is not None and not os.path.exists(self.marker):
+            with open(self.marker, "w", encoding="utf-8") as fh:
+                fh.write("worker killed here\n")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        from repro.analysis.runner import run_measured
+        from repro.dvs import StaticStrategy
+        from repro.workloads.micro import L2BoundMicro
+
+        workload = L2BoundMicro(passes=3)
+        return run_measured(workload, StaticStrategy(self.frequency)).point
+
+    def load(self, cache, key):
+        return cache.get(key)
+
+    def store(self, cache, key, point):
+        cache.put(key, point, meta={"example": "worker_chaos"})
+
+
 def _make_tasks(kill_dir, seed):
-    """(frequency_hz, kill_marker_or_None) — picklable chaos specs."""
+    """The sweep, with a seeded third of its points sabotaged."""
     rng = random.Random(seed)
     victims = set(rng.sample(range(len(FREQ_MHZ)), 3))
     return [
-        (
+        SabotagedPoint(
             mhz * 1e6,
             os.path.join(kill_dir, f"kill-{i}") if i in victims else None,
         )
         for i, mhz in enumerate(FREQ_MHZ)
     ], victims
-
-
-def _execute(task):
-    """One measured run; the saboteur kills this worker on first sight."""
-    frequency, marker = task
-    if marker is not None and not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8") as fh:
-            fh.write("worker killed here\n")
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    from repro.analysis.runner import run_measured
-    from repro.dvs import StaticStrategy
-    from repro.workloads.micro import L2BoundMicro
-
-    return run_measured(L2BoundMicro(passes=3), StaticStrategy(frequency)).point
-
-
-def _key_of(task):
-    import hashlib
-
-    return hashlib.sha256(f"worker-chaos:{task[0]}".encode()).hexdigest()
-
-
-def _store(cache, key, task, point):
-    cache.put(key, point, meta={"example": "worker_chaos"})
 
 
 def main(seed: int) -> int:
@@ -87,12 +107,8 @@ def main(seed: int) -> int:
             f"({event.source}){mark}"
         )
 
-    chaotic = execute_sweep(
+    chaotic = run_sweep(
         tasks,
-        caller="worker_chaos",
-        execute=_execute,
-        key_of=_key_of,
-        store=_store,
         use_cache=RunCache(cache_dir),
         backend=ProcessPoolBackend(max_workers=2),
         on_result=watch,
@@ -116,11 +132,8 @@ def main(seed: int) -> int:
             )
 
     # Undisturbed oracle: serial, no saboteur, no cache.
-    oracle = execute_sweep(
-        [(f, None) for f, _ in tasks],
-        caller="worker_chaos_oracle",
-        execute=_execute,
-        backend="serial",
+    oracle = run_sweep(
+        [SabotagedPoint(task.frequency) for task in tasks], backend="serial"
     )
     if chaotic != oracle:
         failures.append("chaotic results differ from the serial oracle")
@@ -129,12 +142,8 @@ def main(seed: int) -> int:
     # bit-identical.
     warm_cache = RunCache(cache_dir)
     sources = []
-    warm = execute_sweep(
+    warm = run_sweep(
         tasks,
-        caller="worker_chaos_warm",
-        execute=_execute,
-        key_of=_key_of,
-        store=_store,
         use_cache=warm_cache,
         backend="serial",
         on_result=lambda e: sources.append(e.source),

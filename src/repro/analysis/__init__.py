@@ -1,6 +1,6 @@
 """Analysis layer: measured runs, crescendo sweeps, records, reporting."""
 
-from repro.analysis.parallel import SweepTask, parallel_full_sweep, run_sweep
+from repro.analysis.parallel import SweepTask, run_sweep
 from repro.analysis.phases import (
     PhaseEnergy,
     PhaseInterval,
@@ -45,5 +45,4 @@ __all__ = [
     "phase_breakdown",
     "SweepTask",
     "run_sweep",
-    "parallel_full_sweep",
 ]

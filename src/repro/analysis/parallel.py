@@ -8,20 +8,27 @@ their machine: in-process serial, a hardened local process pool, or
 mpi4py ranks (``backend="serial" | "process" | "mpi"``, see
 :mod:`repro.exec` and ``docs/BACKENDS.md``).
 
-Workers receive a picklable task description and build their own
-cluster; only the resulting
-:class:`~repro.metrics.records.EnergyDelayPoint` travels back.
+Every sweep family speaks one task protocol (:class:`Task`): a picklable,
+frozen task names itself (``label``), hashes itself (``key()``), runs
+itself on a fresh cluster in whatever worker picks it up (``run()``),
+and encodes its outcome to and from the run cache (``load``/``store``).
+:class:`SweepTask` (an operating point of the paper's crescendo),
+:class:`~repro.faults.sweep.ChaosTask` and
+:class:`~repro.serving.sweep.ServingTask` all implement it, so
+:func:`run_sweep` runs any mix of them;
+:func:`~repro.faults.sweep.run_chaos_sweep` and
+:func:`~repro.serving.sweep.run_serving_sweep` are aliases of it.
 
 Determinism also makes runs *cacheable*: pass a
 :class:`~repro.cache.store.RunCache` and :func:`run_sweep` resolves each
-task to a content hash (:func:`repro.cache.keys.task_key`), returns
-stored points for hits, and inserts every freshly simulated point as it
-completes.  Insertion-on-completion is what makes sweeps **resumable**:
-an interrupted, crashed, or half-killed sweep has already persisted its
-finished points, so the re-run simulates only the gap.  Results also
-*stream*: pass ``on_result`` and every completed point (cache hits
-included) arrives as a :class:`SweepEvent` with progress counters the
-moment it lands, instead of gather-at-the-end.
+task to its content hash, returns stored outcomes for hits, and inserts
+every fresh outcome as it completes.  Insertion-on-completion is what
+makes sweeps **resumable**: an interrupted, crashed, or half-killed
+sweep has already persisted its finished outcomes, so the re-run
+simulates only the gap.  Results also *stream*: pass ``on_result`` and
+every completed outcome (cache hits included) arrives as a
+:class:`SweepEvent` with progress counters the moment it lands, instead
+of gather-at-the-end.
 
 Failures are collected, not contagious: a task that raises does not
 stop the remaining tasks, and a task whose *worker* dies (SIGKILL, OOM)
@@ -43,14 +50,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable,
-    Dict,
+    ClassVar,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
     Union,
 )
 
+import repro.cache.keys as cache_keys
+from repro.cache.context import resolve_cache
 from repro.dvs.strategy import (
     CpuspeedStrategy,
     DVSStrategy,
@@ -78,20 +88,13 @@ from repro.workloads.base import Workload
 
 __all__ = [
     "STRATEGY_KINDS",
+    "ReportCodec",
     "SweepError",
     "SweepEvent",
     "SweepTask",
-    "execute_sweep",
-    "parallel_full_sweep",
+    "Task",
     "run_sweep",
 ]
-
-#: Distinguishes "not passed" from any legitimate value in the
-#: deprecated-parameter shims.  Shared with
-#: :func:`repro.faults.sweep.run_chaos_sweep` and
-#: :func:`repro.serving.sweep.run_serving_sweep` so the signatures
-#: compare equal parameter-for-parameter (asserted in the tests).
-_UNSET = object()
 
 #: The strategy recipes a :class:`SweepTask` can describe.
 STRATEGY_KINDS = ("cpuspeed", "dyn", "stat")
@@ -137,7 +140,8 @@ class SweepError(RuntimeError):
             for _, _, err in self.failures
         ]
         summary = "; ".join(
-            f"task[{i}] ({_describe_task(task)}): {err!r}"
+            f"task[{i}] ({getattr(task, 'label', type(task).__name__)}): "
+            f"{err!r}"
             + (
                 f" after {len(history)} attempts"
                 if len(history) > 1
@@ -178,52 +182,67 @@ class SweepEvent:
     attempts: Tuple[AttemptRecord, ...] = ()
 
 
-def _describe_task(task: object) -> str:
-    label = getattr(task, "strategy_kind", None) or getattr(
-        task, "label", None
-    )
-    return label if label is not None else type(task).__name__
+class Task(Protocol):
+    """What :func:`run_sweep` asks of a task.
 
-
-def run_collected(
-    tasks: Sequence[object],
-    pending: Sequence[int],
-    execute: Callable[[object], object],
-    finish: Callable[[int, object], None],
-    n_workers: Optional[int],
-    *,
-    backend: Union[str, ExecBackend, None] = None,
-    retry: Optional[RetryPolicy] = None,
-) -> List[Tuple[int, object, BaseException]]:
-    """Run ``execute(tasks[i])`` for each pending index, collecting
-    failures instead of spreading them.
-
-    Pre-backend compatibility shim over :mod:`repro.exec`: ``n_workers``
-    keeps the internal convention (``0`` = serial in-process, ``None`` =
-    one worker per core, ``N`` = N workers) and ``finish(i, result)`` is
-    called the moment task ``i`` completes.  New code should use
-    :func:`execute_sweep` (or a backend directly) — this wrapper drops
-    the attempt histories.
-
-    Only :class:`Exception` is collected — ``KeyboardInterrupt`` /
-    ``SystemExit`` always propagate immediately, whether raised in
-    process or re-raised from a pool worker, so a Ctrl-C can never be
-    swallowed into a :class:`SweepError`.
+    ``label`` names the task in every :class:`SweepEvent`, tracer span
+    and :class:`SweepError` message.  ``run()`` is the worker body: it runs
+    the task on a fresh cluster and returns its outcome (tasks must be
+    picklable for the parallel backends).  With a cache active, ``key()``
+    is the task's content hash, ``load(cache, key)`` decodes a stored
+    outcome (``None`` on a miss or a foreign record) and
+    ``store(cache, key, outcome)`` persists a fresh one.
     """
-    resolved = resolve_backend(backend, n_workers, n_pending=len(pending))
-    units = [
-        TaskUnit(i, tasks[i], task_seed(i, tasks[i])) for i in pending
-    ]
-    task_failures = resolved.run(
-        execute,
-        units,
-        retry=retry if retry is not None else DEFAULT_RETRY,
-        on_result=lambda i, result, attempts: finish(i, result),
-    )
-    return sorted(
-        ((f.index, f.task, f.error) for f in task_failures),
-        key=lambda f: f[0],
-    )
+
+    label: str
+
+    def key(self) -> str: ...
+
+    def run(self) -> object: ...
+
+    def load(self, cache, key: str) -> Optional[object]: ...
+
+    def store(self, cache, key: str, outcome: object) -> None: ...
+
+
+class ReportCodec:
+    """The cache codec of a task whose outcome is a point plus a report.
+
+    The point is the record's point; the report and the task's
+    ``workload`` name ride in its meta, tagged with ``meta_kind``.  A
+    record of another family stored under the same key never decodes as
+    this one, and a record whose report does not parse falls through to
+    re-simulation.
+    """
+
+    meta_kind: ClassVar[str]
+    #: built as ``outcome_type(point=..., report=...)``
+    outcome_type: ClassVar[type]
+    report_type: ClassVar[type]  #: decoded with ``report_type.from_dict``
+
+    def load(self, cache, key: str) -> Optional[object]:
+        point = cache.get(key)
+        if point is None:
+            return None
+        meta = cache.get_meta(key)
+        if not meta or meta.get("kind") != self.meta_kind:
+            return None
+        try:
+            report = self.report_type.from_dict(meta["report"])
+        except (KeyError, TypeError, ValueError):
+            return None  # poisoned meta: fall through to re-simulation
+        return self.outcome_type(point=point, report=report)
+
+    def store(self, cache, key: str, outcome) -> None:
+        cache.put(
+            key,
+            outcome.point,
+            meta={
+                "kind": self.meta_kind,
+                "workload": getattr(self.workload, "name", ""),
+                "report": outcome.report.to_dict(),
+            },
+        )
 
 
 @dataclass(frozen=True)
@@ -259,6 +278,31 @@ class SweepTask:
                 f"needs {self.workload.n_ranks}"
             )
 
+    @property
+    def label(self) -> str:
+        return self.strategy_kind
+
+    def key(self) -> str:
+        return cache_keys.task_key(self)
+
+    def run(self) -> EnergyDelayPoint:
+        from repro.analysis.runner import run_measured
+
+        return run_measured(
+            self.workload,
+            self.build_strategy(),
+            calibration=self.calibration,
+            spec=self.spec,
+        ).point
+
+    def load(self, cache, key: str) -> Optional[EnergyDelayPoint]:
+        return cache.get(key)
+
+    def store(self, cache, key: str, point: EnergyDelayPoint) -> None:
+        cache.put(
+            key, point, meta={"workload": getattr(self.workload, "name", "")}
+        )
+
     def build_strategy(self) -> DVSStrategy:
         if self.strategy_kind == "stat":
             if self.frequency is None:
@@ -279,204 +323,37 @@ class SweepTask:
         )
 
 
-def _execute(task: SweepTask) -> EnergyDelayPoint:
-    """Worker body: run one task on a fresh cluster."""
-    from repro.analysis.runner import run_measured
-
-    run = run_measured(
-        task.workload,
-        task.build_strategy(),
-        calibration=task.calibration,
-        spec=task.spec,
-    )
-    return run.point
+def _run_task(task: Task) -> object:
+    """Worker body: run one task (picklable, unlike a bound method)."""
+    return task.run()
 
 
-def resolve_sweep_options(
-    caller: str,
-    jobs: Optional[int],
-    use_cache,
-    cache_dir,
-    tracer: Optional[Tracer],
-    n_workers,
-    cache,
-    backend: Union[str, ExecBackend, None] = None,
-) -> Tuple[Optional[int], object]:
-    """Normalise the unified sweep keywords to ``(n_workers, cache)``.
+def _warn_tracer_override(jobs: Optional[int], backend) -> None:
+    """Name the ``jobs``/``backend`` request a tracer overrides.
 
-    The shared front door of every sweep family: translates the public
-    ``jobs`` convention (``None`` = serial in-process, ``0`` = one
-    worker per core, ``N`` = N workers — the same meaning as
-    ``repro-experiment --jobs``) to the internal ``n_workers``
-    convention, resolves ``use_cache``/``cache_dir`` through
-    :func:`repro.cache.context.resolve_cache`, and applies the
-    :class:`DeprecationWarning` shims for the pre-unification
-    ``n_workers``/``cache`` keywords.
-
-    A ``tracer`` forces serial in-process execution — records live in
-    this process's ring buffers, so pool workers would trace into the
-    void.  When that overrides an explicit ``jobs``/``backend`` request,
-    a :class:`UserWarning` names the override so the caller learns why
-    the sweep is not parallel.
+    A tracer records into this process's ring buffers, so pool workers
+    would trace into the void: tracing forces serial in-process
+    execution.
     """
-    if n_workers is not _UNSET:
+    requested = []
+    if jobs is not None:
+        requested.append(f"jobs={jobs!r}")
+    if backend not in (None, "serial") and not isinstance(
+        backend, SerialBackend
+    ):
+        requested.append(f"backend={getattr(backend, 'name', backend)!r}")
+    if requested:
         warnings.warn(
-            f"{caller}(n_workers=...) is deprecated; use jobs=... "
-            "(None = serial in-process, 0 = one worker per core, "
-            "N = N workers)",
-            DeprecationWarning,
-            stacklevel=4,
+            "run_sweep: a tracer records into this process's ring "
+            "buffers, so tracing forces serial in-process execution; "
+            f"ignoring {' and '.join(requested)}",
+            UserWarning,
+            stacklevel=3,
         )
-        if jobs is None:
-            # Old convention: 0 = serial, None = all cores, N = N.
-            jobs = 0 if n_workers is None else (None if n_workers == 0 else n_workers)
-    if cache is not _UNSET:
-        warnings.warn(
-            f"{caller}(cache=...) is deprecated; use use_cache=... "
-            "(True, False, or a RunCache to share)",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        if use_cache is False and cache is not None:
-            use_cache = cache
-    if jobs is not None and jobs < 0:
-        raise ValueError(f"jobs must be None or >= 0, got {jobs}")
-
-    from repro.cache.context import resolve_cache
-
-    resolved = resolve_cache(use_cache, cache_dir)
-    if tracer is not None:
-        parallel_requested = jobs is not None or not (
-            backend is None
-            or backend == "serial"
-            or isinstance(backend, SerialBackend)
-        )
-        if parallel_requested:
-            requested = []
-            if jobs is not None:
-                requested.append(f"jobs={jobs!r}")
-            if backend is not None and backend != "serial":
-                requested.append(f"backend={getattr(backend, 'name', backend)!r}")
-            warnings.warn(
-                f"{caller}: a tracer records into this process's ring "
-                "buffers, so tracing forces serial in-process execution; "
-                f"ignoring {' and '.join(requested)}",
-                UserWarning,
-                stacklevel=4,
-            )
-        internal: Optional[int] = 0
-    else:
-        internal = 0 if jobs is None else (None if jobs == 0 else jobs)
-    return internal, resolved
-
-
-def execute_sweep(
-    tasks: Sequence[object],
-    *,
-    caller: str,
-    execute: Callable[[object], object],
-    describe: Callable[[object], str] = _describe_task,
-    key_of: Optional[Callable[[object], str]] = None,
-    lookup: Optional[Callable[[object, str], Optional[object]]] = None,
-    store: Optional[Callable[[object, str, object, object], None]] = None,
-    jobs: Optional[int] = None,
-    use_cache: Union[bool, object] = False,
-    cache_dir: Optional[Union[str, Path]] = None,
-    tracer: Optional[Tracer] = None,
-    backend: Union[str, ExecBackend, None] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_result: Optional[Callable[[SweepEvent], None]] = None,
-    n_workers=_UNSET,
-    cache=_UNSET,
-) -> List[object]:
-    """The engine shared by all three sweep families.
-
-    ``run_sweep``, ``run_chaos_sweep`` and ``run_serving_sweep`` are
-    thin shells over this: they supply the family-specific hooks
-    (``execute`` worker body, ``key_of`` content hash, ``lookup`` /
-    ``store`` cache codecs, ``describe`` labels) and this function owns
-    everything uniform — option resolution, cache short-circuiting,
-    streamed :class:`SweepEvent` delivery with progress counters,
-    backend dispatch with the :class:`~repro.exec.retry.RetryPolicy`,
-    tracer installation, and :class:`SweepError` assembly with attempt
-    histories.
-    """
-    internal_workers, run_cache = resolve_sweep_options(
-        caller, jobs, use_cache, cache_dir, tracer, n_workers, cache, backend
-    )
-    retry_policy = retry if retry is not None else DEFAULT_RETRY
-    scope = tracing(tracer) if tracer is not None else nullcontext()
-    with scope:
-        total = len(tasks)
-        results: List[Optional[object]] = [None] * total
-        keys: List[Optional[str]] = [None] * total
-        completed = 0
-        if run_cache is not None and key_of is not None:
-            get = lookup if lookup is not None else (
-                lambda cache_obj, key: cache_obj.get(key)
-            )
-            for i, task in enumerate(tasks):
-                keys[i] = key_of(task)
-                results[i] = get(run_cache, keys[i])
-
-        pending = [i for i, r in enumerate(results) if r is None]
-        if on_result is not None:
-            for i, hit in enumerate(results):
-                if hit is not None:
-                    completed += 1
-                    on_result(
-                        SweepEvent(
-                            i, total, completed, "cache", hit,
-                            describe(tasks[i]),
-                        )
-                    )
-
-        def finish(index: int, result: object, attempts) -> None:
-            nonlocal completed
-            results[index] = result
-            if run_cache is not None and store is not None:
-                store(run_cache, keys[index], tasks[index], result)
-            completed += 1
-            if on_result is not None:
-                on_result(
-                    SweepEvent(
-                        index, total, completed, "run", result,
-                        describe(tasks[index]), tuple(attempts),
-                    )
-                )
-
-        exec_fn = execute
-        if tracer is not None:
-            def exec_fn(task):  # noqa: F811 - traced replacement
-                with tracer.wall_span(
-                    describe(task), "sweep.task", "sweep"
-                ):
-                    return execute(task)
-
-            backend_obj: ExecBackend = SerialBackend()
-        else:
-            backend_obj = resolve_backend(
-                backend, internal_workers, n_pending=len(pending)
-            )
-        units = [
-            TaskUnit(i, tasks[i], task_seed(i, tasks[i], keys[i]))
-            for i in pending
-        ]
-        task_failures = backend_obj.run(
-            exec_fn, units, retry=retry_policy, on_result=finish
-        )
-    if task_failures:
-        ordered = sorted(task_failures, key=lambda f: f.index)
-        raise SweepError(
-            [(f.index, f.task, f.error) for f in ordered],
-            results,
-            attempts=[f.attempts for f in ordered],
-        )
-    return results
 
 
 def run_sweep(
-    tasks: Sequence[SweepTask],
+    tasks: Sequence[Task],
     *,
     jobs: Optional[int] = None,
     use_cache: Union[bool, object] = False,
@@ -485,14 +362,17 @@ def run_sweep(
     backend: Union[str, ExecBackend, None] = None,
     retry: Optional[RetryPolicy] = None,
     on_result: Optional[Callable[[SweepEvent], None]] = None,
-    n_workers=_UNSET,
-    cache=_UNSET,
-) -> List[EnergyDelayPoint]:
-    """Run tasks, preserving input order.
+) -> List:
+    """Run tasks of any family (any mix of them), preserving input order.
 
-    Parameters (keyword-only, shared verbatim with
-    :func:`repro.faults.sweep.run_chaos_sweep` and
-    :func:`repro.serving.sweep.run_serving_sweep`):
+    Returns each task's outcome: an
+    :class:`~repro.metrics.records.EnergyDelayPoint` for a
+    :class:`SweepTask`, a :class:`~repro.faults.sweep.ChaosOutcome` for a
+    :class:`~repro.faults.sweep.ChaosTask`, a
+    :class:`~repro.serving.sweep.ServingOutcome` for a
+    :class:`~repro.serving.sweep.ServingTask`.
+
+    Parameters (keyword-only):
 
     ``jobs``
         ``None`` runs serial in-process (the default), ``0`` uses one
@@ -502,8 +382,8 @@ def run_sweep(
         ``True`` opens a :class:`~repro.cache.store.RunCache` at
         ``cache_dir`` (default: ``$REPRO_CACHE_DIR`` or
         ``~/.cache/repro/runs``); an existing :class:`RunCache` is
-        shared as-is.  Stored points short-circuit their tasks and
-        fresh points persist the moment they complete, so interrupted
+        shared as-is.  Stored outcomes short-circuit their tasks and
+        fresh outcomes persist the moment they complete, so interrupted
         sweeps resume.  The store is safe to share between concurrent
         sweeps (see ``docs/CACHING.md``).
     ``tracer``
@@ -526,10 +406,6 @@ def run_sweep(
         Streaming callback: invoked with a :class:`SweepEvent` the
         moment each result lands (cache hits first, in input order;
         then fresh runs in completion order) with progress counters.
-    ``n_workers`` / ``cache``
-        Deprecated pre-unification names (``DeprecationWarning``);
-        note ``n_workers`` had *inverted* serial semantics
-        (``0`` = serial, ``None`` = all cores).
 
     Raises
     ------
@@ -537,74 +413,73 @@ def run_sweep(
         After all tasks have been attempted, if any of them failed —
         with per-task attempt histories attached.
     """
-    def key_of(task) -> str:
-        from repro.cache.keys import task_key
+    if jobs is not None and jobs < 0:
+        raise ValueError(f"jobs must be None or >= 0, got {jobs}")
+    run_cache = resolve_cache(use_cache, cache_dir)
+    scope = tracing(tracer) if tracer is not None else nullcontext()
+    with scope:
+        total = len(tasks)
+        results: List[Optional[object]] = [None] * total
+        keys: List[Optional[str]] = [None] * total
+        completed = 0
+        if run_cache is not None:
+            for i, task in enumerate(tasks):
+                keys[i] = task.key()
+                results[i] = task.load(run_cache, keys[i])
 
-        return task_key(task)
+        pending = [i for i, r in enumerate(results) if r is None]
+        if on_result is not None:
+            for i, hit in enumerate(results):
+                if hit is not None:
+                    completed += 1
+                    on_result(
+                        SweepEvent(
+                            i, total, completed, "cache", hit, tasks[i].label
+                        )
+                    )
 
-    def store(run_cache, key, task, point) -> None:
-        run_cache.put(
-            key,
-            point,
-            meta={"workload": getattr(task.workload, "name", "")},
-        )
-
-    return execute_sweep(
-        tasks,
-        caller="run_sweep",
-        execute=_execute,
-        key_of=key_of,
-        store=store,
-        jobs=jobs,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        tracer=tracer,
-        backend=backend,
-        retry=retry,
-        on_result=on_result,
-        n_workers=n_workers,
-        cache=cache,
-    )
-
-
-def parallel_full_sweep(
-    workload: Workload,
-    frequencies: Sequence[float],
-    regions: Optional[Sequence[str]] = None,
-    calibration: Optional[Calibration] = None,
-    include_dynamic: bool = True,
-    n_workers: Optional[int] = None,
-    cache=None,
-) -> Dict[str, List[EnergyDelayPoint]]:
-    """The parallel counterpart of
-    :func:`repro.analysis.runner.full_strategy_sweep`.
-
-    Keeps the historical ``n_workers`` convention (``None`` = one worker
-    per core, ``0`` = serial in-process) and translates to
-    :func:`run_sweep`'s unified ``jobs`` keyword internally.
-    """
-    tasks: List[SweepTask] = [
-        SweepTask(workload, "cpuspeed", calibration=calibration)
-    ]
-    for f in frequencies:
-        tasks.append(SweepTask(workload, "stat", frequency=f, calibration=calibration))
-    if include_dynamic:
-        for f in frequencies:
-            tasks.append(
-                SweepTask(
-                    workload,
-                    "dyn",
-                    frequency=f,
-                    regions=tuple(regions) if regions else None,
-                    calibration=calibration,
+        def finish(index: int, result: object, attempts) -> None:
+            nonlocal completed
+            results[index] = result
+            if run_cache is not None:
+                tasks[index].store(run_cache, keys[index], result)
+            completed += 1
+            if on_result is not None:
+                on_result(
+                    SweepEvent(
+                        index, total, completed, "run", result,
+                        tasks[index].label, tuple(attempts),
+                    )
                 )
-            )
-    jobs = 0 if n_workers is None else (None if n_workers == 0 else n_workers)
-    points = run_sweep(tasks, jobs=jobs, use_cache=cache if cache else False)
 
-    out: Dict[str, List[EnergyDelayPoint]] = {"cpuspeed": [points[0]]}
-    n = len(frequencies)
-    out["stat"] = points[1 : 1 + n]
-    if include_dynamic:
-        out["dyn"] = points[1 + n : 1 + 2 * n]
-    return out
+        if tracer is None:
+            execute: Callable[[Task], object] = _run_task
+            backend_obj = resolve_backend(
+                backend, jobs=jobs, n_pending=len(pending)
+            )
+        else:
+            _warn_tracer_override(jobs, backend)
+
+            def execute(task: Task) -> object:
+                with tracer.wall_span(task.label, "sweep.task", "sweep"):
+                    return task.run()
+
+            backend_obj = SerialBackend()
+        units = [
+            TaskUnit(i, tasks[i], task_seed(i, tasks[i], keys[i]))
+            for i in pending
+        ]
+        task_failures = backend_obj.run(
+            execute,
+            units,
+            retry=retry if retry is not None else DEFAULT_RETRY,
+            on_result=finish,
+        )
+    if task_failures:
+        ordered = sorted(task_failures, key=lambda f: f.index)
+        raise SweepError(
+            [(f.index, f.task, f.error) for f in ordered],
+            results,
+            attempts=[f.attempts for f in ordered],
+        )
+    return results

@@ -3,14 +3,14 @@ plumbing.
 
 Thirteen experiment drivers build crescendos through the shared helpers
 in :mod:`repro.experiments.common`.  Rather than thread
-``cache``/``n_workers``/``backend`` arguments through every ``fig*.run``
+``cache``/``jobs``/``backend`` arguments through every ``fig*.run``
 signature, the registry (and anything else) installs a
 :class:`SweepContext` for the duration of a call::
 
     from repro.cache import RunCache, sweep_context
     from repro.experiments.registry import run_experiment
 
-    with sweep_context(cache=RunCache("/tmp/repro-cache"), n_workers=4):
+    with sweep_context(cache=RunCache("/tmp/repro-cache"), jobs=4):
         result = run_experiment("fig5")
 
 Helpers that honour the context (``static_points``, ``dynamic_points``,
@@ -45,18 +45,18 @@ __all__ = [
 class SweepContext:
     """What ambient machinery sweeps should use.
 
-    ``n_workers`` follows the internal convention: ``0`` runs in-process
-    (the default — serial, no pool), ``None`` uses ``os.cpu_count()``
-    workers, ``N`` uses N workers.  ``backend`` is a name from
-    :data:`repro.exec.backends.BACKENDS` (or an
+    ``jobs`` has :func:`~repro.analysis.parallel.run_sweep`'s meaning:
+    ``None`` runs in-process (the default — serial, no pool), ``0`` uses
+    ``os.cpu_count()`` workers, ``N`` uses N workers.  ``backend`` is a
+    name from :data:`repro.exec.backends.BACKENDS` (or an
     :class:`~repro.exec.backends.ExecBackend` instance); ``None`` infers
-    from ``n_workers``.  ``retry`` is a
+    from ``jobs``.  ``retry`` is a
     :class:`~repro.exec.retry.RetryPolicy` (``None`` = the sweep
     default).
     """
 
     cache: Optional[RunCache] = None
-    n_workers: Optional[int] = 0
+    jobs: Optional[int] = None
     backend: object = None
     retry: object = None
 
@@ -84,8 +84,7 @@ def resolve_cache(
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> Optional[RunCache]:
     """The one ``use_cache``/``cache_dir`` convention, shared by
-    :func:`repro.analysis.parallel.run_sweep`,
-    :func:`repro.faults.sweep.run_chaos_sweep`, the experiment registry,
+    :func:`repro.analysis.parallel.run_sweep`, the experiment registry,
     and :class:`repro.session.Session`.
 
     ``use_cache`` is a :class:`RunCache` to share (returned as-is),
@@ -104,14 +103,12 @@ def resolve_cache(
 @contextmanager
 def sweep_context(
     cache: Optional[RunCache] = None,
-    n_workers: Optional[int] = 0,
+    jobs: Optional[int] = None,
     backend: object = None,
     retry: object = None,
 ) -> Iterator[SweepContext]:
     """Install a :class:`SweepContext` for the dynamic extent of a block."""
-    ctx = SweepContext(
-        cache=cache, n_workers=n_workers, backend=backend, retry=retry
-    )
+    ctx = SweepContext(cache=cache, jobs=jobs, backend=backend, retry=retry)
     token = _ACTIVE.set(ctx)
     try:
         yield ctx

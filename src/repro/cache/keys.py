@@ -12,8 +12,9 @@ A cache key must satisfy two properties:
 :func:`canonical_encode` lowers an arbitrary spec object (dataclasses,
 enums, mappings, numpy scalars/arrays, plain objects) into a JSON-able
 tree with deterministic ordering; :func:`canonical_json` serialises it
-with sorted keys and no whitespace; :func:`task_key` prepends the
-version salt and hashes the result with SHA-256.
+with sorted keys and no whitespace; :func:`task_key` (operating points)
+and :func:`tagged_task_key` (whole-task families such as chaos and
+serving runs) prepend the version salt and hash the result with SHA-256.
 
 The **salt** (:func:`simulator_salt`) folds ``repro.__version__`` and
 :data:`CACHE_FORMAT` into every key.  Bumping either invalidates the
@@ -37,6 +38,7 @@ __all__ = [
     "canonical_encode",
     "canonical_json",
     "simulator_salt",
+    "tagged_task_key",
     "task_key",
 ]
 
@@ -171,5 +173,33 @@ def task_key(task: Any, salt: Optional[str] = None) -> str:
     spec = getattr(task, "spec", None)
     if spec is not None:
         payload["cluster"] = canonical_encode(spec)
+    return _digest(payload)
+
+
+def tagged_task_key(task: Any, kind: str, salt: Optional[str] = None) -> str:
+    """SHA-256 content hash of a task hashed whole, under a family tag.
+
+    The task's every field and its class's qualname go into the hash
+    (:func:`canonical_encode`), next to the version salt and the family
+    ``kind`` tag.  As in :func:`task_key`, a ``calibration`` of ``None``
+    is normalised to the default calibration the runner substitutes at
+    execution time.  Chaos and serving tasks key through this (see
+    :func:`repro.faults.sweep.chaos_task_key` and
+    :func:`repro.serving.sweep.serving_task_key`).
+    """
+    from repro.hardware.calibration import DEFAULT_CALIBRATION
+
+    if task.calibration is None:
+        task = dataclasses.replace(task, calibration=DEFAULT_CALIBRATION)
+    return _digest(
+        {
+            "salt": salt if salt is not None else simulator_salt(),
+            "kind": kind,
+            "task": canonical_encode(task),
+        }
+    )
+
+
+def _digest(payload: dict) -> str:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

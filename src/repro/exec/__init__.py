@@ -1,9 +1,7 @@
 """repro.exec — fault-tolerant, pluggable sweep execution backends.
 
-The execution substrate under every sweep family
-(:func:`repro.analysis.parallel.run_sweep`,
-:func:`repro.faults.sweep.run_chaos_sweep`,
-:func:`repro.serving.sweep.run_serving_sweep`): a
+The execution substrate under every sweep
+(:func:`repro.analysis.parallel.run_sweep`, whatever the task family): a
 :class:`~repro.exec.backends.ExecBackend` runs independent tasks and
 streams results as they land, a
 :class:`~repro.exec.retry.RetryPolicy` bounds attempts/backoff/

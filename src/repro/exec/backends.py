@@ -22,8 +22,8 @@ history that travels with both failures (via
 streamed events).
 
 Backends do not know about caching, tracing, or task semantics — the
-sweep layer (:func:`repro.analysis.parallel.execute_sweep`) owns those
-and hands backends plain ``(index, task, seed)`` units plus a picklable
+sweep layer (:func:`repro.analysis.parallel.run_sweep`) owns those and
+hands backends plain ``(index, task, seed)`` units plus a picklable
 ``execute`` callable.
 """
 
@@ -460,29 +460,29 @@ def _fail_respawn_limit(
 
 def resolve_backend(
     backend: Union[str, ExecBackend, None] = None,
-    n_workers: Optional[int] = 0,
+    *,
+    jobs: Optional[int] = None,
     n_pending: Optional[int] = None,
 ) -> ExecBackend:
     """The one backend-selection convention.
 
     ``backend`` is an :class:`ExecBackend` instance (returned as-is), a
-    name from :data:`BACKENDS`, or ``None`` to infer from ``n_workers``
-    (the internal convention: ``0`` = serial in-process, ``None`` = one
-    worker per core, ``N`` = N workers).  When inferring, a sweep with
-    at most one pending task (``n_pending``) stays serial — spawning a
-    pool for a single run is pure overhead.
+    name from :data:`BACKENDS`, or ``None`` to infer from ``jobs`` (the
+    public convention: ``None`` = serial in-process, ``0`` = one worker
+    per core, ``N`` = N workers).  When inferring, a sweep with at most
+    one pending task (``n_pending``) stays serial — spawning a pool for
+    a single run is pure overhead.  A named ``"process"`` backend takes
+    its worker count from ``jobs`` (``None``/``0`` = one per core).
     """
     if isinstance(backend, ExecBackend):
         return backend
     if backend is None:
-        serial = n_workers == 0 or (n_pending is not None and n_pending <= 1)
+        serial = jobs is None or (n_pending is not None and n_pending <= 1)
         backend = "serial" if serial else "process"
     if backend == "serial":
         return SerialBackend()
     if backend == "process":
-        return ProcessPoolBackend(
-            max_workers=None if n_workers in (0, None) else n_workers
-        )
+        return ProcessPoolBackend(max_workers=jobs or None)
     if backend == "mpi":
         from repro.exec.mpi import MpiBackend
 

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.records import ExperimentResult
 from repro.analysis.report import format_table
 from repro.analysis.runner import run_measured
-from repro.cache.context import active_context
 from repro.dvs.strategy import StaticStrategy
 from repro.faults.spec import (
     DvfsStuck,
@@ -38,8 +37,8 @@ from repro.faults.spec import (
     TelemetryDropout,
     acceleration_for,
 )
-from repro.experiments.common import context_jobs
-from repro.faults.sweep import ChaosOutcome, ChaosTask, run_chaos_sweep
+from repro.experiments.common import context_sweep
+from repro.faults.sweep import ChaosOutcome, ChaosTask
 from repro.hardware.reliability import ReliabilityModel
 from repro.metrics.chaos import ChaosReport
 from repro.workloads.synthetic import SyntheticMix
@@ -135,7 +134,6 @@ def run(
         "latency, budget violations, and efficiency degradation "
         "(extension beyond the paper)",
     )
-    ctx = active_context()
     # All-compute, no synchronisation: every node draws steadily, so a
     # control-plane lapse shows up as power, not as barrier slack — and
     # a crashed rank never deadlocks the survivors.
@@ -187,13 +185,7 @@ def run(
     tasks = build_tasks(
         workload, budget_watts, all_plans, interval, allowed_recovery
     )
-    outcomes = run_chaos_sweep(
-        tasks,
-        jobs=context_jobs(ctx.n_workers),
-        use_cache=ctx.cache if ctx.cache is not None else False,
-        backend=ctx.backend,
-        retry=ctx.retry,
-    )
+    outcomes = context_sweep(tasks)
     by_task: Dict[Tuple[int, str], ChaosOutcome] = {}
     for task, outcome in zip(tasks, outcomes):
         mode = next(

@@ -2,7 +2,8 @@
 
 The point-sweep helpers (:func:`static_points`, :func:`dynamic_points`,
 :func:`cpuspeed_point`, :func:`strategy_point_sweep`) are how every
-driver runs its crescendos: they honour the ambient
+driver runs its crescendos, and :func:`context_sweep` is how the chaos
+and serving drivers run theirs: they honour the ambient
 :class:`~repro.cache.context.SweepContext`, so installing a context (as
 :func:`repro.experiments.registry.run_experiment` does for its
 ``use_cache``/``jobs`` arguments) transparently gives any experiment a
@@ -28,7 +29,7 @@ from repro.workloads.base import Workload
 
 __all__ = [
     "LADDER_FREQUENCIES",
-    "context_jobs",
+    "context_sweep",
     "points_of",
     "static_points",
     "dynamic_points",
@@ -49,18 +50,13 @@ def points_of(runs: Sequence[MeasuredRun]) -> List[EnergyDelayPoint]:
     return [run.point for run in runs]
 
 
-def context_jobs(n_workers: Optional[int]) -> Optional[int]:
-    """Translate :class:`~repro.cache.context.SweepContext.n_workers`
-    (``0`` = serial, ``None`` = one per core) to the unified ``jobs``
-    convention (``None`` = serial, ``0`` = one per core)."""
-    return None if n_workers == 0 else (0 if n_workers is None else n_workers)
-
-
-def _context_sweep(tasks: Sequence[SweepTask]) -> List[EnergyDelayPoint]:
+def context_sweep(tasks: Sequence) -> List:
+    """:func:`~repro.analysis.parallel.run_sweep` under the ambient
+    :class:`~repro.cache.context.SweepContext` (tasks of any family)."""
     ctx = active_context()
     return run_sweep(
         tasks,
-        jobs=context_jobs(ctx.n_workers),
+        jobs=ctx.jobs,
         use_cache=ctx.cache if ctx.cache is not None else False,
         backend=ctx.backend,
         retry=ctx.retry,
@@ -74,7 +70,7 @@ def static_points(
     spec: Optional[ClusterSpec] = None,
 ) -> List[EnergyDelayPoint]:
     """One static point per frequency, honouring the sweep context."""
-    return _context_sweep(
+    return context_sweep(
         [
             SweepTask(
                 workload, "stat", frequency=f, calibration=calibration,
@@ -93,7 +89,7 @@ def dynamic_points(
     spec: Optional[ClusterSpec] = None,
 ) -> List[EnergyDelayPoint]:
     """One dynamic point per base frequency, honouring the sweep context."""
-    return _context_sweep(
+    return context_sweep(
         [
             SweepTask(
                 workload,
@@ -114,7 +110,7 @@ def cpuspeed_point(
     spec: Optional[ClusterSpec] = None,
 ) -> EnergyDelayPoint:
     """The cpuspeed operating point, honouring the sweep context."""
-    return _context_sweep(
+    return context_sweep(
         [SweepTask(workload, "cpuspeed", calibration=calibration, spec=spec)]
     )[0]
 
@@ -156,7 +152,7 @@ def strategy_point_sweep(
                     spec=spec,
                 )
             )
-    points = _context_sweep(tasks)
+    points = context_sweep(tasks)
     out: Dict[str, List[EnergyDelayPoint]] = {"cpuspeed": [points[0]]}
     n = len(frequencies)
     out["stat"] = points[1 : 1 + n]

@@ -29,12 +29,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.records import ExperimentResult
 from repro.analysis.report import format_table
-from repro.cache.context import active_context
-from repro.experiments.common import context_jobs
+from repro.experiments.common import context_sweep
 from repro.metrics.knobmap import KnobCell, KnobMapReport, best_knob
 from repro.serving.arrivals import DiurnalArrivals
 from repro.serving.spec import ServingWorkload, TierSpec
-from repro.serving.sweep import ServingTask, run_serving_sweep
+from repro.serving.sweep import ServingTask
 
 __all__ = ["run", "build_workload"]
 
@@ -86,9 +85,6 @@ def run(
         "control plane vs its pure-DVFS degenerations "
         "(extension beyond the paper)",
     )
-    ctx = active_context()
-    jobs = context_jobs(ctx.n_workers)
-    use_cache = ctx.cache if ctx.cache is not None else False
     elastic_knobs = None if knobs is None else tuple(knobs)
 
     cells: List[KnobCell] = []
@@ -99,13 +95,7 @@ def run(
         )
         # The reference: static-max defines what "a budget of 0.8×"
         # means at this load level.
-        [static] = run_serving_sweep(
-            [ServingTask(workload, "static")],
-            jobs=jobs,
-            use_cache=use_cache,
-            backend=ctx.backend,
-            retry=ctx.retry,
-        )
+        [static] = context_sweep([ServingTask(workload, "static")])
         reference_w = static.report.average_power_w
         static_watts[f"{base_rate:g}"] = reference_w
 
@@ -136,13 +126,7 @@ def run(
                     ServingTask(workload, "powercap", budget_watts=budget),
                 ]
             )
-        outcomes = run_serving_sweep(
-            tasks,
-            jobs=jobs,
-            use_cache=use_cache,
-            backend=ctx.backend,
-            retry=ctx.retry,
-        )
+        outcomes = context_sweep(tasks)
         per_budget = len(tasks) // len(budgets)
         for i, (frac, budget) in enumerate(zip(budget_fracs, budgets)):
             group = outcomes[i * per_budget : (i + 1) * per_budget]

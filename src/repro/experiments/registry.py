@@ -134,8 +134,5 @@ def run_experiment(
     cache = resolve_cache(use_cache, cache_dir)
     if cache is None and jobs is None and backend is None and retry is None:
         return EXPERIMENTS[experiment_id](**kwargs)
-    n_workers: Optional[int] = 0 if jobs is None else (None if jobs == 0 else jobs)
-    with sweep_context(
-        cache=cache, n_workers=n_workers, backend=backend, retry=retry
-    ):
+    with sweep_context(cache=cache, jobs=jobs, backend=backend, retry=retry):
         return EXPERIMENTS[experiment_id](**kwargs)

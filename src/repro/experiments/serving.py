@@ -30,12 +30,11 @@ from typing import List, Optional
 
 from repro.analysis.records import ExperimentResult
 from repro.analysis.report import format_table
-from repro.cache.context import active_context
-from repro.experiments.common import context_jobs
+from repro.experiments.common import context_sweep
 from repro.metrics.serving import ServingReport
 from repro.serving.arrivals import MMPPArrivals
 from repro.serving.spec import ServingWorkload, TierSpec
-from repro.serving.sweep import ServingTask, run_serving_sweep
+from repro.serving.sweep import ServingTask
 
 __all__ = ["run", "build_workload"]
 
@@ -104,21 +103,12 @@ def run(
         "static-max and a power cap under a p99 latency SLO "
         "(extension beyond the paper)",
     )
-    ctx = active_context()
-    jobs = context_jobs(ctx.n_workers)
-    use_cache = ctx.cache if ctx.cache is not None else False
     workload = build_workload(horizon_s=horizon_s, seed=seed)
 
     # Phase 1 — the SLO reference.  The p99 budget and the power budget
     # are both derived from the static-max run, so every knob of the
     # comparison is a *fraction of the reference*, not a magic number.
-    [static] = run_serving_sweep(
-        [ServingTask(workload, "static")],
-        jobs=jobs,
-        use_cache=use_cache,
-        backend=ctx.backend,
-        retry=ctx.retry,
-    )
+    [static] = context_sweep([ServingTask(workload, "static")])
     assert static.report.p99_s is not None
     slo_s = slo_factor * static.report.p99_s
     budget_watts = cap_fraction * static.report.average_power_w
@@ -129,13 +119,7 @@ def run(
         ServingTask(workload, "cpuspeed"),
         ServingTask(workload, "powercap", budget_watts=budget_watts),
     ]
-    outcomes = run_serving_sweep(
-        tasks,
-        jobs=jobs,
-        use_cache=use_cache,
-        backend=ctx.backend,
-        retry=ctx.retry,
-    )
+    outcomes = context_sweep(tasks)
     reports = [static.report] + [o.report for o in outcomes]
 
     result.tables[workload.name] = format_table(

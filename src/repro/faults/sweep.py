@@ -5,41 +5,36 @@ run — workload, :class:`~repro.faults.spec.FaultPlan`, budget, policy,
 hardened or fair-weather governor.  Because every field (including the
 plan, a tree of frozen dataclasses) lowers through
 :func:`repro.cache.keys.canonical_encode`, a task has a content hash
-(:func:`chaos_task_key`) and chaos sweeps get the same caching contract
-as ordinary sweeps: :func:`run_chaos_sweep` short-circuits stored
-outcomes and persists each fresh one the moment it completes, so an
-interrupted chaos sweep resumes where it stopped.
+(:func:`chaos_task_key`), and it implements the sweep task protocol
+(:class:`repro.analysis.parallel.Task`).  Chaos sweeps therefore get the
+same caching contract as ordinary sweeps: :func:`run_chaos_sweep` (an
+alias of :func:`repro.analysis.parallel.run_sweep`) short-circuits
+stored outcomes and persists each fresh one the moment it completes, so
+an interrupted chaos sweep resumes where it stopped.
 
 The stored record reuses the run cache unchanged: the energy/delay point
 goes in as the point, the :class:`~repro.metrics.chaos.ChaosReport`
-rides in the record's ``meta`` dict.
+rides in the record's ``meta`` dict
+(:class:`~repro.analysis.parallel.ReportCodec`).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Optional
 
 from repro.analysis.parallel import (
-    _UNSET,
+    ReportCodec,
     SweepError,  # noqa: F401 - re-exported for callers catching sweep failures
-    SweepEvent,
-    execute_sweep,
+    run_sweep,
 )
 from repro.analysis.runner import run_measured
-from repro.exec.backends import ExecBackend
-from repro.exec.retry import RetryPolicy
-from repro.cache.keys import canonical_encode, simulator_salt
+from repro.cache.keys import tagged_task_key
 from repro.hardware.calibration import Calibration
 from repro.hardware.cluster import Cluster
 from repro.hardware.spec import ClusterSpec
 from repro.metrics.chaos import ChaosReport, build_chaos_report
 from repro.metrics.records import EnergyDelayPoint
-from repro.obs.tracer import Tracer
 from repro.powercap import (
     CapGovernorConfig,
     PowerBudget,
@@ -65,13 +60,17 @@ __all__ = [
 #: Allocation policies a :class:`ChaosTask` can name.
 CHAOS_POLICIES = ("uniform", "redist")
 
-#: ``meta`` tag marking a cache record as a chaos outcome (a plain sweep
-#: point stored under a colliding key must never decode as one).
-_META_KIND = "chaos-report"
+
+@dataclass(frozen=True)
+class ChaosOutcome:
+    """What one chaos run produces: its point plus its chaos score."""
+
+    point: EnergyDelayPoint
+    report: ChaosReport
 
 
 @dataclass(frozen=True)
-class ChaosTask:
+class ChaosTask(ReportCodec):
     """One faulted capped run (picklable, content-hashable).
 
     ``hardened=True`` runs the self-healing governor
@@ -89,6 +88,10 @@ class ChaosTask:
     #: violations are excused (see :mod:`repro.metrics.chaos`)
     allowed_recovery_s: float = 1.0
     calibration: Optional[Calibration] = None
+
+    meta_kind = "chaos-report"
+    outcome_type = ChaosOutcome
+    report_type = ChaosReport
 
     def __post_init__(self) -> None:
         if self.policy not in CHAOS_POLICIES:
@@ -113,143 +116,53 @@ class ChaosTask:
             resilience=ResilienceConfig() if self.hardened else None,
         )
 
+    @property
+    def label(self) -> str:
+        mode = "hardened" if self.hardened else "fairweather"
+        return f"{self.policy}/{mode}"
 
-@dataclass(frozen=True)
-class ChaosOutcome:
-    """What one chaos run produces: its point plus its chaos score."""
+    def key(self) -> str:
+        return chaos_task_key(self)
 
-    point: EnergyDelayPoint
-    report: ChaosReport
+    def run(self) -> ChaosOutcome:
+        """One faulted run on a fresh cluster, scored."""
+        strategy = self.build_strategy()
+
+        def factory() -> Cluster:
+            cluster = Cluster.from_spec(
+                ClusterSpec.homogeneous(self.workload.n_ranks),
+                calibration=self.calibration,
+            )
+            FaultInjector(cluster, self.plan).install()
+            return cluster
+
+        run = run_measured(self.workload, strategy, cluster_factory=factory)
+        governor = strategy.governor
+        assert governor is not None
+        report = build_chaos_report(
+            label=strategy.name,
+            windows=governor.windows,
+            transitions=self.plan.transition_times(),
+            budget=strategy.budget,
+            allowed_recovery_s=self.allowed_recovery_s,
+            energy_j=run.point.energy,
+            delay_s=run.point.delay,
+            repair_events=len(governor.repair_log),
+            invariant_violations=governor.monitor.count,
+        )
+        return ChaosOutcome(point=run.point, report=report)
 
 
 def chaos_task_key(task: ChaosTask, salt: Optional[str] = None) -> str:
     """SHA-256 content hash of one chaos task (hex digest).
 
-    Shares :func:`~repro.cache.keys.task_key`'s conventions: the version
-    salt is folded in, and a ``calibration`` of ``None`` is normalised to
-    the default calibration the runner substitutes at execution time.
-    The fault plan is part of the hash, so two sweeps differing only in
-    fault timelines never collide.
+    A :func:`~repro.cache.keys.tagged_task_key` under the chaos tag: the
+    version salt is folded in, a ``calibration`` of ``None`` is
+    normalised to the default, and the fault plan is part of the hash,
+    so two sweeps differing only in fault timelines never collide.
     """
-    from repro.hardware.calibration import DEFAULT_CALIBRATION
-
-    if task.calibration is None:
-        task = dataclasses.replace(task, calibration=DEFAULT_CALIBRATION)
-    payload = {
-        "salt": salt if salt is not None else simulator_salt(),
-        "kind": _META_KIND,
-        "task": canonical_encode(task),
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return tagged_task_key(task, ChaosTask.meta_kind, salt)
 
 
-def _execute_chaos(task: ChaosTask) -> ChaosOutcome:
-    """Worker body: one faulted run on a fresh cluster, scored."""
-    strategy = task.build_strategy()
-
-    def factory() -> Cluster:
-        cluster = Cluster.from_spec(
-            ClusterSpec.homogeneous(task.workload.n_ranks),
-            calibration=task.calibration,
-        )
-        FaultInjector(cluster, task.plan).install()
-        return cluster
-
-    run = run_measured(task.workload, strategy, cluster_factory=factory)
-    governor = strategy.governor
-    assert governor is not None
-    report = build_chaos_report(
-        label=strategy.name,
-        windows=governor.windows,
-        transitions=task.plan.transition_times(),
-        budget=strategy.budget,
-        allowed_recovery_s=task.allowed_recovery_s,
-        energy_j=run.point.energy,
-        delay_s=run.point.delay,
-        repair_events=len(governor.repair_log),
-        invariant_violations=governor.monitor.count,
-    )
-    return ChaosOutcome(point=run.point, report=report)
-
-
-def _cached_outcome(cache, key: str) -> Optional[ChaosOutcome]:
-    """Decode a stored chaos record, or ``None`` on miss/foreign record."""
-    point = cache.get(key)
-    if point is None:
-        return None
-    meta = cache.get_meta(key)
-    if not meta or meta.get("kind") != _META_KIND:
-        return None
-    try:
-        report = ChaosReport.from_dict(meta["report"])
-    except (KeyError, TypeError, ValueError):
-        return None  # poisoned meta: fall through to re-simulation
-    return ChaosOutcome(point=point, report=report)
-
-
-def _describe_chaos(task: ChaosTask) -> str:
-    return f"{task.policy}/{'hardened' if task.hardened else 'fairweather'}"
-
-
-def _store_chaos(run_cache, key: str, task: ChaosTask, outcome: ChaosOutcome) -> None:
-    run_cache.put(
-        key,
-        outcome.point,
-        meta={
-            "kind": _META_KIND,
-            "workload": getattr(task.workload, "name", ""),
-            "report": outcome.report.to_dict(),
-        },
-    )
-
-
-def run_chaos_sweep(
-    tasks: Sequence[ChaosTask],
-    *,
-    jobs: Optional[int] = None,
-    use_cache: Union[bool, object] = False,
-    cache_dir: Optional[Union[str, Path]] = None,
-    tracer: Optional[Tracer] = None,
-    backend: Union[str, ExecBackend, None] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_result: Optional[Callable[[SweepEvent], None]] = None,
-    n_workers=_UNSET,
-    cache=_UNSET,
-) -> List[ChaosOutcome]:
-    """Run chaos tasks, preserving input order.
-
-    The chaos counterpart of :func:`repro.analysis.parallel.run_sweep`,
-    with the identical keyword-only signature (asserted
-    parameter-for-parameter in the tests): same ``jobs`` convention
-    (``None`` = serial in-process, ``0`` = one worker per core, ``N`` =
-    N workers), same ``use_cache``/``cache_dir`` resolution, same
-    ``tracer`` semantics (installed as the active tracer, one wall-clock
-    span per executed task, forces serial execution with a
-    ``UserWarning`` when overriding), same ``backend``/``retry``
-    execution substrate (:mod:`repro.exec`), same streamed
-    ``on_result`` :class:`~repro.analysis.parallel.SweepEvent` delivery,
-    same deprecated ``n_workers``/``cache`` shims, same failure
-    collection (:class:`~repro.analysis.parallel.SweepError` with
-    attempt histories after everything has been attempted), and the
-    same cache contract (stored outcomes short-circuit, fresh outcomes
-    persist on completion, so interrupted sweeps resume).
-    """
-    return execute_sweep(
-        tasks,
-        caller="run_chaos_sweep",
-        execute=_execute_chaos,
-        describe=_describe_chaos,
-        key_of=chaos_task_key,
-        lookup=_cached_outcome,
-        store=_store_chaos,
-        jobs=jobs,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        tracer=tracer,
-        backend=backend,
-        retry=retry,
-        on_result=on_result,
-        n_workers=n_workers,
-        cache=cache,
-    )
+#: The chaos family's name for :func:`repro.analysis.parallel.run_sweep`.
+run_chaos_sweep = run_sweep

@@ -7,14 +7,10 @@ nodes (per-group DVFS ladders and power models — the default spec
 reproduces the paper's homogeneous 16-laptop cluster, a multi-group
 spec a heterogeneous machine) and the Ethernet fabric, and wires NIC
 activity into node power timelines.
-
-:meth:`Cluster.build` is the deprecated positional predecessor, kept as
-a thin shim over a single-group homogeneous spec.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.calibration import Calibration, DEFAULT_CALIBRATION
@@ -102,36 +98,6 @@ class Cluster:
                 _nic_listener(fabric, node),
             )
         return cls(eng, nodes, fabric, cal, tracer)
-
-    @classmethod
-    def build(
-        cls,
-        n_nodes: int,
-        calibration: Optional[Calibration] = None,
-        table: Optional[DVFSTable] = None,
-        trace: Optional[TraceRecorder] = None,
-        engine: Optional[Engine] = None,
-    ) -> "Cluster":
-        """Deprecated: construct ``n_nodes`` identical nodes.
-
-        Thin shim over :meth:`from_spec` with a single-group homogeneous
-        spec; kept one release for callers of the positional API.
-        """
-        warnings.warn(
-            "Cluster.build is deprecated; use "
-            "Cluster.from_spec(ClusterSpec.homogeneous(n)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-        spec = ClusterSpec.homogeneous(
-            n_nodes,
-            points=tuple(table.points) if table is not None else None,
-        )
-        return cls.from_spec(
-            spec, calibration=calibration, trace=trace, engine=engine
-        )
 
     # ------------------------------------------------------------------
     @property

@@ -16,8 +16,7 @@ therefore order-*sensitive* across groups (asserted in
 ``tests/cache/test_spec_keys.py``).
 
 The default spec — one group, base technology, reference core, no ladder
-override — describes exactly the paper's homogeneous Pentium-M cluster
-and constructs bit-identically to the deprecated ``Cluster.build`` path.
+override — describes exactly the paper's homogeneous Pentium-M cluster.
 """
 
 from __future__ import annotations
@@ -84,8 +83,8 @@ class NodeSpec:
         """The group's DVFS ladder, ported to its (tech, core) pair.
 
         Returns the shared :data:`~repro.hardware.dvfs.PENTIUM_M_1400`
-        object itself for the default spec (identity, not a copy) — the
-        keystone of the spec path's bit-identity with the legacy one.
+        object itself for the default spec (identity, not a copy), so the
+        default spec's nodes share the paper's ladder.
         """
         return scaled_table(self.base_table(), self.tech, self.core)
 
@@ -121,7 +120,7 @@ class ClusterSpec:
         """A single-group spec of ``count`` identical nodes.
 
         With all defaults this is exactly the paper's homogeneous
-        cluster — what the deprecated ``Cluster.build`` shim constructs.
+        cluster.
         """
         return cls(
             groups=(NodeSpec(count=count, tech=tech, core=core, points=points),),

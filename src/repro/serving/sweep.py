@@ -4,40 +4,35 @@ A :class:`ServingTask` is the picklable description of one serving run
 — workload spec plus a policy recipe.  Every field lowers through
 :func:`repro.cache.keys.canonical_encode` (the workload is a tree of
 frozen dataclasses, arrival generators included), so a task has a
-content hash (:func:`serving_task_key`) and serving sweeps get the same
-caching contract as ordinary and chaos sweeps: :func:`run_serving_sweep`
-short-circuits stored outcomes and persists each fresh one the moment
-it completes, so an interrupted sweep resumes where it stopped — and a
-warm re-run is bit-identical to the cold one (asserted in the tests).
+content hash (:func:`serving_task_key`), and it implements the sweep
+task protocol (:class:`repro.analysis.parallel.Task`).  Serving sweeps
+therefore get the same caching contract as ordinary and chaos sweeps:
+:func:`run_serving_sweep` (an alias of
+:func:`repro.analysis.parallel.run_sweep`) short-circuits stored
+outcomes and persists each fresh one the moment it completes, so an
+interrupted sweep resumes where it stopped — and a warm re-run is
+bit-identical to the cold one (asserted in the tests).
 
 The stored record reuses the run cache unchanged: the energy/delay
 point goes in as the point, the
 :class:`~repro.metrics.serving.ServingReport` rides in the record's
-``meta`` dict.
+``meta`` dict (:class:`~repro.analysis.parallel.ReportCodec`).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.analysis.parallel import (
-    _UNSET,
+    ReportCodec,
     SweepError,  # noqa: F401 - re-exported for callers catching sweep failures
-    SweepEvent,
-    execute_sweep,
+    run_sweep,
 )
-from repro.cache.keys import canonical_encode, simulator_salt
-from repro.exec.backends import ExecBackend
-from repro.exec.retry import RetryPolicy
+from repro.cache.keys import tagged_task_key
 from repro.hardware.calibration import Calibration
 from repro.metrics.records import EnergyDelayPoint
 from repro.metrics.serving import ServingReport, build_serving_report
-from repro.obs.tracer import Tracer
 from repro.serving.elastic import ELASTIC_ALLOCATORS, ElasticServingPolicy
 from repro.serving.policy import (
     CpuspeedServingPolicy,
@@ -61,12 +56,17 @@ __all__ = [
 #: Policy recipes a :class:`ServingTask` can name.
 SERVING_POLICIES = ("static", "cpuspeed", "powercap", "tierdvs", "elastic")
 
-#: ``meta`` tag marking a cache record as a serving outcome.
-_META_KIND = "serving-report"
+
+@dataclass(frozen=True)
+class ServingOutcome:
+    """What one serving run produces: its point plus its report."""
+
+    point: EnergyDelayPoint
+    report: ServingReport
 
 
 @dataclass(frozen=True)
-class ServingTask:
+class ServingTask(ReportCodec):
     """One serving run (picklable, content-hashable).
 
     ``frequency`` applies to ``"static"`` (``None`` = ladder fastest);
@@ -86,6 +86,10 @@ class ServingTask:
     calibration: Optional[Calibration] = None
     knobs: Optional[Tuple[str, ...]] = None
     allocator: str = "redist"
+
+    meta_kind = "serving-report"
+    outcome_type = ServingOutcome
+    report_type = ServingReport
 
     def __post_init__(self) -> None:
         check_in("policy", self.policy, SERVING_POLICIES)
@@ -137,130 +141,35 @@ class ServingTask:
             return self.build_policy().name
         return self.policy
 
+    def key(self) -> str:
+        return serving_task_key(self)
 
-@dataclass(frozen=True)
-class ServingOutcome:
-    """What one serving run produces: its point plus its report."""
-
-    point: EnergyDelayPoint
-    report: ServingReport
+    def run(self) -> ServingOutcome:
+        """One serving run on a fresh cluster, scored."""
+        run = run_serving(
+            self.workload, self.build_policy(), calibration=self.calibration
+        )
+        report = build_serving_report(run, label=self.label)
+        point = EnergyDelayPoint(
+            label=self.label,
+            energy=run.energy_j,
+            delay=run.duration_s,
+            frequency=self.frequency,
+        )
+        return ServingOutcome(point=point, report=report)
 
 
 def serving_task_key(task: ServingTask, salt: Optional[str] = None) -> str:
     """SHA-256 content hash of one serving task (hex digest).
 
-    Shares :func:`~repro.cache.keys.task_key`'s conventions: the version
-    salt is folded in, and a ``calibration`` of ``None`` is normalised
-    to the default calibration the runner substitutes at execution time.
-    The workload (tiers, arrival generator, seeds) is part of the hash,
-    so two sweeps differing only in arrival seed never collide.
+    A :func:`~repro.cache.keys.tagged_task_key` under the serving tag:
+    the version salt is folded in, a ``calibration`` of ``None`` is
+    normalised to the default, and the workload (tiers, arrival
+    generator, seeds) is part of the hash, so two sweeps differing only
+    in arrival seed never collide.
     """
-    from repro.hardware.calibration import DEFAULT_CALIBRATION
-
-    if task.calibration is None:
-        task = dataclasses.replace(task, calibration=DEFAULT_CALIBRATION)
-    payload = {
-        "salt": salt if salt is not None else simulator_salt(),
-        "kind": _META_KIND,
-        "task": canonical_encode(task),
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return tagged_task_key(task, ServingTask.meta_kind, salt)
 
 
-def _execute_serving(task: ServingTask) -> ServingOutcome:
-    """Worker body: one serving run on a fresh cluster, scored."""
-    run = run_serving(
-        task.workload, task.build_policy(), calibration=task.calibration
-    )
-    report = build_serving_report(run, label=task.label)
-    point = EnergyDelayPoint(
-        label=task.label,
-        energy=run.energy_j,
-        delay=run.duration_s,
-        frequency=task.frequency,
-    )
-    return ServingOutcome(point=point, report=report)
-
-
-def _cached_outcome(cache, key: str) -> Optional[ServingOutcome]:
-    """Decode a stored serving record, or ``None`` on miss/foreign record."""
-    point = cache.get(key)
-    if point is None:
-        return None
-    meta = cache.get_meta(key)
-    if not meta or meta.get("kind") != _META_KIND:
-        return None
-    try:
-        report = ServingReport.from_dict(meta["report"])
-    except (KeyError, TypeError, ValueError):
-        return None  # poisoned meta: fall through to re-simulation
-    return ServingOutcome(point=point, report=report)
-
-
-def _describe_serving(task: ServingTask) -> str:
-    return task.label
-
-
-def _store_serving(
-    run_cache, key: str, task: ServingTask, outcome: ServingOutcome
-) -> None:
-    run_cache.put(
-        key,
-        outcome.point,
-        meta={
-            "kind": _META_KIND,
-            "workload": task.workload.name,
-            "report": outcome.report.to_dict(),
-        },
-    )
-
-
-def run_serving_sweep(
-    tasks: Sequence[ServingTask],
-    *,
-    jobs: Optional[int] = None,
-    use_cache: Union[bool, object] = False,
-    cache_dir: Optional[Union[str, Path]] = None,
-    tracer: Optional[Tracer] = None,
-    backend: Union[str, ExecBackend, None] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_result: Optional[Callable[[SweepEvent], None]] = None,
-    n_workers=_UNSET,
-    cache=_UNSET,
-) -> List[ServingOutcome]:
-    """Run serving tasks, preserving input order.
-
-    The serving counterpart of :func:`repro.analysis.parallel.run_sweep`
-    and :func:`repro.faults.sweep.run_chaos_sweep`, with the identical
-    keyword-only signature (asserted parameter-for-parameter in the
-    tests): same ``jobs`` convention, same ``use_cache``/``cache_dir``
-    resolution, same ``tracer`` semantics (installed as the active
-    tracer, one wall-clock span per executed task, forces serial
-    execution with a ``UserWarning`` when overriding), same
-    ``backend``/``retry`` execution substrate (:mod:`repro.exec`), same
-    streamed ``on_result`` :class:`~repro.analysis.parallel.SweepEvent`
-    delivery, same deprecated ``n_workers``/``cache`` shims, same
-    failure collection (:class:`~repro.analysis.parallel.SweepError`
-    with attempt histories after everything has been attempted), and
-    the same cache contract (stored outcomes short-circuit, fresh
-    outcomes persist on completion, so interrupted sweeps resume).
-    """
-    return execute_sweep(
-        tasks,
-        caller="run_serving_sweep",
-        execute=_execute_serving,
-        describe=_describe_serving,
-        key_of=serving_task_key,
-        lookup=_cached_outcome,
-        store=_store_serving,
-        jobs=jobs,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        tracer=tracer,
-        backend=backend,
-        retry=retry,
-        on_result=on_result,
-        n_workers=n_workers,
-        cache=cache,
-    )
+#: The serving family's name for :func:`repro.analysis.parallel.run_sweep`.
+run_serving_sweep = run_sweep

@@ -2,7 +2,6 @@
 
 Everything :class:`Session` does is available from the deep modules —
 :func:`repro.analysis.parallel.run_sweep`,
-:func:`repro.faults.sweep.run_chaos_sweep`,
 :func:`repro.experiments.registry.run_experiment`,
 :func:`repro.analysis.runner.run_measured` — with the same keywords.
 The session exists so scripts and notebooks state their policy *once*
@@ -130,38 +129,15 @@ class Session:
     # -- sweeps --------------------------------------------------------
     def sweep(self, tasks: Sequence) -> List:
         """:func:`~repro.analysis.parallel.run_sweep` with this
-        session's cache, jobs, and tracer."""
+        session's cache, jobs, and tracer.
+
+        ``tasks`` may mix families: operating points
+        (:class:`~repro.analysis.parallel.SweepTask`), chaos runs and
+        serving runs all speak the same task protocol.
+        """
         from repro.analysis.parallel import run_sweep
 
         return run_sweep(
-            tasks,
-            jobs=self.jobs,
-            use_cache=self.cache if self.cache is not None else False,
-            tracer=self.tracer,
-            backend=self.backend,
-            retry=self.retry,
-        )
-
-    def chaos_sweep(self, tasks: Sequence) -> List:
-        """:func:`~repro.faults.sweep.run_chaos_sweep` with this
-        session's cache, jobs, and tracer."""
-        from repro.faults.sweep import run_chaos_sweep
-
-        return run_chaos_sweep(
-            tasks,
-            jobs=self.jobs,
-            use_cache=self.cache if self.cache is not None else False,
-            tracer=self.tracer,
-            backend=self.backend,
-            retry=self.retry,
-        )
-
-    def serving_sweep(self, tasks: Sequence) -> List:
-        """:func:`~repro.serving.sweep.run_serving_sweep` with this
-        session's cache, jobs, and tracer."""
-        from repro.serving.sweep import run_serving_sweep
-
-        return run_serving_sweep(
             tasks,
             jobs=self.jobs,
             use_cache=self.cache if self.cache is not None else False,
@@ -177,14 +153,13 @@ class Session:
         sequence of them; a single task returns its
         :class:`~repro.serving.sweep.ServingOutcome`, a sequence returns
         the outcome list (input order).  Caching, parallelism, and
-        tracing follow the session exactly like :meth:`sweep` /
-        :meth:`chaos_sweep`.
+        tracing follow the session exactly like :meth:`sweep`.
         """
         from repro.serving.sweep import ServingTask
 
         if isinstance(tasks, ServingTask):
-            return self.serving_sweep([tasks])[0]
-        return self.serving_sweep(tasks)
+            return self.sweep([tasks])[0]
+        return self.sweep(tasks)
 
     # -- experiments ---------------------------------------------------
     def experiment(self, experiment_id: str, **kwargs):

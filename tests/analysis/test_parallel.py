@@ -8,7 +8,6 @@ from repro.analysis.parallel import (
     STRATEGY_KINDS,
     SweepError,
     SweepTask,
-    parallel_full_sweep,
     run_sweep,
 )
 from repro.analysis.runner import full_strategy_sweep
@@ -90,29 +89,36 @@ def test_inprocess_sweep_preserves_order():
     assert [p.frequency for p in points] == FREQS
 
 
+def grid_tasks(regions=None, include_dynamic=True):
+    """The grid :func:`full_strategy_sweep` runs, as sweep tasks."""
+    wl = make_workload()
+    tasks = [SweepTask(wl, "cpuspeed")]
+    tasks += [SweepTask(wl, "stat", frequency=f) for f in FREQS]
+    if include_dynamic:
+        tasks += [
+            SweepTask(wl, "dyn", frequency=f, regions=regions) for f in FREQS
+        ]
+    return tasks
+
+
 def test_parallel_sweep_matches_serial_bit_for_bit():
     """Determinism across process boundaries: the parallel sweep equals
     the serial one exactly."""
     serial = full_strategy_sweep(make_workload(), FREQS, regions=["fft"])
-    serial_points = {k: points_of(v) for k, v in serial.items()}
+    serial_points = points_of(serial["cpuspeed"] + serial["stat"] + serial["dyn"])
 
-    parallel = parallel_full_sweep(
-        make_workload(), FREQS, regions=["fft"], n_workers=2
-    )
-    assert set(parallel) == set(serial_points)
-    for kind in serial_points:
-        for a, b in zip(serial_points[kind], parallel[kind]):
-            assert a.energy == b.energy, kind
-            assert a.delay == b.delay, kind
-            assert a.label == b.label
+    parallel = run_sweep(grid_tasks(regions=("fft",)), jobs=2)
+    assert len(parallel) == len(serial_points)
+    for a, b in zip(serial_points, parallel):
+        assert a.energy == b.energy, a.label
+        assert a.delay == b.delay, a.label
+        assert a.label == b.label
 
 
 def test_parallel_sweep_without_dynamic():
-    out = parallel_full_sweep(
-        make_workload(), FREQS, include_dynamic=False, n_workers=2
-    )
-    assert set(out) == {"cpuspeed", "stat"}
-    assert len(out["stat"]) == 3
+    serial = full_strategy_sweep(make_workload(), FREQS, include_dynamic=False)
+    out = run_sweep(grid_tasks(include_dynamic=False), jobs=2)
+    assert out == points_of(serial["cpuspeed"] + serial["stat"])
 
 
 def test_worker_crash_completes_siblings_and_resumes_from_cache(tmp_path):

@@ -1,5 +1,6 @@
-"""The unified sweep contract: one signature, one error contract, one
-deprecation story for ``run_sweep`` and ``run_chaos_sweep``."""
+"""The unified sweep contract: one front door (``run_sweep``, which the
+chaos and serving family names alias), one signature, one error
+contract."""
 
 import inspect
 
@@ -9,6 +10,7 @@ from repro.analysis.parallel import SweepTask, run_sweep
 from repro.cache.store import RunCache
 from repro.faults.sweep import run_chaos_sweep
 from repro.obs.tracer import Tracer
+from repro.serving.sweep import run_serving_sweep
 from repro.util.units import MHZ
 from repro.workloads.micro import L2BoundMicro
 
@@ -23,17 +25,9 @@ def make_tasks():
 
 class TestSignatureSync:
     def test_signatures_match_parameter_for_parameter(self):
-        """The two sweeps must never drift apart: same parameter names,
-        same kinds, same defaults (identical objects, not just equal),
-        in the same order — only the task type differs."""
-        sweep = inspect.signature(run_sweep)
-        chaos = inspect.signature(run_chaos_sweep)
-        assert list(sweep.parameters) == list(chaos.parameters)
-        for name in sweep.parameters:
-            a, b = sweep.parameters[name], chaos.parameters[name]
-            assert a.kind == b.kind, name
-            if name != "tasks":
-                assert a.default is b.default, name
+        """The family names cannot drift apart: they are the one front
+        door, so every parameter matches by construction."""
+        assert run_chaos_sweep is run_serving_sweep is run_sweep
 
     def test_options_are_keyword_only(self):
         for fn in (run_sweep, run_chaos_sweep):
@@ -65,30 +59,6 @@ class TestJobsConvention:
             run_sweep(make_tasks(), jobs=-1)
         with pytest.raises(ValueError):
             run_chaos_sweep([], jobs=-1)
-
-
-class TestDeprecatedShims:
-    def test_n_workers_warns_and_translates(self):
-        with pytest.warns(DeprecationWarning, match="n_workers"):
-            points = run_sweep(make_tasks(), n_workers=0)  # old serial
-        assert [p.frequency for p in points] == FREQS
-
-    def test_cache_warns_and_still_caches(self, tmp_path):
-        cache = RunCache(tmp_path)
-        with pytest.warns(DeprecationWarning, match="cache"):
-            run_sweep(make_tasks(), cache=cache)
-        assert cache.stats.entries == len(FREQS)
-
-    def test_new_keywords_win_over_deprecated_ones(self, tmp_path):
-        # jobs explicitly given: the deprecated n_workers only warns.
-        with pytest.warns(DeprecationWarning):
-            points = run_sweep(make_tasks(), jobs=None, n_workers=4)
-        assert [p.frequency for p in points] == FREQS
-
-    def test_chaos_sweep_shims_mirror(self):
-        with pytest.warns(DeprecationWarning, match="n_workers"):
-            outcomes = run_chaos_sweep([], n_workers=0)
-        assert outcomes == []
 
 
 class TestTracerParameter:

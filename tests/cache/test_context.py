@@ -9,7 +9,7 @@ from repro.cache.store import RunCache
 def test_default_context_is_serial_and_uncached():
     ctx = active_context()
     assert ctx.cache is None
-    assert ctx.n_workers == 0
+    assert ctx.jobs is None
 
 
 def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
@@ -21,12 +21,12 @@ def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
 
 def test_sweep_context_installs_and_restores(tmp_path):
     cache = RunCache(tmp_path)
-    with sweep_context(cache=cache, n_workers=3):
+    with sweep_context(cache=cache, jobs=3):
         ctx = active_context()
         assert ctx.cache is cache
-        assert ctx.n_workers == 3
+        assert ctx.jobs == 3
         with sweep_context():  # nesting shadows, exit restores
             assert active_context().cache is None
         assert active_context().cache is cache
     assert active_context().cache is None
-    assert active_context().n_workers == 0
+    assert active_context().jobs is None

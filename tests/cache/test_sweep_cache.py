@@ -2,7 +2,7 @@
 
 import time
 
-from repro.analysis.parallel import SweepTask, parallel_full_sweep, run_sweep
+from repro.analysis.parallel import SweepTask, run_sweep
 from repro.cache.keys import task_key
 from repro.cache.store import RunCache
 from repro.util.units import MHZ
@@ -20,23 +20,32 @@ def make_workload():
     )
 
 
+def full_grid():
+    """The fig5 grid: cpuspeed plus a static and a dynamic crescendo."""
+    wl = make_workload()
+    return (
+        [SweepTask(wl, "cpuspeed")]
+        + [SweepTask(wl, "stat", frequency=f) for f in FREQS]
+        + [
+            SweepTask(wl, "dyn", frequency=f, regions=tuple(REGIONS))
+            for f in FREQS
+        ]
+    )
+
+
 def test_warm_sweep_is_bit_identical_and_order_of_magnitude_faster(tmp_path):
     """Acceptance: a repeated fig5-style sweep against a warm cache runs
     >=10x faster than cold and returns bit-identical points."""
     cold_cache = RunCache(tmp_path)
     t0 = time.perf_counter()
-    cold = parallel_full_sweep(
-        make_workload(), FREQS, regions=REGIONS, n_workers=0, cache=cold_cache
-    )
+    cold = run_sweep(full_grid(), use_cache=cold_cache)
     cold_seconds = time.perf_counter() - t0
     assert cold_cache.stats.misses == 11  # cpuspeed + 5 stat + 5 dyn
     assert cold_cache.stats.entries == 11
 
     warm_cache = RunCache(tmp_path)  # fresh instance: hits come from disk
     t0 = time.perf_counter()
-    warm = parallel_full_sweep(
-        make_workload(), FREQS, regions=REGIONS, n_workers=0, cache=warm_cache
-    )
+    warm = run_sweep(full_grid(), use_cache=warm_cache)
     warm_seconds = time.perf_counter() - t0
 
     # EnergyDelayPoint is a frozen dataclass: == is exact field equality.

@@ -213,30 +213,43 @@ class TestResolveBackend:
         assert resolve_backend(backend) is backend
 
     def test_none_with_zero_workers_is_serial(self):
-        assert isinstance(resolve_backend(None, 0), SerialBackend)
+        # jobs=None (the default) asks for no worker processes.
+        assert isinstance(resolve_backend(None), SerialBackend)
+        assert isinstance(resolve_backend(None, jobs=None), SerialBackend)
 
     def test_none_with_workers_is_process_pool(self):
-        backend = resolve_backend(None, 3, n_pending=10)
+        backend = resolve_backend(None, jobs=3, n_pending=10)
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.max_workers == 3
 
     def test_none_all_cores_is_process_pool(self):
-        backend = resolve_backend(None, None, n_pending=10)
+        backend = resolve_backend(None, jobs=0, n_pending=10)
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.max_workers is None
 
     def test_single_pending_task_stays_serial(self):
-        assert isinstance(resolve_backend(None, 4, n_pending=1), SerialBackend)
+        backend = resolve_backend(None, jobs=4, n_pending=1)
+        assert isinstance(backend, SerialBackend)
 
     def test_named_backends(self):
-        assert isinstance(resolve_backend("serial", 4), SerialBackend)
-        assert isinstance(resolve_backend("process", 0), ProcessPoolBackend)
-        assert isinstance(resolve_backend("mpi", 0), MpiBackend)
+        assert isinstance(resolve_backend("serial", jobs=4), SerialBackend)
+        assert isinstance(resolve_backend("process"), ProcessPoolBackend)
+        assert isinstance(resolve_backend("mpi"), MpiBackend)
 
     def test_explicit_name_beats_worker_inference(self):
-        # backend="process" with n_workers=0 still builds a pool.
-        backend = resolve_backend("process", 0, n_pending=1)
+        # backend="process" with no jobs still builds a pool, one worker
+        # per core.
+        backend = resolve_backend("process", n_pending=1)
         assert isinstance(backend, ProcessPoolBackend)
+        assert backend.max_workers is None
+        assert resolve_backend("process", jobs=0).max_workers is None
+        assert resolve_backend("process", jobs=2).max_workers == 2
+
+    def test_jobs_is_keyword_only(self):
+        # A positional worker count from the old inverted convention
+        # must fail loudly, never flip between serial and all cores.
+        with pytest.raises(TypeError):
+            resolve_backend(None, 0)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -244,4 +257,4 @@ class TestResolveBackend:
 
     def test_backends_tuple_matches_resolution(self):
         for name in BACKENDS:
-            assert isinstance(resolve_backend(name, 2), ExecBackend)
+            assert isinstance(resolve_backend(name, jobs=2), ExecBackend)

@@ -9,10 +9,12 @@ its worker on every attempt and must end up the sweep's sole casualty.
 
 import os
 import signal
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
-from repro.analysis.parallel import SweepError, execute_sweep
+from repro.analysis.parallel import SweepError, run_sweep
 from repro.exec.backends import ProcessPoolBackend, TaskUnit
 from repro.exec.retry import RetryPolicy, WorkerLostError, task_seed
 
@@ -35,6 +37,22 @@ def _killer_execute(task):
 
 def _plain(value):
     return value, None, False
+
+
+@dataclass(frozen=True)
+class KillerTask:
+    """The same maybe-die-else-square body as a sweep task."""
+
+    value: int
+    marker: Optional[str] = None
+    kill_always: bool = False
+
+    @property
+    def label(self) -> str:
+        return f"killer[{self.value}]"
+
+    def run(self) -> int:
+        return _killer_execute((self.value, self.marker, self.kill_always))
 
 
 class TestKillOnce:
@@ -64,15 +82,13 @@ class TestKillOnce:
         for index, history in attempts_by_index.items():
             assert len(history) <= 1, (index, history)
 
-    def test_execute_sweep_streams_attempt_history(self, tmp_path):
+    def test_run_sweep_streams_attempt_history(self, tmp_path):
         marker = str(tmp_path / "killed-once-sweep")
-        tasks = [_plain(v) for v in range(4)]
-        tasks[1] = (1, marker, False)
+        tasks = [KillerTask(v) for v in range(4)]
+        tasks[1] = KillerTask(1, marker)
         events = []
-        results = execute_sweep(
+        results = run_sweep(
             tasks,
-            caller="test_sweep",
-            execute=_killer_execute,
             backend=ProcessPoolBackend(max_workers=2),
             on_result=events.append,
         )
@@ -105,19 +121,18 @@ class TestKillAlways:
         assert streamed == {0: 0, 1: 1, 3: 9, 4: 16}
 
     def test_sweep_error_reports_only_the_true_casualty(self):
-        tasks = [_plain(v) for v in range(4)]
-        tasks[0] = (0, "/nonexistent-marker-dir/never-created", True)
+        tasks = [KillerTask(v) for v in range(4)]
+        tasks[0] = KillerTask(0, "/nonexistent-marker-dir/never-created", True)
         with pytest.raises(SweepError) as excinfo:
-            execute_sweep(
+            run_sweep(
                 tasks,
-                caller="test_sweep",
-                execute=_killer_execute,
                 backend=ProcessPoolBackend(max_workers=2),
                 retry=RetryPolicy(max_attempts=2, backoff_base_s=0.01),
             )
         err = excinfo.value
         assert [i for i, _, _ in err.failures] == [0]
         assert err.completed == [None, 1, 4, 9]
+        assert "task[0] (killer[0])" in str(err)
         assert "after 2 attempts" in str(err)
         assert "attempt history" in str(err)
 

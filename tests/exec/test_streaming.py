@@ -1,12 +1,14 @@
 """Streamed sweep results: ``on_result`` events, progress counters, and
 cache-hit short-circuits arriving before execution starts."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.analysis.parallel import (
+    SweepError,
     SweepEvent,
     SweepTask,
-    execute_sweep,
     run_sweep,
 )
 from repro.cache.store import RunCache
@@ -58,26 +60,38 @@ class TestRunSweepStreaming:
         assert events[0].source == "cache"
 
 
-def _flaky_factory():
-    """An execute that fails its first call per task value, in-process."""
-    seen = set()
+@dataclass(frozen=True)
+class FlakyTask:
+    """Fails its first run per value (``seen`` is shared, in-process)."""
 
-    def flaky(task):
-        if task not in seen:
-            seen.add(task)
-            raise ValueError(f"transient {task}")
-        return task * 10
+    value: int
+    seen: set
 
-    return flaky
+    label = "flaky"
+
+    def run(self) -> int:
+        if self.value not in self.seen:
+            self.seen.add(self.value)
+            raise ValueError(f"transient {self.value}")
+        return self.value * 10
+
+
+@dataclass(frozen=True)
+class EchoTask:
+    value: int
+
+    label = "echo"
+
+    def run(self) -> int:
+        return self.value
 
 
 class TestAttemptStreaming:
     def test_retried_success_carries_attempt_history(self):
         events = []
-        results = execute_sweep(
-            [1, 2],
-            caller="test_flaky",
-            execute=_flaky_factory(),
+        seen = set()
+        results = run_sweep(
+            [FlakyTask(1, seen), FlakyTask(2, seen)],
             backend="serial",
             retry=RetryPolicy(
                 retry_all_errors=True, backoff_base_s=0.0, backoff_max_s=0.0
@@ -93,15 +107,9 @@ class TestAttemptStreaming:
             if event.index == 0:
                 raise RuntimeError("observer bug")
 
-        from repro.analysis.parallel import SweepError
-
         with pytest.raises(SweepError) as excinfo:
-            execute_sweep(
-                [1, 2],
-                caller="test_cb",
-                execute=lambda t: t,
-                backend="serial",
-                on_result=boomy,
+            run_sweep(
+                [EchoTask(1), EchoTask(2)], backend="serial", on_result=boomy
             )
         assert [i for i, _, _ in excinfo.value.failures] == [0]
         assert excinfo.value.completed[1] == 2

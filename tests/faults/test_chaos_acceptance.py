@@ -11,6 +11,7 @@ are cache-resumable.
 
 import pytest
 
+from repro.analysis.parallel import SweepError
 from repro.analysis.runner import run_measured
 from repro.cache.store import RunCache
 from repro.dvs.strategy import StaticStrategy
@@ -22,7 +23,6 @@ from repro.faults import (
     chaos_task_key,
     run_chaos_sweep,
 )
-from repro.faults import sweep as chaos_sweep_module
 from repro.workloads.synthetic import SyntheticMix
 
 #: The drill workload: all-compute, no synchronisation, so control-plane
@@ -126,7 +126,7 @@ class TestCacheResume:
         def boom(task):
             raise AssertionError("cache miss: chaos run re-simulated")
 
-        monkeypatch.setattr(chaos_sweep_module, "_execute_chaos", boom)
+        monkeypatch.setattr(ChaosTask, "run", boom)
         second = run_chaos_sweep(tasks, use_cache=cache)
         assert [o.report for o in second] == [o.report for o in first]
         assert [o.point for o in second] == [o.point for o in first]
@@ -192,3 +192,37 @@ class TestTaskKey:
             ChaosTask(
                 workload=WORKLOAD, plan=FaultPlan(), budget_watts=0.0
             )
+
+
+class CrashingMix(SyntheticMix):
+    """The drill workload, failing the moment it is launched."""
+
+    def program(self, comm, dvs):
+        raise RuntimeError("injected chaos-run failure")
+        yield  # pragma: no cover - makes this a generator
+
+
+class TestFailureLabels:
+    def test_sweep_error_names_policy_and_mode(self):
+        def task(workload):
+            return ChaosTask(
+                workload=workload,
+                plan=FaultPlan(),
+                budget_watts=100.0,
+                policy="uniform",
+                hardened=False,
+            )
+
+        crashing = CrashingMix(
+            1.0, 0.0, 0.0, iteration_seconds=0.5, iterations=4, n_ranks=8
+        )
+        events = []
+        with pytest.raises(SweepError) as excinfo:
+            run_chaos_sweep(
+                [task(WORKLOAD), task(crashing)], on_result=events.append
+            )
+        message = str(excinfo.value)
+        assert "task[1] (uniform/fairweather)" in message
+        assert "injected chaos-run failure" in message
+        # The sibling that ran streams its event under the same label.
+        assert [e.label for e in events] == ["uniform/fairweather"]

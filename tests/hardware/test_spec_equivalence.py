@@ -1,17 +1,14 @@
-"""The spec layer's contract with the legacy path: a single-group
-:class:`ClusterSpec` builds the same hardware and produces bit-identical
-outputs, the ``Cluster.build`` shim warns and delegates, and the two
-constructors never drift apart (signature sync)."""
+"""The spec layer's contract: a single-group :class:`ClusterSpec` built
+through a cluster factory and passed as ``spec=`` produces bit-identical
+outputs, and ``Cluster.from_spec`` keeps its options keyword-only."""
 
 import inspect
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dvs.strategy import DynamicStrategy, StaticStrategy
 from repro.analysis.runner import run_measured
-from repro.hardware.calibration import DEFAULT_CALIBRATION
 from repro.hardware.cluster import Cluster
 from repro.hardware.dvfs import PENTIUM_M_1400
 from repro.hardware.scaling import CORE_IO, tech_node
@@ -25,11 +22,9 @@ from repro.util.units import MHZ
 from repro.workloads.nas_ft import NasFT
 
 
-def legacy_build(n_nodes, **kwargs):
-    """The deprecated path, with its warning swallowed."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return Cluster.build(n_nodes, **kwargs)
+def factory(n_nodes):
+    """A cluster factory building the homogeneous spec by hand."""
+    return lambda: Cluster.from_spec(ClusterSpec.homogeneous(n_nodes))
 
 
 class TestSpecValidation:
@@ -100,37 +95,9 @@ class TestHeterogeneousConstruction:
             run_measured(
                 wl,
                 StaticStrategy(1.4e9),
-                cluster_factory=lambda: legacy_build(2),
+                cluster_factory=factory(2),
                 spec=ClusterSpec.homogeneous(2),
             )
-
-
-class TestDeprecatedShim:
-    def test_build_warns_and_points_at_from_spec(self):
-        with pytest.warns(DeprecationWarning, match="from_spec"):
-            Cluster.build(2)
-
-    def test_build_still_validates_before_delegating(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="n_nodes"):
-                Cluster.build(0)
-
-    def test_build_constructs_the_homogeneous_spec_cluster(self):
-        shim = legacy_build(3)
-        spec = Cluster.from_spec(ClusterSpec.homogeneous(3))
-        assert shim.n_nodes == spec.n_nodes == 3
-        assert shim.table is spec.table is PENTIUM_M_1400
-        assert shim.calibration is spec.calibration is DEFAULT_CALIBRATION
-        assert [n.cpu.frequency for n in shim.nodes] == [
-            n.cpu.frequency for n in spec.nodes
-        ]
-
-    def test_build_table_override_becomes_points_override(self):
-        table = PENTIUM_M_1400
-        shim = legacy_build(1, table=table)
-        assert [p.frequency for p in shim.table.points] == [
-            p.frequency for p in table.points
-        ]
 
 
 class TestSignatureSync:
@@ -143,27 +110,11 @@ class TestSignatureSync:
                 f"Cluster.from_spec({name}) must be keyword-only"
             )
 
-    def test_shim_mirrors_from_spec_name_for_name(self):
-        """Every from_spec option must exist on the shim with the
-        identical default object, so callers migrate by renaming the
-        first argument only."""
-        build = inspect.signature(Cluster.build)
-        from_spec = inspect.signature(Cluster.from_spec)
-        shared = [n for n in from_spec.parameters if n != "spec"]
-        for name in shared:
-            assert name in build.parameters, name
-            assert (
-                build.parameters[name].default
-                is from_spec.parameters[name].default
-            ), name
-        # the shim's extras are exactly the legacy positional surface
-        assert set(build.parameters) - set(shared) == {"n_nodes", "table"}
-
 
 class TestBitIdentity:
-    """A single-group spec is *bit-identical* to the legacy build path —
-    same objects in, same floats out (the ISSUE's 1e-9 bound is the
-    ceiling; identity fast paths make it exact)."""
+    """``spec=`` is *bit-identical* to a caller-built cluster factory —
+    same objects in, same floats out (1e-9 is the ceiling; identity fast
+    paths make it exact)."""
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -175,7 +126,7 @@ class TestBitIdentity:
         legacy = run_measured(
             wl,
             StaticStrategy(mhz * MHZ),
-            cluster_factory=lambda: legacy_build(n_ranks),
+            cluster_factory=factory(n_ranks),
         )
         via_spec = run_measured(
             wl,
@@ -193,7 +144,7 @@ class TestBitIdentity:
         wl = NasFT("S", n_ranks=2, iterations=2)
         strategy = lambda: DynamicStrategy(1.4e9, regions=["fft"])  # noqa: E731
         legacy = run_measured(
-            wl, strategy(), cluster_factory=lambda: legacy_build(2)
+            wl, strategy(), cluster_factory=factory(2)
         )
         via_spec = run_measured(
             wl, strategy(), spec=ClusterSpec.homogeneous(2)
@@ -216,7 +167,7 @@ class TestBitIdentity:
                 wl, PowerCapStrategy(budget, config=config), **kwargs
             )
 
-        legacy = capped(cluster_factory=lambda: legacy_build(2))
+        legacy = capped(cluster_factory=factory(2))
         via_spec = capped(spec=ClusterSpec.homogeneous(2))
         assert via_spec.point.energy == pytest.approx(
             legacy.point.energy, abs=1e-9

@@ -1,12 +1,9 @@
 """Serving sweeps: canonical task keys, cache resume, warm bit-identity,
-and keyword parity with the other sweep front-ends."""
-
-import inspect
+and one front door shared with the other sweep families."""
 
 import pytest
 
 from repro.cache.store import RunCache
-from repro.serving import sweep as serving_sweep_module
 from repro.serving.arrivals import MMPPArrivals
 from repro.serving.spec import ServingWorkload, TierSpec
 from repro.serving.sweep import (
@@ -115,7 +112,7 @@ class TestSweep:
         def boom(task):
             raise AssertionError("cache miss: serving run re-simulated")
 
-        monkeypatch.setattr(serving_sweep_module, "_execute_serving", boom)
+        monkeypatch.setattr(ServingTask, "run", boom)
         warm = run_serving_sweep(tasks_under_test(), use_cache=cache)
         assert [o.point for o in warm] == [o.point for o in cold]
         assert [o.report for o in warm] == [o.report for o in cold]
@@ -141,11 +138,7 @@ class TestSweep:
         from repro.analysis.parallel import run_sweep
         from repro.faults.sweep import run_chaos_sweep
 
-        serving = inspect.signature(run_serving_sweep)
-        for other in (run_sweep, run_chaos_sweep):
-            assert list(serving.parameters)[1:] == list(
-                inspect.signature(other).parameters
-            )[1:]
+        assert run_serving_sweep is run_chaos_sweep is run_sweep
 
 
 class TestSessionIntegration:
