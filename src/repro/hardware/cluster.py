@@ -146,39 +146,6 @@ class Cluster:
         """Per-node average power (watts) over ``[t0, t1]``."""
         return self.series().node_average_powers(t0, t1)
 
-    def window_average_power(self, t0: float, t1: float) -> float:
-        """Average cluster power over ``[t0, t1]`` from the live timelines.
-
-        The control-loop variant of :meth:`average_power`: walks only
-        the window's segments on each still-growing node timeline
-        (O(window) per call) instead of freezing and merging every
-        timeline (O(recorded history) per call).  Per-node integrals are
-        exact; only the summation order across nodes differs from the
-        merged-series query.
-        """
-        duration = t1 - t0
-        if duration <= 0:
-            raise ValueError(f"window reversed or empty: [{t0}, {t1}]")
-        total = 0.0
-        for node in self.nodes:
-            total += node.timeline.window_energy(t0, t1)
-        return total / duration
-
-    def window_node_average_powers(self, t0: float, t1: float) -> Dict[int, float]:
-        """Per-node average power over ``[t0, t1]`` from the live timelines.
-
-        Windowed-telemetry variant of :meth:`node_average_powers` (same
-        values — the kernel and the live walk agree exactly — without
-        freezing each timeline's columnar view per control window).
-        """
-        duration = t1 - t0
-        if duration <= 0:
-            raise ValueError(f"window reversed or empty: [{t0}, {t1}]")
-        return {
-            node.node_id: node.timeline.window_energy(t0, t1) / duration
-            for node in self.nodes
-        }
-
     def power_at(self, time: float) -> float:
         """Instantaneous cluster power (watts) at ``time``."""
         return self.series().power_at(time)

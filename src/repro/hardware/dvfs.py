@@ -136,8 +136,14 @@ class DVFSTable:
         """The legal point nearest to an arbitrary requested frequency.
 
         This mirrors what the Linux CPUFreq userspace governor does with a
-        ``scaling_setspeed`` write that is not an exact P-state.
+        ``scaling_setspeed`` write that is not an exact P-state.  An
+        exact ladder frequency (every governor ceiling) is a dictionary
+        hit; ladder frequencies are unique, so the scan would return the
+        same point.
         """
+        idx = self._index_by_freq.get(frequency)
+        if idx is not None:
+            return self._points[idx]
         return min(self._points, key=lambda p: abs(p.frequency - frequency))
 
     def step_down(self, frequency: float) -> OperatingPoint:

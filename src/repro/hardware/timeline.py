@@ -137,19 +137,6 @@ class PowerTimeline:
         """Average power over ``[t0, t1]`` (Eq. 3: ``E = P_avg × D``)."""
         return self.series().average_power(t0, t1)
 
-    def window_energy(self, t0: float, t1: float) -> float:
-        """Exact energy over ``[t0, t1]`` via a live segment walk.
-
-        Unlike :meth:`energy` this does **not** freeze the columnar
-        view, so querying a short window on a still-growing timeline
-        costs O(points inside the window) instead of O(recorded history)
-        — the windowed-telemetry primitive under the power-cap
-        governor's control loop.  Values are identical to
-        :meth:`energy` (the kernel and the walk agree exactly; the
-        property tests assert it).
-        """
-        return self._energy_walk(t0, t1)
-
     def peak_power(self, t0: float, t1: float) -> float:
         """Maximum instantaneous power (watts) over ``[t0, t1]``."""
         return self.series().peak_power(t0, t1)
@@ -166,11 +153,14 @@ class PowerTimeline:
         return len(self._times)
 
     # ------------------------------------------------------------------
-    # reference implementations (pre-columnar scalar walks)
+    # scalar walks (the pre-columnar reference implementations)
     # ------------------------------------------------------------------
-    # Kept verbatim as the brute-force oracle the property-based tests
-    # and ``benchmarks/bench_extension_timeline.py`` compare the kernel
-    # against.  Do not use in product code.
+    # The property-based tests and ``benchmarks/bench_extension_timeline.py``
+    # compare the kernel against these brute-force walks.
+    # ``_energy_walk`` is also live product code: every
+    # :meth:`EnergyCursor.advance` (one per node per cap-governor window)
+    # integrates its window with it, so a window's joules never depend
+    # on the trace recorded before it.
     def _energy_walk(self, t0: float, t1: float) -> float:
         if t1 < t0:
             raise ValueError(f"energy interval reversed: [{t0}, {t1}]")

@@ -69,9 +69,9 @@ from repro.powercap.resilience import (
 from repro.powercap.telemetry import (
     ClusterTelemetry,
     NodeWindowSample,
-    compute_intensity,
+    _point_watts,
     demand_power,
-    predict_node_power,
+    infer_busy_alpha,
 )
 
 __all__ = ["CapGovernorConfig", "GovernorWindow", "CapGovernor"]
@@ -224,13 +224,17 @@ class CapGovernor:
         #: per-node compute-demand high-water mark (decayed each window);
         #: missing nodes read as the worst-case 1.0
         self._demand: Dict[int, float] = {}
-        # Memoised _predict per (sample, point) within one control
-        # window — the greedy allocator re-evaluates the same pair on
-        # every step-selection pass.  Both inputs to the prediction
-        # (the sample and the demand high-water marks) are fixed between
-        # _observe_demand calls, which is where the memo resets; entries
-        # hold strong references so ids cannot be reused while cached.
-        self._predict_memo: Dict[tuple, tuple] = {}
+        self._spin = self._model.cpu.factors[CpuActivity.SPIN]
+        #: the ladder's ``(frequency, busy, idle)`` CPU watts, slowest first
+        self._ladder = [
+            (point.frequency, *_point_watts(self._model, self._table, point))
+            for point in self._table
+        ]
+        # This window's prediction rows: node id → (sample, frequency →
+        # predicted watts).  Both inputs of a prediction (the sample and
+        # the demand high-water marks) are fixed between _observe_demand
+        # calls, which is where the rows are rebuilt.
+        self._rows: Dict[int, tuple] = {}
         # Wire the demand-tracked slack metric into the policy if it
         # wants one and the caller didn't supply their own.
         if (
@@ -278,8 +282,7 @@ class CapGovernor:
         budgeted below its spinning draw.  Nodes never seen read as the
         worst-case 1.0.
         """
-        spin = self._model.cpu.factors[CpuActivity.SPIN]
-        return max(self._demand.get(node_id, 1.0), spin)
+        return max(self._demand.get(node_id, 1.0), self._spin)
 
     def _observe_demand(self, samples: List[NodeWindowSample]) -> None:
         """Fold a window's measured intensities into the high-water marks.
@@ -289,35 +292,55 @@ class CapGovernor:
         freeing headroom the rank will reclaim a moment later, while a
         genuine phase change is forgotten within a few windows.
         """
-        for s in samples:
-            measured = compute_intensity(self._model, self._table, s)
+        alphas = [infer_busy_alpha(self._model, self._table, s) for s in samples]
+        for s, alpha in zip(samples, alphas):
+            measured = s.busy_fraction * alpha  # = compute_intensity(s)
             prev = self._demand.get(s.node_id, 1.0)
             self._demand[s.node_id] = max(
                 measured, self.config.demand_decay * prev
             )
-        self._predict_memo.clear()
+        self._rows = {
+            s.node_id: (s, self._row(s, alpha))
+            for s, alpha in zip(samples, alphas)
+        }
+
+    def _row(self, sample: NodeWindowSample, alpha: float) -> Dict[float, float]:
+        """Predicted watts at every ladder frequency: mix carryover vs
+        demand, worst wins.
+
+        The two terms are :func:`predict_node_power` and
+        :func:`demand_power` of :mod:`repro.powercap.telemetry`, written
+        out with the same expressions in the same order.  The first
+        captures the measured activity blend; the second assumes the node
+        runs at its recent high-water intensity for the whole next
+        window.  Taking the max makes allocation robust to
+        barrier-boundary windows that sample a transiently quiet mix.
+        """
+        base = self._model.base_power
+        busy_fraction = sample.busy_fraction
+        demand = self._demand_of(sample.node_id)
+        return {
+            frequency: max(
+                base
+                + busy_fraction * alpha * busy
+                + (1.0 - busy_fraction) * idle,
+                base + demand * busy + (1.0 - demand) * idle,
+            )
+            for frequency, busy, idle in self._ladder
+        }
 
     def _predict(self, sample: NodeWindowSample, point) -> float:
-        """Node power at ``point``: mix carryover vs demand, worst wins.
+        """Node power at ladder ``point``: a lookup in the sample's row.
 
-        The mix-carryover term (:func:`predict_node_power`) captures the
-        measured activity blend; the demand term assumes the node runs
-        at its recent high-water intensity for the whole next window.
-        Taking the max makes allocation robust to barrier-boundary
-        windows that sample a transiently quiet mix.
+        Samples outside this window's telemetry (the worst-case stand-ins
+        and carried-forward samples) get their row on first use.
         """
-        key = (id(sample), id(point))
-        hit = self._predict_memo.get(key)
-        if hit is not None:
-            return hit[0]
-        watts = max(
-            predict_node_power(self._model, self._table, sample, point),
-            demand_power(
-                self._model, self._table, self._demand_of(sample.node_id), point
-            ),
-        )
-        self._predict_memo[key] = (watts, sample, point)
-        return watts
+        entry = self._rows.get(sample.node_id)
+        if entry is None or entry[0] is not sample:
+            alpha = infer_busy_alpha(self._model, self._table, sample)
+            entry = (sample, self._row(sample, alpha))
+            self._rows[sample.node_id] = entry
+        return entry[1][point.frequency]
 
     def _apply(self, allocation: CapAllocation) -> None:
         """Install a pure-DVFS allocation through the control plane."""
@@ -433,7 +456,10 @@ class CapGovernor:
             # close and no basis to reallocate on.
             return []
         samples = self._telemetry.sample()
-        avg = self.cluster.window_average_power(t0, t1)
+        total = 0.0  # a plain loop in node order: sum() compensates on 3.12+
+        for joules in self._telemetry.window_joules.values():
+            total += joules
+        avg = total / (t1 - t0)
         self._observe_demand(samples)
         if reallocate:
             if isinstance(self.policy, ElasticPolicy):
@@ -621,7 +647,11 @@ class CapGovernor:
         cfg = self.resilience
         assert cfg is not None
         present = {s.node_id: s for s in samples}
-        pdu = self.cluster.window_node_average_powers(t0, t1)
+        duration = t1 - t0
+        pdu = {
+            nid: joules / duration
+            for nid, joules in self._telemetry.window_joules.items()
+        }
         usable: List[NodeWindowSample] = []
         carved: Dict[int, float] = {}
         forced: Dict[int, float] = {}

@@ -68,6 +68,11 @@ class ClusterTelemetry:
     (exactly as the cpuspeed daemon must before reading ``/proc/stat``),
     then returns one :class:`NodeWindowSample` per node covering the
     interval since the previous call (or since construction).
+
+    After each call :attr:`window_joules` holds every node's raw energy
+    over the closed window, dark nodes included and before any
+    power-noise fault perturbs the reported watts: the PDU's view of the
+    same window, from the same timeline walk.
     """
 
     def __init__(self, cluster: Cluster):
@@ -89,6 +94,8 @@ class ClusterTelemetry:
             node.node_id: node.timeline.cursor(cluster.engine.now)
             for node in cluster.nodes
         }
+        #: node id → joules over the last closed window, in node order
+        self.window_joules: Dict[int, float] = {}
 
     @property
     def window_start(self) -> float:
@@ -116,6 +123,7 @@ class ClusterTelemetry:
         for node in self.cluster.nodes:
             node.cpu.finalize()
         samples = []
+        self.window_joules = {}
         for node in self.cluster.nodes:
             stat = node.procstat.snapshot()
             busy = stat.utilization_since(self._prev_stat[node.node_id])
@@ -123,6 +131,7 @@ class ClusterTelemetry:
             # Advance every node's meter (dark nodes too — their windows
             # must stay aligned for when visibility returns).
             joules = self._meters[node.node_id].advance(now)
+            self.window_joules[node.node_id] = joules
             if not node.telemetry_visible:
                 continue
             avg_watts = joules / (now - t0)
@@ -146,51 +155,16 @@ class ClusterTelemetry:
 # ---------------------------------------------------------------------------
 # the governor's node power model
 # ---------------------------------------------------------------------------
-#: Memoised (busy-capacity, idle) watts per (model, table, point) triple.
-#: All three are immutable, so the cached floats are pure memoisations of
-#: the exact expressions below; the stored strong references pin the ids,
-#: so an id can never be reused by a different object while cached.
-#: Both memo dicts reset wholesale at this size — stale hits stay
-#: impossible (a cleared cache drops the pins *and* the entries) while
-#: long processes (the test suite) stay bounded.
-_MEMO_LIMIT = 65536
-
-_POINT_WATTS: Dict[tuple, tuple] = {}
-
-
 def _point_watts(model: NodePowerModel, table: DVFSTable, point) -> tuple:
-    key = (id(model), id(table), id(point))
-    hit = _POINT_WATTS.get(key)
-    if hit is not None:
-        return hit
+    """``(busy, idle)`` CPU watts at ``point``: the fully-active draw (the
+    α=1 reference) and the halted draw (leakage tracks V²)."""
     busy = model.cpu.max_power * table.relative_fv2(point)
     idle = (
         model.cpu.factors[CpuActivity.IDLE]
         * model.cpu.max_power
         * table.relative_v2(point)
     )
-    if len(_POINT_WATTS) >= _MEMO_LIMIT:
-        _POINT_WATTS.clear()
-    entry = (busy, idle, model, table, point)
-    _POINT_WATTS[key] = entry
-    return entry
-
-
-def _busy_capacity(model: NodePowerModel, table: DVFSTable, point) -> float:
-    """Fully-active CPU draw (watts) at ``point`` — the α=1 reference."""
-    return _point_watts(model, table, point)[0]
-
-
-def _idle_watts(model: NodePowerModel, table: DVFSTable, point) -> float:
-    """Halted-CPU draw (watts) at ``point`` (leakage tracks V²)."""
-    return _point_watts(model, table, point)[1]
-
-
-#: Memoised α per (model, table, sample) — the allocator's greedy loop
-#: re-evaluates the same window sample at every candidate ladder point,
-#: and α depends only on the sample.  Same strong-reference id-pinning
-#: scheme as :data:`_POINT_WATTS`.
-_ALPHA_MEMO: Dict[tuple, tuple] = {}
+    return busy, idle
 
 
 def infer_busy_alpha(
@@ -202,26 +176,13 @@ def infer_busy_alpha(
     Windows with almost no busy time return the conservative 1.0 (if the
     node *does* get busy next window, assume full draw).
     """
-    key = (id(model), id(table), id(sample))
-    hit = _ALPHA_MEMO.get(key)
-    if hit is not None:
-        return hit[0]
     if sample.busy_fraction < _MIN_BUSY_FOR_INFERENCE:
-        alpha = 1.0
-    else:
-        point = table.point_for(sample.frequency)
-        cpu_watts = sample.avg_watts - model.base_power
-        residual = cpu_watts - (1.0 - sample.busy_fraction) * _idle_watts(
-            model, table, point
-        )
-        alpha = residual / (
-            sample.busy_fraction * _busy_capacity(model, table, point)
-        )
-        alpha = max(0.0, min(1.0, alpha))
-    if len(_ALPHA_MEMO) >= _MEMO_LIMIT:
-        _ALPHA_MEMO.clear()
-    _ALPHA_MEMO[key] = (alpha, model, table, sample)
-    return alpha
+        return 1.0
+    busy, idle = _point_watts(model, table, table.point_for(sample.frequency))
+    cpu_watts = sample.avg_watts - model.base_power
+    residual = cpu_watts - (1.0 - sample.busy_fraction) * idle
+    alpha = residual / (sample.busy_fraction * busy)
+    return max(0.0, min(1.0, alpha))
 
 
 def predict_node_power(
@@ -240,10 +201,11 @@ def predict_node_power(
     tolerance plus the governor's safety margin absorb the transient.
     """
     alpha = infer_busy_alpha(model, table, sample)
+    busy, idle = _point_watts(model, table, point)
     return (
         model.base_power
-        + sample.busy_fraction * alpha * _busy_capacity(model, table, point)
-        + (1.0 - sample.busy_fraction) * _idle_watts(model, table, point)
+        + sample.busy_fraction * alpha * busy
+        + (1.0 - sample.busy_fraction) * idle
     )
 
 
@@ -257,11 +219,8 @@ def demand_power(
     in both ``demand`` and the operating point, which is what allocation
     loops need from a pessimistic bound.
     """
-    return (
-        model.base_power
-        + demand * _busy_capacity(model, table, point)
-        + (1.0 - demand) * _idle_watts(model, table, point)
-    )
+    busy, idle = _point_watts(model, table, point)
+    return model.base_power + demand * busy + (1.0 - demand) * idle
 
 
 def spin_floor_power(

@@ -119,3 +119,25 @@ def test_alpha_power_law_roughly_fits_table2():
 def test_alpha_power_law_rejects_subthreshold_voltage():
     with pytest.raises(ValueError):
         alpha_power_frequency(0.5, 0.6, 1e9)
+
+
+def _closest_by_scan(table, frequency):
+    return min(table.points, key=lambda p: abs(p.frequency - frequency))
+
+
+def test_closest_exact_hit_matches_the_scan():
+    """``closest`` answers exact ladder frequencies from the index; the
+    point must be the one the full scan picks, for every rung, for the
+    midpoints between rungs (ties go to the slower point) and for
+    requests outside the ladder."""
+    t = PENTIUM_M_1400
+    freqs = t.frequencies
+    probes = list(freqs)
+    probes += [(a + b) / 2.0 for a, b in zip(freqs, freqs[1:])]
+    probes += [f + 1.0 for f in freqs] + [f - 1.0 for f in freqs]
+    probes += [0.0, 1.0, freqs[0] / 2.0, freqs[-1] * 2.0, 9e12]
+    for f in probes:
+        assert t.closest(f) is _closest_by_scan(t, f), f
+    for point in t:
+        assert t.closest(point.frequency) is point
+    assert t.closest((600 * MHZ + 800 * MHZ) / 2.0).mhz == 600

@@ -173,3 +173,23 @@ class TestWindowGuards:
         )
         cluster.engine.run(until=0.2)
         assert [s.node_id for s in telemetry.sample()] == [1]
+
+    def test_window_joules_are_raw_and_cover_dark_nodes(self):
+        # The PDU view: every node's energy over the window, the dark one
+        # included, and unaffected by a power-noise fault that perturbs
+        # the reported sample.
+        cluster = Cluster.from_spec(ClusterSpec.homogeneous(2))
+        telemetry = ClusterTelemetry(cluster)
+        cluster.nodes[0].faults.telemetry_dark = True
+        cluster.nodes[1].faults.power_noise = lambda watts, now: watts + 5.0
+        cluster.engine.process(
+            cluster.nodes[1].cpu.run_cycles(0.1 * cluster.nodes[1].cpu.frequency)
+        )
+        cluster.engine.run(until=0.2)
+        (sample,) = telemetry.sample()
+        assert list(telemetry.window_joules) == [0, 1]
+        for node in cluster.nodes:
+            assert telemetry.window_joules[node.node_id] == pytest.approx(
+                node.timeline.energy(0.0, 0.2)
+            )
+        assert sample.avg_watts == telemetry.window_joules[1] / 0.2 + 5.0
