@@ -2,12 +2,15 @@
 
 The spec layer's scale claim: `Cluster.from_spec` builds per-*group*
 ladders and power models, so a four-group, 1024-node heterogeneous
-machine costs four model constructions plus cheap per-node wiring — and
-an MPI job runs on it (extra nodes idle at base power) within budget.
+machine costs four model constructions; a node no rank touches gets no
+fabric link state and no notification events, and the idle nodes of a
+group share one frozen power series — so an MPI job runs on it (extra
+nodes idle at base power) within budget.
 
 Asserts the structural economy (nodes in one group share table and
-power-model objects), determinism (two constructions produce identical
-node frequencies), and the wall-clock budget for construct + run.
+power-model objects; after the run only the ranked endpoints hold
+fabric state and each group's idle nodes share one frozen series) and
+the wall-clock budget for construct + run.
 """
 
 import time
@@ -67,6 +70,14 @@ def bench_extension_scaling_1024_nodes(benchmark):
     # the run really happened on the 1024-node machine
     assert run.cluster.n_nodes == N_NODES
     assert run.point.energy > 0 and run.point.delay > 0
+
+    # idle-node economy: only the ranked endpoints hold fabric state,
+    # and each group's idle nodes share one frozen series
+    assert run.cluster.fabric.wired_endpoints == tuple(range(N_RANKS))
+    series = run.cluster.series()
+    for start in (0, 256, 512, 768):
+        idle = range(max(start, N_RANKS), start + 256)
+        assert len({id(series.node(nid)) for nid in idle}) == 1
 
     benchmark.extra_info["scaling_1024"] = {
         "nodes": N_NODES,

@@ -20,6 +20,7 @@ from repro.hardware.node import Node
 from repro.hardware.scaling import scaled_calibration
 from repro.hardware.series import ClusterSeries
 from repro.hardware.spec import ClusterSpec
+from repro.hardware.timeline import shared_series
 from repro.sim.engine import Engine
 from repro.sim.factory import make_engine
 from repro.sim.trace import NullRecorder, TraceRecorder
@@ -92,11 +93,7 @@ class Cluster:
             len(nodes),
             spec.network if spec.network is not None else cal.network,
         )
-        for node in nodes:
-            fabric.add_activity_listener(
-                node.node_id,
-                _nic_listener(fabric, node),
-            )
+        fabric.add_activity_listener(_nic_listener(fabric, nodes))
         return cls(eng, nodes, fabric, cal, tracer)
 
     # ------------------------------------------------------------------
@@ -119,14 +116,16 @@ class Cluster:
         Cached against every node timeline's mutation counter, so
         repeated aggregate queries between power changes reuse one
         kernel build (the merged total itself materialises lazily on the
-        first cluster-total query).
+        first cluster-total query).  Nodes with identical traces — the
+        idle nodes of one group — share one frozen series.
         """
         versions = tuple(node.timeline.version for node in self.nodes)
         cached = self._series_cache
         if cached is not None and cached[0] == versions:
             return cached[1]
+        views = shared_series(node.timeline for node in self.nodes)
         series = ClusterSeries(
-            {node.node_id: node.timeline.series() for node in self.nodes}
+            {node.node_id: view for node, view in zip(self.nodes, views)}
         )
         self._series_cache = (versions, series)
         return series
@@ -160,10 +159,10 @@ class Cluster:
         return self.series().peak_power(t0, t1)
 
 
-def _nic_listener(fabric: NetworkFabric, node: Node):
+def _nic_listener(fabric: NetworkFabric, nodes: List[Node]):
     """Closure translating fabric activity flips into node NIC power."""
 
-    def listener() -> None:
-        node.set_nic_active(fabric.traffic_active(node.node_id))
+    def listener(node_id: int) -> None:
+        nodes[node_id].set_nic_active(fabric.traffic_active(node_id))
 
     return listener

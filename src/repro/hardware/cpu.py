@@ -106,7 +106,9 @@ class SimCPU:
         self._utilization: float = 1.0
         self._floor: CpuActivity = CpuActivity.IDLE
         self._segment_start: float = engine.now
-        self._freq_event: Event = engine.event()
+        # Notification events are created on first access (see
+        # freq_changed): a transition nobody waits on schedules nothing.
+        self._freq_event: Optional[Event] = None
         #: cumulative number of completed frequency transitions
         self.transition_count: int = 0
         # Fault-injection state (repro.faults).  Both default to the
@@ -115,7 +117,7 @@ class SimCPU:
         self._powered: bool = True
         self._gated: bool = False
         self._suspended: bool = False
-        self._power_restored: Event = engine.event()
+        self._power_restored: Optional[Event] = None
         #: powered-core fraction (repro.powercap's vertical knob): work
         #: throughput and dynamic CPU power both scale by it.  1.0 (all
         #: cores) is the exact no-op — ``f × 1.0 == f`` bitwise — so
@@ -154,7 +156,13 @@ class SimCPU:
 
     @property
     def freq_changed(self) -> Event:
-        """Event firing at the next P-state transition (for wait loops)."""
+        """Event firing at the next P-state transition (for wait loops).
+
+        Also fires on power loss and core reallocation — every change of
+        the work-retirement rate.
+        """
+        if self._freq_event is None:
+            self._freq_event = self.engine.event()
         return self._freq_event
 
     @property
@@ -185,6 +193,8 @@ class SimCPU:
     @property
     def power_restored(self) -> Event:
         """Event firing at the next :meth:`power_on` (for gated waits)."""
+        if self._power_restored is None:
+            self._power_restored = self.engine.event()
         return self._power_restored
 
     # ------------------------------------------------------------------
@@ -198,6 +208,13 @@ class SimCPU:
                 duration, self._state, self._utilization, self._floor
             )
         self._segment_start = now
+
+    def _rate_changed(self, value: object) -> None:
+        """Wake :attr:`freq_changed` waiters, then re-time armed quanta."""
+        event, self._freq_event = self._freq_event, None
+        if event is not None:
+            event.succeed(value)
+        self._retime_inflight()
 
     def set_state(
         self,
@@ -239,11 +256,7 @@ class SimCPU:
         self._point = point
         self.transition_count += 1
         self._on_change()
-        # Wake anything racing work completion against a frequency change.
-        old_event, self._freq_event = self._freq_event, self.engine.event()
-        old_event.succeed(point)
-        # Columnar fast path: re-time in-flight quanta at the new clock.
-        self._retime_inflight()
+        self._rate_changed(point)
 
     # ------------------------------------------------------------------
     # fail-stop power gating (repro.faults)
@@ -276,9 +289,7 @@ class SimCPU:
         self._powered = False
         self._on_change()
         # Wake in-flight work so it re-times and parks on power_restored.
-        old_event, self._freq_event = self._freq_event, self.engine.event()
-        old_event.succeed(None)
-        self._retime_inflight()
+        self._rate_changed(None)
 
     def suspend(self) -> None:
         """Orderly power-gate (the control plane's horizontal knob).
@@ -302,9 +313,7 @@ class SimCPU:
         self._powered = False
         self._suspended = True
         self._on_change()
-        old_event, self._freq_event = self._freq_event, self.engine.event()
-        old_event.succeed(None)
-        self._retime_inflight()
+        self._rate_changed(None)
 
     def power_on(self, boot_point: Optional[OperatingPoint] = None) -> None:
         """Restart after a fail-stop outage.
@@ -324,8 +333,9 @@ class SimCPU:
             self._point = point
             self.transition_count += 1
         self._on_change()
-        old_event, self._power_restored = self._power_restored, self.engine.event()
-        old_event.succeed(None)
+        event, self._power_restored = self._power_restored, None
+        if event is not None:
+            event.succeed(None)
 
     def set_core_allocation(self, fraction: float) -> None:
         """Set the powered-core fraction (the vertical knob).
@@ -346,9 +356,7 @@ class SimCPU:
         self._close_segment()
         self._core_scale = fraction
         self._on_change()
-        old_event, self._freq_event = self._freq_event, self.engine.event()
-        old_event.succeed(self._point)
-        self._retime_inflight()
+        self._rate_changed(self._point)
 
     def finalize(self) -> None:
         """Close the open accounting segment (call at end of simulation)."""
@@ -392,14 +400,13 @@ class SimCPU:
                     # Fail-stop outage: park (accounted idle, drawing
                     # nothing) and resume the remainder after restart.
                     self.set_state(CpuActivity.IDLE, 1.0)
-                    yield self._power_restored
+                    yield self.power_restored
                     self.set_state(state, 1.0)
                     continue
                 freq = self._point.frequency * self._core_scale
                 started = self.engine.now
                 done = self.engine.timeout(remaining / freq)
-                change = self._freq_event
-                yield self.engine.any_of([done, change])
+                yield self.engine.any_of([done, self.freq_changed])
                 if done.processed:
                     remaining = 0.0
                 else:
@@ -418,7 +425,7 @@ class SimCPU:
             while remaining > _CYCLE_EPSILON:
                 if not self._powered:
                     self.set_state(CpuActivity.IDLE, 1.0)
-                    yield self._power_restored
+                    yield self.power_restored
                     self.set_state(state, 1.0)
                     continue
                 work = _CycleWork(self.engine, remaining)
@@ -493,12 +500,12 @@ class SimCPU:
             while remaining > 0:
                 if not self._powered:
                     self.set_state(CpuActivity.IDLE, 1.0)
-                    yield self._power_restored
+                    yield self.power_restored
                     self.set_state(state, utilization)
                     continue
                 started = self.engine.now
                 done = self.engine.timeout(remaining)
-                yield self.engine.any_of([done, self._freq_event])
+                yield self.engine.any_of([done, self.freq_changed])
                 if done.processed:
                     break
                 remaining -= self.engine.now - started

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.sim.engine import Engine
 from repro.sim.events import Event
@@ -66,13 +66,16 @@ class NetworkConfig:
 
 
 class _LinkActivity:
-    """Per-node activity counter with a change-notification event."""
+    """One direction of one endpoint: an activity counter whose 0↔>0
+    transitions wake waiters and notify the fabric."""
 
-    def __init__(self, engine: Engine):
-        self.engine = engine
+    __slots__ = ("_fabric", "_node", "_count", "_changed")
+
+    def __init__(self, fabric: "NetworkFabric", node: int):
+        self._fabric = fabric
+        self._node = node
         self._count = 0
-        self._changed = engine.event()
-        self.listeners: List[Callable[[], None]] = []
+        self._changed: Optional[Event] = None
 
     @property
     def active(self) -> bool:
@@ -80,7 +83,13 @@ class _LinkActivity:
 
     @property
     def changed(self) -> Event:
-        """Event that fires on the next activity transition (0↔>0)."""
+        """Event that fires on the next activity transition (0↔>0).
+
+        Created on first access, so a transition nobody waits on
+        schedules nothing.
+        """
+        if self._changed is None:
+            self._changed = self._fabric.engine.event()
         return self._changed
 
     def acquire(self) -> None:
@@ -96,14 +105,34 @@ class _LinkActivity:
             self._fire()
 
     def _fire(self) -> None:
-        old, self._changed = self._changed, self.engine.event()
-        old.succeed(self.active)
-        for listener in self.listeners:
-            listener()
+        old, self._changed = self._changed, None
+        if old is not None:
+            old.succeed(self.active)
+        self._fabric._activity_flipped(self._node)
+
+
+class _Endpoint:
+    """One node's port: its tx/rx links and their activity counters."""
+
+    __slots__ = ("tx", "rx", "tx_activity", "rx_activity", "changed")
+
+    def __init__(self, fabric: "NetworkFabric", node: int):
+        self.tx = Resource(fabric.engine)
+        self.rx = Resource(fabric.engine)
+        self.tx_activity = _LinkActivity(fabric, node)
+        self.rx_activity = _LinkActivity(fabric, node)
+        #: combined tx|rx change event (columnar engines); None ⇒ nobody
+        #: is currently waiting
+        self.changed: Optional[Event] = None
 
 
 class NetworkFabric:
-    """The switched interconnect between ``n_nodes`` endpoints."""
+    """The switched interconnect between ``n_nodes`` endpoints.
+
+    An endpoint's link state (:class:`_Endpoint`) is created the first
+    time something transfers on or waits on it, so a node no rank ever
+    touches costs nothing; its links read idle.
+    """
 
     def __init__(self, engine: Engine, n_nodes: int, config: Optional[NetworkConfig] = None):
         if n_nodes < 1:
@@ -111,33 +140,36 @@ class NetworkFabric:
         self.engine = engine
         self.n_nodes = n_nodes
         self.config = config or NetworkConfig()
-        self._tx = [Resource(engine) for _ in range(n_nodes)]
-        self._rx = [Resource(engine) for _ in range(n_nodes)]
-        self._tx_activity = [_LinkActivity(engine) for _ in range(n_nodes)]
-        self._rx_activity = [_LinkActivity(engine) for _ in range(n_nodes)]
-        # Lazily-created combined tx|rx change events (columnar engines):
-        # one shared event per node instead of a fresh nested AnyOf per
-        # activity_changed() call.  None ⇒ nobody is currently waiting.
-        self._node_changed: List[Optional[Event]] = [None] * n_nodes
-        if engine.columnar:
-            for nid in range(n_nodes):
-                notify = self._node_notifier(nid)
-                self._tx_activity[nid].listeners.append(notify)
-                self._rx_activity[nid].listeners.append(notify)
+        self._endpoints: Dict[int, _Endpoint] = {}
+        self._listeners: List[Callable[[int], None]] = []
         # Per-endpoint extra one-way latency (seconds) — a degraded link
         # (flaky cable, renegotiated duplex).  The fault injector sets it.
         self._latency_penalty = [0.0] * n_nodes
         #: total payload bytes moved (excludes loopback), for reporting
         self.bytes_transferred = 0
 
+    def _endpoint(self, node: int) -> _Endpoint:
+        endpoint = self._endpoints.get(node)
+        if endpoint is None:
+            self._check_endpoint(node)
+            endpoint = self._endpoints[node] = _Endpoint(self, node)
+        return endpoint
+
+    @property
+    def wired_endpoints(self) -> Tuple[int, ...]:
+        """Ids of the nodes whose link state exists, ascending."""
+        return tuple(sorted(self._endpoints))
+
     # ------------------------------------------------------------------
     # activity observation (used by the MPI wait policy and NIC power)
     # ------------------------------------------------------------------
     def tx_active(self, node: int) -> bool:
-        return self._tx_activity[node].active
+        endpoint = self._endpoints.get(node)
+        return endpoint is not None and endpoint.tx_activity.active
 
     def rx_active(self, node: int) -> bool:
-        return self._rx_activity[node].active
+        endpoint = self._endpoints.get(node)
+        return endpoint is not None and endpoint.rx_activity.active
 
     def traffic_active(self, node: int) -> bool:
         """Whether any chunk is currently on this node's tx or rx link."""
@@ -145,29 +177,30 @@ class NetworkFabric:
 
     def activity_changed(self, node: int) -> Event:
         """Event firing at the node's next tx *or* rx activity transition."""
+        endpoint = self._endpoint(node)
         if self.engine.columnar:
-            ev = self._node_changed[node]
-            if ev is None:
-                ev = self.engine.event()
-                self._node_changed[node] = ev
-            return ev
+            # One shared event per node instead of a fresh nested AnyOf
+            # per call.
+            if endpoint.changed is None:
+                endpoint.changed = self.engine.event()
+            return endpoint.changed
         return self.engine.any_of(
-            [self._tx_activity[node].changed, self._rx_activity[node].changed]
+            [endpoint.tx_activity.changed, endpoint.rx_activity.changed]
         )
 
-    def _node_notifier(self, node: int) -> Callable[[], None]:
-        def notify() -> None:
-            ev = self._node_changed[node]
-            if ev is not None:
-                self._node_changed[node] = None
-                ev.succeed(self.traffic_active(node))
+    def add_activity_listener(self, listener: Callable[[int], None]) -> None:
+        """Synchronous ``listener(node)`` on every tx/rx activity flip of
+        any endpoint (NIC power)."""
+        self._listeners.append(listener)
 
-        return notify
-
-    def add_activity_listener(self, node: int, listener: Callable[[], None]) -> None:
-        """Synchronous callback on every tx/rx activity flip (NIC power)."""
-        self._tx_activity[node].listeners.append(listener)
-        self._rx_activity[node].listeners.append(listener)
+    def _activity_flipped(self, node: int) -> None:
+        endpoint = self._endpoints[node]
+        ev = endpoint.changed
+        if ev is not None:
+            endpoint.changed = None
+            ev.succeed(self.traffic_active(node))
+        for listener in self._listeners:
+            listener(node)
 
     # ------------------------------------------------------------------
     # degraded links (used by the fault injector)
@@ -235,8 +268,9 @@ class NetworkFabric:
             rate = min(rate, check_positive("max_rate", max_rate))
 
         remaining = int(nbytes)
-        tx, rx = self._tx[src], self._rx[dst]
-        tx_act, rx_act = self._tx_activity[src], self._rx_activity[dst]
+        sender, receiver = self._endpoint(src), self._endpoint(dst)
+        tx, rx = sender.tx, receiver.rx
+        tx_act, rx_act = sender.tx_activity, receiver.rx_activity
         bulk = self.engine.supports_cancel
         while remaining > 0:
             tx_req = tx.request()

@@ -202,6 +202,9 @@ class ClusterSeries:
     per-node levels sampled and summed in one vectorised pass), so every
     cluster-total query — energy, average, peak, instantaneous — is a
     single O(log n) kernel query instead of a Python loop over nodes.
+    Nodes may share one series object (identical traces, see
+    :func:`repro.hardware.timeline.shared_series`); the merge samples
+    each distinct object once.
     """
 
     __slots__ = ("node_ids", "_per_node", "_merged")
@@ -227,16 +230,21 @@ class ClusterSeries:
     def merged(self) -> PowerSeries:
         """The cluster-total trace (sum of nodes), built lazily once."""
         if self._merged is None:
-            start = max(s.start_time for s in self._per_node.values())
+            # Nodes with identical traces share one series object: sample
+            # each distinct series once, but still add one term per node
+            # in node-id order, so the sum is the per-node fold exactly.
+            distinct = {id(s): s for s in self._per_node.values()}
+            start = max(s.start_time for s in distinct.values())
             times = np.unique(
                 np.concatenate(
                     [np.array([start])]
-                    + [s.times[s.times >= start] for s in self._per_node.values()]
+                    + [s.times[s.times >= start] for s in distinct.values()]
                 )
             )
+            levels = {key: s.sample(times) for key, s in distinct.items()}
             watts = np.zeros_like(times)
             for series in self._per_node.values():
-                watts += series.sample(times)
+                watts += levels[id(series)]
             self._merged = PowerSeries(times, watts)
         return self._merged
 

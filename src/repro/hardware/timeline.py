@@ -24,12 +24,12 @@ instruments against this ground truth.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.hardware.series import PowerSeries
 from repro.util.validation import check_nonnegative
 
-__all__ = ["EnergyCursor", "PowerTimeline"]
+__all__ = ["EnergyCursor", "PowerTimeline", "shared_series"]
 
 
 class PowerTimeline:
@@ -197,6 +197,31 @@ class PowerTimeline:
                 break
             peak = max(peak, self._watts[i])
         return peak
+
+
+def shared_series(timelines: Iterable[PowerTimeline]) -> List[PowerSeries]:
+    """Each timeline's frozen view, one shared view per distinct trace.
+
+    Nodes no rank touches record the same trace as every other idle node
+    of their group, so a large cluster freezes a handful of series
+    instead of one per node.  A timeline whose trace equals an earlier
+    one's adopts that timeline's view as its own cached frozen view.
+    """
+    seen: Dict[Tuple[int, float, float], List[PowerTimeline]] = {}
+    views: List[PowerSeries] = []
+    for timeline in timelines:
+        times, watts = timeline._times, timeline._watts
+        twins = seen.setdefault((len(times), times[-1], watts[-1]), [])
+        for twin in twins:
+            if twin._times == times and twin._watts == watts:
+                view = twin.series()
+                timeline._frozen = (timeline._version, view)
+                break
+        else:
+            twins.append(timeline)
+            view = timeline.series()
+        views.append(view)
+    return views
 
 
 class EnergyCursor:

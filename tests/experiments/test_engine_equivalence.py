@@ -18,6 +18,11 @@ from repro.obs.tracer import Tracer
 from repro.sim import using_engine_mode
 from repro.workloads.nas_ft import NasFT
 
+from tests.hardware.test_spec_equivalence import (
+    LARGE_SPEC_GOLDENS,
+    large_spec_point,
+)
+
 TOL = 1e-9
 
 
@@ -62,6 +67,13 @@ def test_powercap_is_engine_invariant():
 def test_serving_is_engine_invariant():
     scalar, columnar = _both_modes(lambda: run_experiment("serving", horizon_s=6.0))
     _assert_results_match(scalar, columnar)
+
+
+@pytest.mark.parametrize("strategy", sorted(LARGE_SPEC_GOLDENS))
+def test_1024_node_spec_is_engine_invariant(strategy):
+    scalar, columnar = _both_modes(lambda: large_spec_point(strategy))
+    assert (scalar.energy, scalar.delay) == (columnar.energy, columnar.delay)
+    assert (columnar.energy, columnar.delay) == LARGE_SPEC_GOLDENS[strategy]
 
 
 def test_attribution_is_engine_invariant():

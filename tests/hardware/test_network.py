@@ -180,13 +180,15 @@ def test_activity_changed_event_fires(eng):
 def test_activity_listener_callbacks(eng):
     fab = make_fabric(eng)
     flips = []
-    fab.add_activity_listener(1, lambda: flips.append(fab.traffic_active(1)))
+    fab.add_activity_listener(
+        lambda node: flips.append((node, fab.traffic_active(node)))
+    )
 
     def sender():
         yield from fab.transfer(0, 1, 64 * KIB)
 
     run(eng, sender())
-    assert flips == [True, False]
+    assert flips == [(0, True), (1, True), (0, False), (1, False)]
 
 
 def test_bytes_transferred_accounting(eng):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hardware.series import ClusterSeries, PowerSeries
-from repro.hardware.timeline import PowerTimeline
+from repro.hardware.timeline import PowerTimeline, shared_series
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -249,3 +249,83 @@ def test_cluster_peak_is_max_of_merged_trace(per_node, t0, dt):
         sum(tl._power_at_walk(t) for tl in timelines) for t in candidates
     )
     assert cs.peak_power(t0, t1) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# shared series: nodes with identical traces
+# ---------------------------------------------------------------------------
+def _merge_oracle(timelines):
+    """The merge before series sharing: a private series per node,
+    one ``sample`` per node, summed in node order."""
+    per_node = [
+        PowerSeries(*zip(*tl.segments())) for tl in timelines
+    ]
+    start = max(s.start_time for s in per_node)
+    times = np.unique(
+        np.concatenate(
+            [np.array([start])] + [s.times[s.times >= start] for s in per_node]
+        )
+    )
+    watts = np.zeros_like(times)
+    for series in per_node:
+        watts += series.sample(times)
+    return PowerSeries(times, watts)
+
+
+def _build_at(changes, start, initial):
+    tl = PowerTimeline(start_time=start, initial_power=initial)
+    t = start
+    for dt, watts in changes:
+        t += dt
+        tl.set_power(t, watts)
+    return tl
+
+
+_TRACES = st.lists(
+    st.tuples(
+        _CHANGES,
+        st.sampled_from([0.0, 0.5, 2.0]),  # start time
+        st.sampled_from([0.0, 8.0, 12.5]),  # initial watts
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60)
+@given(
+    traces=_TRACES,
+    layout=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12),
+    t0=st.floats(min_value=2.0, max_value=40.0),
+    dt=st.floats(min_value=0.0, max_value=40.0),
+)
+def test_shared_merge_is_bit_identical_to_the_per_node_oracle(
+    traces, layout, t0, dt
+):
+    """Nodes repeating a trace share one series; the merged times and
+    watts, and the total energy, are bit-identical to the per-node fold."""
+    timelines = [_build_at(*traces[i % len(traces)]) for i in layout]
+    views = shared_series(timelines)
+    cs = ClusterSeries(dict(enumerate(views)))
+    oracle = _merge_oracle(timelines)
+
+    assert cs.merged.times.tobytes() == oracle.times.tobytes()
+    assert cs.merged.watts.tobytes() == oracle.watts.tobytes()
+    t1 = t0 + dt
+    assert cs.total_energy(t0, t1) == oracle.energy(t0, t1)
+
+    distinct = {(tuple(tl._times), tuple(tl._watts)) for tl in timelines}
+    assert len({id(v) for v in views}) == len(distinct)
+    for tl, view in zip(timelines, views):
+        assert tl.series() is view  # adopted as the timeline's own view
+
+
+def test_shared_view_is_dropped_when_one_twin_moves_on():
+    a, b = _build_at([(1.0, 5.0)], 0.0, 3.0), _build_at([(1.0, 5.0)], 0.0, 3.0)
+    va, vb = shared_series([a, b])
+    assert va is vb
+    b.set_power(2.0, 7.0)
+    assert a.series() is va
+    assert b.series() is not va
+    assert b.series().watts.tolist() == [3.0, 5.0, 7.0]
+    assert va.watts.tolist() == [3.0, 5.0]

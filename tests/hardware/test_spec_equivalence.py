@@ -1,13 +1,15 @@
 """The spec layer's contract: a single-group :class:`ClusterSpec` built
 through a cluster factory and passed as ``spec=`` produces bit-identical
-outputs, and ``Cluster.from_spec`` keeps its options keyword-only."""
+outputs, ``Cluster.from_spec`` keeps its options keyword-only, and the
+1024-node mixed-generation machine keeps its pinned energies and
+delays."""
 
 import inspect
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dvs.strategy import DynamicStrategy, StaticStrategy
+from repro.dvs.strategy import CpuspeedStrategy, DynamicStrategy, StaticStrategy
 from repro.analysis.runner import run_measured
 from repro.hardware.cluster import Cluster
 from repro.hardware.dvfs import PENTIUM_M_1400
@@ -175,3 +177,44 @@ class TestBitIdentity:
         assert via_spec.point.delay == pytest.approx(
             legacy.point.delay, abs=1e-9
         )
+
+
+#: The scaling extension's four-generation 1024-node machine.
+SPEC_1024 = ClusterSpec(
+    groups=(
+        NodeSpec(count=256),
+        NodeSpec(count=256, tech=tech_node(22, "itrs")),
+        NodeSpec(count=256, tech=tech_node(8, "itrs")),
+        NodeSpec(count=256, tech=tech_node(8, "itrs"), core=CORE_IO),
+    )
+)
+
+#: FT.S, 8 ranks, one iteration on :data:`SPEC_1024` (1016 idle nodes):
+#: ``(energy J, delay s)`` per strategy, recorded before idle nodes
+#: became lazily wired and sharing one frozen series.
+LARGE_SPEC_GOLDENS = {
+    "cpuspeed": (294.94269157780855, 0.047181110603174585),
+    "stat": (285.34924702228983, 0.04824816888888885),
+    "dyn": (315.76028502117344, 0.0536223662222222),
+}
+
+LARGE_SPEC_STRATEGIES = {
+    "cpuspeed": CpuspeedStrategy,
+    "stat": lambda: StaticStrategy(1.0e9),
+    "dyn": lambda: DynamicStrategy(1.0e9, regions=["fft"]),
+}
+
+
+def large_spec_point(strategy):
+    """The pinned 1024-node FT.S run's energy/delay point."""
+    return run_measured(
+        NasFT("S", n_ranks=8, iterations=1),
+        LARGE_SPEC_STRATEGIES[strategy](),
+        spec=SPEC_1024,
+    ).point
+
+
+@pytest.mark.parametrize("strategy", sorted(LARGE_SPEC_GOLDENS))
+def test_1024_node_mixed_generation_goldens(strategy):
+    point = large_spec_point(strategy)
+    assert (point.energy, point.delay) == LARGE_SPEC_GOLDENS[strategy]
