@@ -9,76 +9,71 @@ cpuspeed and the static ladder on a communication-bound workload — and
 shows that it, too, is blinded by MPICH's busy-waiting (the paper's §4
 argument applies to *any* utilisation-driven governor, not just cpuspeed).
 
+The pattern is the one every per-node governor in ``repro.dvs`` follows:
+subclass ``NodeGovernor`` for the per-node state and its ``poll(now)``
+decision, and ``GovernorStrategy`` to put one on every node, all polled
+by one clock (``start_poll_clock``).
+
 Run with::
 
     python examples/custom_dvs_strategy.py
 """
 
 from collections import deque
+from dataclasses import dataclass
 
 from repro.analysis import format_crescendo, run_measured, static_crescendo
 from repro.analysis.runner import cpuspeed_run
-from repro.dvs import DVSStrategy
-from repro.dvs.cpufreq import CpuFreq
+from repro.dvs import GovernorStrategy, NodeGovernor
 from repro.experiments.common import LADDER_FREQUENCIES, normalize_series, points_of
 from repro.workloads import NasFT
 
 
-class HistoryGovernor:
-    """Per-node governor: frequency tracks a moving utilisation average."""
+@dataclass(frozen=True)
+class HistoryConfig:
+    """The governor's knobs; the clock reads ``interval``."""
 
-    def __init__(self, node, cpufreq: CpuFreq, interval: float = 0.5,
-                 window: int = 4):
-        self.node = node
-        self.cpufreq = cpufreq
-        self.interval = interval
-        self.history = deque(maxlen=window)
-        self._stopped = False
+    interval: float = 0.5  #: seconds between polls
+    window: int = 4  #: polls in the moving average
 
-    def start(self, engine):
-        return engine.process(self._run(engine), name="history-governor")
 
-    def stop(self):
-        self._stopped = True
+class HistoryGovernor(NodeGovernor):
+    """Per-node governor: frequency tracks a moving utilisation average.
 
-    def _run(self, engine):
-        prev = self.node.procstat.snapshot()
+    Like every per-node governor it keeps only its own node's state
+    (the ``/proc/stat`` baseline, the history, the decision log) and
+    acts in :meth:`poll`; a clock decides when polls happen.
+    """
+
+    Config = HistoryConfig
+
+    def __init__(self, node, cpufreq, config=None):
+        super().__init__(node, cpufreq, config)
+        self.history = deque(maxlen=self.config.window)
+
+    def poll(self, now):
+        self.history.append(self.utilization())
+        avg = sum(self.history) / len(self.history)
+        # Pick the slowest frequency that still covers the busy share.
         table = self.node.table
-        while not self._stopped:
-            yield engine.timeout(self.interval)
-            self.node.cpu.finalize()
-            current = self.node.procstat.snapshot()
-            self.history.append(current.utilization_since(prev))
-            prev = current
-            avg = sum(self.history) / len(self.history)
-            # Pick the slowest frequency that still covers the busy share.
-            target = table.fastest.frequency
-            for point in table:  # slowest first
-                if point.frequency >= avg * table.fastest.frequency:
-                    target = point.frequency
-                    break
-            self.cpufreq.set_speed_now(target)
+        target = table.fastest.frequency
+        for point in table:  # slowest first
+            if point.frequency >= avg * table.fastest.frequency:
+                target = point.frequency
+                break
+        self.cpufreq.set_speed_now(target)
+        self.decisions.append((now, avg, target))
 
 
-class HistoryStrategy(DVSStrategy):
-    """Cluster-wide wrapper installing one HistoryGovernor per node."""
+class HistoryStrategy(GovernorStrategy):
+    """One HistoryGovernor per node, all polled by one clock.
+
+    Every ``interval`` the clock polls each node's governor in node
+    order, as separate per-node daemons waking together would run.
+    """
 
     kind = "history"
-
-    def __init__(self):
-        super().__init__()
-        self.governors = []
-
-    def prepare(self, cluster):
-        super().prepare(cluster)
-        for node in cluster.nodes:
-            gov = HistoryGovernor(node, self.cpufreq_for(node.node_id))
-            gov.start(cluster.engine)
-            self.governors.append(gov)
-
-    def teardown(self, cluster):
-        for gov in self.governors:
-            gov.stop()
+    Governor = HistoryGovernor
 
 
 def main() -> None:

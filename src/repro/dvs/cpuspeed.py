@@ -9,21 +9,31 @@ daemon almost never scales down — the paper's Figure 3 negative result.
 The daemon runs *per node* and acts independently (paper §4: "the default
 strategy allowing the cpuspeed daemon complete control over the DVS of
 each individual node independently").
+
+Every per-node governor (:class:`NodeGovernor`: this daemon, ondemand)
+keeps its own node's state, the previous ``/proc/stat`` snapshot and
+the decision log, but runs no process of its own: one clock
+(:func:`start_poll_clock`) wakes every ``interval``, polls each live
+governor in node order and re-arms after the sweep.  During a sweep
+nothing but the governors schedules at ``now + interval``, so this is
+the order separate per-node processes would be dispatched in, and an
+event a poll schedules for ``now`` still runs after the whole sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Optional, Sequence
 
 from repro.dvs.cpufreq import CpuFreq
+from repro.dvs.policy import cpuspeed_decision
 from repro.hardware.node import Node
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.util.validation import check_fraction, check_positive
 
-__all__ = ["CpuspeedConfig", "CpuspeedDaemon"]
+__all__ = ["CpuspeedConfig", "CpuspeedDaemon", "NodeGovernor", "start_poll_clock"]
 
 
 @dataclass(frozen=True)
@@ -45,62 +55,89 @@ class CpuspeedConfig:
             )
 
 
-class CpuspeedDaemon:
-    """One node's cpuspeed instance."""
+class NodeGovernor:
+    """One node's utilisation-driven governor; subclasses set
+    ``Config`` (whose ``interval`` is the poll period) and :meth:`poll`."""
 
-    def __init__(
-        self,
-        node: Node,
-        cpufreq: CpuFreq,
-        config: Optional[CpuspeedConfig] = None,
-    ):
+    def __init__(self, node: Node, cpufreq: CpuFreq, config=None):
         self.node = node
         self.cpufreq = cpufreq
-        self.config = config or CpuspeedConfig()
-        self._process: Optional[Process] = None
-        self._stopped = False
+        self.config = config or self.Config()
+        self.stopped = False
+        #: the clock process polling this governor, once started
+        self.clock: Optional[Process] = None
         #: decision log: (time, utilization, chosen frequency Hz)
         self.decisions: list = []
+        self._prev = None
 
-    # ------------------------------------------------------------------
     def start(self, engine: Engine) -> Process:
-        """Launch the daemon loop as a simulated process."""
-        if self._process is not None:
-            raise RuntimeError("daemon already started")
-        self._process = engine.process(
-            self._run(engine), name=f"cpuspeed[node{self.node.node_id}]"
-        )
-        return self._process
+        """Poll this governor alone, on a clock of one."""
+        name = f"{type(self).__name__}[node{self.node.node_id}]"
+        return start_poll_clock(engine, self.config.interval, [self], name)
 
     def stop(self) -> None:
-        """Ask the daemon loop to exit at its next wake-up."""
-        self._stopped = True
+        """Skip this governor from its clock's next wake-up on."""
+        self.stopped = True
 
-    def _run(self, engine: Engine) -> Generator[Event, object, None]:
-        from repro.dvs.policy import cpuspeed_decision
+    def begin(self) -> None:
+        """Take the baseline snapshot the first poll measures from."""
+        self._prev = self.node.procstat.snapshot()
 
-        table = self.node.table
-        prev = self.node.procstat.snapshot()
-        while not self._stopped:
-            yield engine.timeout(self.config.interval)
-            if self._stopped:
-                return
-            # The open accounting segment must be folded in, or a rank
-            # that has been spinning since before our last wake-up would
-            # look idle.
-            self.node.cpu.finalize()
-            current = self.node.procstat.snapshot()
-            util = current.utilization_since(prev)
-            prev = current
+    def utilization(self) -> float:
+        """Busy fraction since the previous poll."""
+        # The open accounting segment must be folded in, or a rank that
+        # has been spinning since before our last wake-up would look idle.
+        self.node.cpu.finalize()
+        current = self.node.procstat.snapshot()
+        util = current.utilization_since(self._prev)
+        self._prev = current
+        return util
 
-            freq = self.node.cpu.frequency
-            target = cpuspeed_decision(
-                util,
-                freq,
-                table.frequencies,
-                up_threshold=self.config.up_threshold,
-                down_threshold=self.config.down_threshold,
-            )
-            if target != freq:
-                self.cpufreq.set_speed_now(target)
-            self.decisions.append((engine.now, util, target))
+    def poll(self, now: float) -> None:
+        raise NotImplementedError
+
+
+def start_poll_clock(
+    engine: Engine, interval: float, governors: Sequence[NodeGovernor], name: str
+) -> Process:
+    """Poll ``governors`` every ``interval`` seconds, in the given
+    order, until all of them are stopped."""
+    if any(governor.clock is not None for governor in governors):
+        raise RuntimeError("governor already started")
+    clock = engine.process(_tick(engine, interval, list(governors)), name=name)
+    for governor in governors:
+        governor.clock = clock
+    return clock
+
+
+def _tick(
+    engine: Engine, interval: float, governors: Sequence[NodeGovernor]
+) -> Generator[Event, object, None]:
+    for governor in governors:
+        governor.begin()
+    while not all(governor.stopped for governor in governors):
+        yield engine.timeout(interval)
+        now = engine.now
+        for governor in governors:
+            if not governor.stopped:
+                governor.poll(now)
+
+
+class CpuspeedDaemon(NodeGovernor):
+    """One node's cpuspeed instance."""
+
+    Config = CpuspeedConfig
+
+    def poll(self, now: float) -> None:
+        util = self.utilization()
+        freq = self.node.cpu.frequency
+        target = cpuspeed_decision(
+            util,
+            freq,
+            self.node.table.frequencies,
+            up_threshold=self.config.up_threshold,
+            down_threshold=self.config.down_threshold,
+        )
+        if target != freq:
+            self.cpufreq.set_speed_now(target)
+        self.decisions.append((now, util, target))

@@ -12,16 +12,10 @@ cpuspeed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
 
-from repro.dvs.cpufreq import CpuFreq
+from repro.dvs.cpuspeed import NodeGovernor
 from repro.dvs.policy import proportional_decision
-from repro.dvs.strategy import DVSStrategy
-from repro.hardware.cluster import Cluster
-from repro.hardware.node import Node
-from repro.sim.engine import Engine
-from repro.sim.events import Event
-from repro.sim.process import Process
+from repro.dvs.strategy import GovernorStrategy
 from repro.util.validation import check_positive
 
 __all__ = ["OndemandConfig", "OndemandGovernor", "OndemandStrategy"]
@@ -39,73 +33,27 @@ class OndemandConfig:
         check_positive("headroom", self.headroom)
 
 
-class OndemandGovernor:
+class OndemandGovernor(NodeGovernor):
     """Per-node ondemand instance."""
 
-    def __init__(
-        self,
-        node: Node,
-        cpufreq: CpuFreq,
-        config: Optional[OndemandConfig] = None,
-    ):
-        self.node = node
-        self.cpufreq = cpufreq
-        self.config = config or OndemandConfig()
-        self._stopped = False
-        self._process: Optional[Process] = None
+    Config = OndemandConfig
 
-    def start(self, engine: Engine) -> Process:
-        if self._process is not None:
-            raise RuntimeError("governor already started")
-        self._process = engine.process(
-            self._run(engine), name=f"ondemand[node{self.node.node_id}]"
-        )
-        return self._process
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _run(self, engine: Engine) -> Generator[Event, object, None]:
-        prev = self.node.procstat.snapshot()
+    def poll(self, now: float) -> None:
+        util = self.utilization()
         ladder = self.node.table.frequencies
-        while not self._stopped:
-            yield engine.timeout(self.config.interval)
-            if self._stopped:
-                return
-            self.node.cpu.finalize()
-            current = self.node.procstat.snapshot()
-            util = current.utilization_since(prev)
-            prev = current
-            # ondemand's "headroom" means: required capacity is the busy
-            # share of the *current* frequency, scaled up.
-            busy_capacity = util * self.node.cpu.frequency / ladder[-1]
-            target = proportional_decision(
-                min(1.0, busy_capacity), ladder, headroom=self.config.headroom
-            )
-            if target != self.node.cpu.frequency:
-                self.cpufreq.set_speed_now(target)
+        # ondemand's "headroom" means: required capacity is the busy
+        # share of the *current* frequency, scaled up.
+        busy_capacity = util * self.node.cpu.frequency / ladder[-1]
+        target = proportional_decision(
+            min(1.0, busy_capacity), ladder, headroom=self.config.headroom
+        )
+        if target != self.node.cpu.frequency:
+            self.cpufreq.set_speed_now(target)
+        self.decisions.append((now, util, target))
 
 
-class OndemandStrategy(DVSStrategy):
+class OndemandStrategy(GovernorStrategy):
     """Cluster-wide ondemand governors (one per node)."""
 
     kind = "ondemand"
-
-    def __init__(self, config: Optional[OndemandConfig] = None):
-        super().__init__()
-        self.config = config or OndemandConfig()
-        self.governors: List[OndemandGovernor] = []
-
-    def prepare(self, cluster: Cluster) -> None:
-        super().prepare(cluster)
-        self.governors = []
-        for node in cluster.nodes:
-            cpufreq = self.cpufreq_for(node.node_id)
-            cpufreq.set_speed_now(node.table.fastest.frequency)
-            governor = OndemandGovernor(node, cpufreq, self.config)
-            governor.start(cluster.engine)
-            self.governors.append(governor)
-
-    def teardown(self, cluster: Cluster) -> None:
-        for governor in self.governors:
-            governor.stop()
+    Governor = OndemandGovernor

@@ -24,11 +24,12 @@ from typing import Dict, List, Optional
 
 from repro.dvs.controller import DvsController, DynamicController, NullController
 from repro.dvs.cpufreq import CpuFreq
-from repro.dvs.cpuspeed import CpuspeedConfig, CpuspeedDaemon
+from repro.dvs.cpuspeed import CpuspeedDaemon, NodeGovernor, start_poll_clock
 from repro.hardware.cluster import Cluster
 
 __all__ = [
     "DVSStrategy",
+    "GovernorStrategy",
     "StaticStrategy",
     "CpuspeedStrategy",
     "DynamicStrategy",
@@ -95,43 +96,37 @@ class StaticStrategy(DVSStrategy):
             self._cpufreqs[node.node_id].set_speed_now(self.frequency)
 
 
-class CpuspeedStrategy(DVSStrategy):
-    """Per-node cpuspeed daemons (paper: *cpuspeed*).
+class GovernorStrategy(DVSStrategy):
+    """One ``Governor`` (a :class:`NodeGovernor` subclass) per node, all
+    polled by one clock.  Nodes start at the ladder's maximum (the
+    governors' boot state)."""
 
-    Nodes start at the ladder's maximum (the daemon's boot state) unless
-    ``initial_frequency`` says otherwise.
-    """
-
-    kind = "cpuspeed"
-
-    def __init__(
-        self,
-        config: Optional[CpuspeedConfig] = None,
-        initial_frequency: Optional[float] = None,
-    ):
+    def __init__(self, config=None):
         super().__init__()
-        self.config = config or CpuspeedConfig()
-        self.initial_frequency = initial_frequency
-        self.daemons: List[CpuspeedDaemon] = []
+        self.config = config or self.Governor.Config()
+        self.governors: List[NodeGovernor] = []
 
     def prepare(self, cluster: Cluster) -> None:
         super().prepare(cluster)
-        self.daemons = []
+        self.governors = []
         for node in cluster.nodes:
             cpufreq = self._cpufreqs[node.node_id]
-            start = (
-                self.initial_frequency
-                if self.initial_frequency is not None
-                else node.table.fastest.frequency
-            )
-            cpufreq.set_speed_now(start)
-            daemon = CpuspeedDaemon(node, cpufreq, self.config)
-            daemon.start(cluster.engine)
-            self.daemons.append(daemon)
+            cpufreq.set_speed_now(node.table.fastest.frequency)
+            self.governors.append(self.Governor(node, cpufreq, self.config))
+        start_poll_clock(
+            cluster.engine, self.config.interval, self.governors, self.kind
+        )
 
     def teardown(self, cluster: Cluster) -> None:
-        for daemon in self.daemons:
-            daemon.stop()
+        for governor in self.governors:
+            governor.stop()
+
+
+class CpuspeedStrategy(GovernorStrategy):
+    """Per-node cpuspeed daemons (paper: *cpuspeed*)."""
+
+    kind = "cpuspeed"
+    Governor = CpuspeedDaemon
 
 
 class DynamicStrategy(DVSStrategy):

@@ -23,7 +23,6 @@ protocol cycles for the bytes moved.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
@@ -315,36 +314,38 @@ class NetworkFabric:
 
         Schedules a single cancellable completion at the message's last
         chunk boundary instead of one timeout (plus resource churn and
-        activity flaps) per chunk.  The chunk boundaries are computed
-        with the same left-to-right float fold the scalar per-chunk walk
-        performs (``t = t + chunk/rate`` per chunk), so both completion
-        and preemption land on the **exact** float instants the oracle
-        produces.  A request queueing on either link fires
+        activity flaps) per chunk.  The boundary comes from the same
+        left-to-right float fold the scalar per-chunk walk performs
+        (``t = t + chunk/rate`` per chunk), so completion lands on the
+        **exact** float instant the oracle produces; no list of
+        boundaries is built.  A request queueing on either link fires
         ``contended()``; the hold is then released at the next chunk
-        boundary — restoring the scalar walk's chunk-granularity fair
-        sharing under contention.  Returns the bytes still to send.
+        boundary, re-folded from the start — restoring the scalar walk's
+        chunk-granularity fair sharing.  Returns the bytes still to send.
         """
         engine = self.engine
         chunk_bytes = self.config.chunk_bytes
-        boundaries = []
-        t = engine.now
-        left = remaining
-        while left > 0:
-            chunk = min(chunk_bytes, left)
-            t = t + chunk / rate
-            boundaries.append(t)
-            left -= chunk
-        done = engine.timeout_at(boundaries[-1])
+        start = t = engine.now
+        full, tail = divmod(remaining, chunk_bytes)
+        step = chunk_bytes / rate
+        for _ in range(full):
+            t = t + step
+        if tail:
+            t = t + tail / rate
+        done = engine.timeout_at(t)
         yield engine.any_of([done, tx.contended(), rx.contended()])
         if done.processed:
             return 0
         engine.cancel(done)
-        # Contention: finish the chunk in flight, then hand over.
-        k = bisect_left(boundaries, engine.now)
-        boundary = boundaries[k]
-        if boundary > engine.now:
-            yield engine.timeout_at(boundary)
-        return remaining - min((k + 1) * chunk_bytes, remaining)
+        # Contention: finish the chunk in flight (the first boundary at
+        # or after now), then hand over.
+        t, sent = start, 0
+        while not sent or t < engine.now:
+            chunk = min(chunk_bytes, remaining - sent)
+            t, sent = t + chunk / rate, sent + chunk
+        if t > engine.now:
+            yield engine.timeout_at(t)
+        return remaining - sent
 
     def _check_endpoint(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:

@@ -32,7 +32,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dvs.cpufreq import CpuFreq
-from repro.dvs.cpuspeed import CpuspeedConfig, CpuspeedDaemon
+from repro.dvs.cpuspeed import CpuspeedConfig, CpuspeedDaemon, start_poll_clock
 from repro.hardware.cluster import Cluster
 from repro.obs.tracer import active_tracer
 from repro.util.validation import check_positive
@@ -119,8 +119,7 @@ class CpuspeedServingPolicy(ServingPolicy):
         ]
 
     def start(self, engine) -> None:
-        for daemon in self.daemons:
-            daemon.start(engine)
+        start_poll_clock(engine, self.config.interval, self.daemons, "cpuspeed")
 
     def teardown(self) -> None:
         for daemon in self.daemons:

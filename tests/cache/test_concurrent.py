@@ -204,7 +204,7 @@ def _sweep_worker(cache_dir, frequencies, queue):
         for f in frequencies
     ]
     points = run_sweep(tasks, use_cache=True, cache_dir=cache_dir)
-    queue.put([(p.label, p.energy, p.delay) for p in points])
+    queue.put((tuple(frequencies), [(p.label, p.energy, p.delay) for p in points]))
 
 
 class TestConcurrentSweeps:
@@ -225,7 +225,8 @@ class TestConcurrentSweeps:
         ]
         for p in procs:
             p.start()
-        results = [queue.get(timeout=120) for _ in procs]
+        # Keyed by frequency set: the workers finish in either order.
+        results = dict(queue.get(timeout=120) for _ in procs)
         for p in procs:
             p.join(timeout=120)
             assert p.exitcode == 0
@@ -238,7 +239,8 @@ class TestConcurrentSweeps:
         from repro.analysis.parallel import SweepTask, run_sweep
         from repro.workloads.micro import L2BoundMicro
 
-        for freqs, expected in zip((freqs_a, freqs_b), results):
+        for freqs in (freqs_a, freqs_b):
+            expected = results[tuple(freqs)]
             tasks = [
                 SweepTask(L2BoundMicro(passes=3), "stat", frequency=f)
                 for f in freqs

@@ -29,7 +29,7 @@ def test_cpuspeed_strategy_starts_daemons_at_max():
     cluster = Cluster.from_spec(ClusterSpec.homogeneous(3))
     strat = CpuspeedStrategy()
     strat.prepare(cluster)
-    assert len(strat.daemons) == 3
+    assert len(strat.governors) == 3
     assert all(n.cpu.frequency == 1400 * MHZ for n in cluster.nodes)
     # Idle cluster: daemons scale everyone down over time.
     cluster.engine.timeout(10.0)

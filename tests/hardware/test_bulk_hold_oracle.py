@@ -1,0 +1,160 @@
+"""Bulk link holds against the scalar per-chunk oracle.
+
+On an engine with O(1) ``cancel`` the fabric holds both links of an
+uncontended multi-chunk message across every chunk, completing at the
+last chunk boundary, and a request queueing on either link preempts
+the hold at the next boundary.  The scalar engine walks the same
+message one chunk at a time.  Both must land every transfer on the
+same float instant, so random transfer programs run on both engines and
+their completion instants compare with ``==``.
+
+Known divergence: when a request queues at the very instant a hold
+reaches a chunk boundary, the scalar walk's order at that instant
+depends on when its boundary timeout was scheduled, an event the hold
+never creates.  The hold always hands over; the walk may re-acquire
+first.  The property below therefore covers programs without such a
+*boundary tie*, and :func:`test_boundary_tie_hands_over_like_the_oracle`
+pins the divergence as an expected failure.
+"""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.hardware.network import NetworkConfig, NetworkFabric
+from repro.sim import Engine
+from repro.sim.columnar import ColumnarEngine
+
+N_NODES = 4
+CHUNK = 1000
+RATE = NetworkConfig(chunk_bytes=CHUNK).payload_rate
+
+sizes = st.one_of(
+    st.just(0),
+    st.integers(1, 12).map(lambda n: n * CHUNK),  # exact multiples
+    st.tuples(st.integers(0, 12), st.integers(1, CHUNK - 1)).map(
+        lambda nt: nt[0] * CHUNK + nt[1]  # with a tail
+    ),
+)
+transfers = st.tuples(
+    st.integers(0, N_NODES - 1),  # src
+    st.integers(0, N_NODES - 1),  # dst
+    sizes,
+    st.sampled_from([0.0, 1e-5, 3.3e-5, 1e-4, 2.5e-4]),  # start
+    st.one_of(st.none(), st.sampled_from([0.25 * RATE, 0.6 * RATE, 2 * RATE])),
+)
+penalties = st.lists(
+    st.sampled_from([0.0, 0.0, 7e-6, 4e-5]), min_size=N_NODES, max_size=N_NODES
+)
+
+
+def watch_boundary_ties(fabric):
+    """Wrap the fabric's bulk hold; return the instants at which a hold
+    was preempted and handed over at the instant contention arrived."""
+    hold, engine, ties = fabric._bulk_hold, fabric.engine, []
+
+    def watched(*args):
+        inner, raced = hold(*args), None
+        try:
+            event = next(inner)
+            while True:
+                value = yield event
+                raced = engine.now if raced is None else raced
+                event = inner.send(value)
+        except StopIteration as stop:
+            if stop.value and engine.now == raced:
+                ties.append(raced)
+            return stop.value
+
+    fabric._bulk_hold = watched
+    return ties
+
+
+def completions(engine, program, latency=0.0, penalty=(0.0,) * N_NODES):
+    """Run ``program`` (one process per transfer); return every
+    transfer's completion instant, the engine and the boundary ties."""
+    fabric = NetworkFabric(
+        engine, N_NODES, NetworkConfig(chunk_bytes=CHUNK, latency=latency)
+    )
+    for node, seconds in enumerate(penalty):
+        fabric.set_link_latency_penalty(node, seconds)
+    ties = watch_boundary_ties(fabric)
+    done = {}
+
+    def transfer(i, src, dst, nbytes, start, max_rate):
+        yield engine.timeout(start)
+        yield from fabric.transfer(src, dst, nbytes, max_rate=max_rate)
+        done[i] = engine.now
+
+    for i, spec in enumerate(program):
+        engine.process(transfer(i, *spec))
+    engine.run()
+    return done, engine, ties
+
+
+def assert_same_instants(program, **options):
+    scalar, _, _ = completions(Engine(), program, **options)
+    bulk, engine, ties = completions(ColumnarEngine(), program, **options)
+    assume(not ties)
+    assert bulk == scalar
+    assert len(bulk) == len(program)
+    return engine
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(transfers, min_size=1, max_size=7),
+    st.sampled_from([0.0, 8e-5]),
+    penalties,
+)
+def test_random_programs_complete_on_the_oracle_instants(program, latency, penalty):
+    assert_same_instants(program, latency=latency, penalty=penalty)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, N_NODES - 1), sizes, st.sampled_from(
+            [0.0, 1e-5, 3.3e-5, 1e-4, 2.5e-4]
+        )),
+        min_size=2,
+        max_size=6,
+    )
+)
+def test_incast_onto_one_receiver_completes_on_the_oracle_instants(senders):
+    program = [(src, 0, nbytes, start, None) for src, nbytes, start in senders]
+    assert_same_instants(program)
+
+
+def test_staggered_incast_preempts_bulk_holds():
+    """A second sender arriving mid-message preempts the first one's
+    hold, so the preemption re-fold really runs."""
+    program = [
+        (1, 0, 10 * CHUNK + 123, 0.0, None),
+        (2, 0, 6 * CHUNK, 2.5e-4, None),
+        (3, 0, 4 * CHUNK + 7, 3.3e-4, 0.6 * RATE),
+    ]
+    engine = assert_same_instants(program, latency=8e-5)
+    assert engine.stats.cancelled > 0
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="a boundary tie hands over"
+)
+def test_boundary_tie_hands_over_like_the_oracle():
+    """Senders 0 and 1 race for node 2's rx link; sender 0 wins, so a
+    one-chunk message from node 0 waits for its tx link.  At sender 0's
+    first boundary the one-chunk message takes tx0, sender 1 takes rx2
+    and holds it in bulk.  The one-chunk message completes at the
+    instant sender 1 reaches a chunk boundary, and sender 0 then queues
+    on rx2: the hold hands over, while the scalar walk scheduled that
+    boundary first and has already re-acquired."""
+    program = [
+        (0, 1, CHUNK, 1e-5, None),
+        (0, 2, 2 * CHUNK, 0.0, None),
+        (1, 2, 2 * CHUNK, 0.0, None),
+    ]
+    scalar, _, _ = completions(Engine(), program)
+    bulk, _, ties = completions(ColumnarEngine(), program)
+    if not ties:
+        pytest.fail("the program no longer produces a boundary tie")
+    assert bulk == scalar

@@ -2,14 +2,17 @@
 
 A node no rank, fault or waiter touches holds no fabric link state, and
 its notification events do not exist, so a transition on it schedules
-nothing.  The observable contract: an FT job on the 1024-node
+nothing, and its cpuspeed daemon is polled by the one clock every node
+shares.  The observable contract: an FT job on the 1024-node
 four-generation spec dispatches exactly as many events as the same job
-on an exact-size cluster, under either engine.
+on an exact-size cluster, under either engine and any strategy.
 """
 
 import pytest
 
 from repro.analysis.runner import run_measured
+from repro.dvs.cpuspeed import CpuspeedConfig
+from repro.dvs.strategy import CpuspeedStrategy
 from repro.hardware.cluster import Cluster
 from repro.hardware.cpu import SimCPU
 from repro.hardware.dvfs import PENTIUM_M_1400
@@ -20,6 +23,12 @@ from repro.sim.columnar import ColumnarEngine
 from repro.workloads.nas_ft import NasFT
 
 from tests.hardware.test_spec_equivalence import LARGE_SPEC_STRATEGIES, SPEC_1024
+
+STRATEGIES = {
+    **LARGE_SPEC_STRATEGIES,
+    # polls several times within the job, so idle daemons do step down
+    "cpuspeed": lambda: CpuspeedStrategy(CpuspeedConfig(interval=0.005)),
+}
 
 
 class CountingEngine(Engine):
@@ -41,13 +50,13 @@ def _dispatched(engine):
 def _ft_run(spec, strategy, engine_cls):
     return run_measured(
         NasFT("S", n_ranks=8, iterations=1),
-        LARGE_SPEC_STRATEGIES[strategy](),
+        STRATEGIES[strategy](),
         cluster_factory=lambda: Cluster.from_spec(spec, engine=engine_cls()),
     )
 
 
 @pytest.mark.parametrize("engine_cls", [ColumnarEngine, CountingEngine])
-@pytest.mark.parametrize("strategy", ["dyn", "stat"])
+@pytest.mark.parametrize("strategy", ["cpuspeed", "dyn", "stat"])
 def test_idle_nodes_dispatch_no_events(engine_cls, strategy):
     big = _ft_run(SPEC_1024, strategy, engine_cls)
     exact = _ft_run(ClusterSpec.homogeneous(8), strategy, engine_cls)
