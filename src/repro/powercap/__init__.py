@@ -39,13 +39,14 @@ from repro.powercap.actuators import (
     dispatch_plan,
 )
 from repro.powercap.budget import PowerBudget
-from repro.powercap.elastic import ELASTIC_KNOBS, ElasticPolicy, PlanContext
+from repro.powercap.elastic import ELASTIC_KNOBS, ElasticPolicy
 from repro.powercap.governor import CapGovernor, CapGovernorConfig, GovernorWindow
 from repro.powercap.monitor import InvariantMonitor, InvariantViolation
 from repro.powercap.resilience import RepairEvent, ResilienceConfig
 from repro.powercap.policy import (
     CapAllocation,
     CapPolicy,
+    PlanContext,
     SlackRedistributionPolicy,
     UniformCapPolicy,
 )

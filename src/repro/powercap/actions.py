@@ -20,19 +20,21 @@ vocabulary that lets one control loop speak all three:
 A :class:`GovernorPlan` is one window's decision: an ordered tuple of
 actions plus the policy's power prediction.  Plans are *data* —
 emitting one performs nothing; the governor routes each action to the
-matching :mod:`~repro.powercap.actuators` entry.  Legacy
-:class:`~repro.powercap.policy.CapPolicy` allocations lower to
-pure-DVFS plans via :meth:`GovernorPlan.from_allocation`, and doing so
-is bit-identical to the pre-refactor direct-call path (asserted in
+matching :mod:`~repro.powercap.actuators` entry.  A
+:class:`~repro.powercap.policy.CapPolicy` plans by lowering its
+frequency allocation to a pure-DVFS plan with
+:meth:`GovernorPlan.from_allocation`, which is bit-identical to the
+pre-refactor direct-call path (asserted in
 ``tests/powercap/test_bit_identity.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
-from repro.powercap.policy import CapAllocation
+if TYPE_CHECKING:
+    from repro.powercap.policy import CapAllocation
 
 __all__ = [
     "Action",
@@ -123,8 +125,8 @@ class GovernorPlan:
     feasible: bool
 
     @classmethod
-    def from_allocation(cls, allocation: CapAllocation) -> "GovernorPlan":
-        """Lower a legacy DVFS allocation to a pure-ceiling plan.
+    def from_allocation(cls, allocation: "CapAllocation") -> "GovernorPlan":
+        """Lower a DVFS allocation to a pure-ceiling plan.
 
         Actions are emitted in the allocation dict's iteration order, so
         applying the plan performs exactly the operations (in exactly
@@ -132,7 +134,7 @@ class GovernorPlan:
         """
         return cls(
             actions=tuple(
-                SetFreqCeiling(node_id=node_id, frequency=frequency)
+                SetFreqCeiling(node_id, frequency)
                 for node_id, frequency in allocation.frequencies.items()
             ),
             predicted_watts=allocation.predicted_watts,
@@ -152,10 +154,4 @@ class GovernorPlan:
     def gated_node_ids(self) -> Tuple[int, ...]:
         return tuple(
             a.node_id for a in self.actions if isinstance(a, GateNode)
-        )
-
-    @property
-    def woken_node_ids(self) -> Tuple[int, ...]:
-        return tuple(
-            a.node_id for a in self.actions if isinstance(a, WakeNode)
         )

@@ -10,7 +10,7 @@ execution is what lets one control loop drive three knobs:
 
 * :class:`DvfsActuator` — frequency ceilings.  Its ``apply`` performs
   *exactly* the operations (in exactly the order) the pre-refactor
-  governor inlined, so legacy control trajectories are bit-identical
+  governor inlined, so DVFS-only control trajectories are bit-identical
   (``tests/powercap/test_bit_identity.py``).
 * :class:`NodeGateActuator` — orderly drain/wake built on the
   crash/rejoin machinery of :mod:`repro.hardware.cpu`: gating suspends

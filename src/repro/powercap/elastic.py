@@ -10,14 +10,14 @@ ladder bottoms out at ``n × (base + floor)`` watts and no frequency
 choice goes lower.
 
 :class:`ElasticPolicy` encodes that escalation as a deterministic
-per-window procedure over the same telemetry the legacy policies see:
+per-window procedure over the same telemetry the DVFS allocators see:
 
 1. **DVFS first** — delegate to the ``inner``
    :class:`~repro.powercap.policy.CapPolicy` (slack redistribution by
    default) against the target minus the known draw of already-gated
    nodes.  When the inner allocation is feasible, the plan is pure DVFS
    — with every knob at its neutral position this degenerates *exactly*
-   (bit-for-bit) to the legacy policy, the property the hypothesis
+   (bit-for-bit) to the inner policy, the property the hypothesis
    suite pins.
 2. **Then cores** — while infeasible, step the powered-core fraction of
    the slackest node down one notch (:attr:`ElasticPolicy.CORE_STEPS`)
@@ -39,10 +39,9 @@ pure function of its :class:`PlanContext`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.hardware.dvfs import DVFSTable, OperatingPoint
+from repro.hardware.dvfs import OperatingPoint
 
 from repro.powercap.actions import (
     Action,
@@ -55,7 +54,7 @@ from repro.powercap.actions import (
 from repro.powercap.policy import (
     CapAllocation,
     CapPolicy,
-    PowerPredictor,
+    PlanContext,
     SlackRedistributionPolicy,
 )
 from repro.powercap.telemetry import NodeWindowSample
@@ -65,33 +64,6 @@ __all__ = ["ELASTIC_KNOBS", "ElasticPolicy", "PlanContext"]
 #: The knobs an :class:`ElasticPolicy` may be allowed to use, in the
 #: escalation order the policy applies them.
 ELASTIC_KNOBS = ("dvfs", "cores", "gate")
-
-
-@dataclass(frozen=True)
-class PlanContext:
-    """Everything one window's plan is a function of.
-
-    The governor assembles this from its telemetry window and gating
-    bookkeeping; tests construct it directly to drive the policy as a
-    pure function.
-    """
-
-    samples: Tuple[NodeWindowSample, ...]  #: visible (non-gated) nodes
-    target_watts: float  #: the governor's derated allocation target
-    table: DVFSTable
-    floor: OperatingPoint
-    ceiling: OperatingPoint
-    predict: PowerPredictor  #: full-core node power at a ladder point
-    base_power: float  #: frequency-independent node watts (for scaling)
-    gated_draw_watts: float  #: suspend draw of one gated node
-    #: worst-case draw of a just-woken node (fully active at the floor)
-    wake_cost_watts: float
-    gated: FrozenSet[int] = frozenset()  #: node ids currently gated
-    waking: FrozenSet[int] = frozenset()  #: gated ids with boot in flight
-    #: node id → current powered-core fraction (missing = 1.0)
-    core_allocation: Dict[int, float] = field(default_factory=dict)
-    #: node ids the policy must never gate (e.g. one server per tier)
-    protected: FrozenSet[int] = frozenset()
 
 
 class ElasticPolicy:

@@ -2,38 +2,37 @@
 
 One :class:`CapGovernor` runs per cluster (where the cpuspeed daemon runs
 per node and cannot see the cluster total).  Every control interval it
+closes a telemetry window — per-node windowed average watts from the
+power timelines plus ``/proc/stat`` busy fractions
+(:class:`~repro.powercap.telemetry.ClusterTelemetry`) — and runs one
+pipeline, whatever the policy:
 
-1. closes a telemetry window — per-node windowed average watts from the
-   power timelines plus ``/proc/stat`` busy fractions
-   (:class:`~repro.powercap.telemetry.ClusterTelemetry`);
-2. asks its :class:`~repro.powercap.policy.CapPolicy` for the next
-   per-node frequency allocation against the *derated* target
-   ``cluster_watts × (1 − safety_margin)`` — the margin covers the
-   one-window prediction lag while the budget's ``tolerance`` defines
-   compliance;
-3. applies the allocation as per-node **ceilings** through
-   :class:`~repro.dvs.capped.CappedCpuFreq`, so it composes with any
-   inner DVS controller instead of fighting it.
+1. with a :class:`~repro.powercap.resilience.ResilienceConfig`, triage
+   the window: nodes the governor cannot allocate this window (gated,
+   crashed, rejoining or stuck) are carved out at their known draw, the
+   uncontrollable ones get forced ceilings, and a blind window falls
+   back to the uniform allocator;
+2. build the window's :class:`~repro.powercap.policy.PlanContext` once,
+   against the *derated* target ``cluster_watts × (1 − safety_margin)``
+   less the carved draw (the margin covers the one-window prediction
+   lag, while the budget's ``tolerance`` defines compliance);
+3. ask the policy for a :class:`~repro.powercap.actions.GovernorPlan`;
+4. append the forced ceilings to the plan;
+5. route the plan's actions to the registered
+   :mod:`~repro.powercap.actuators`.  Frequency ceilings go through
+   :class:`~repro.dvs.capped.CappedCpuFreq`, so the governor composes
+   with any inner DVS controller instead of fighting it.
 
-Before the job starts, :meth:`start` installs a worst-case allocation
-(every node assumed fully active) so the run is compliant from t=0 — the
+Before the job starts, :meth:`start` installs a worst-case plan (every
+node assumed fully active) so the run is compliant from t=0 — the
 governor then *relaxes* toward measured slack rather than chasing an
 initial violation.
-
-Since the control-plane refactor the governor no longer touches hardware
-itself: step 3 became *emit a* :class:`~repro.powercap.actions.GovernorPlan`
-*and route it through the registered*
-:mod:`~repro.powercap.actuators`.  With the default (legacy-compatible)
-policies every plan is pure DVFS and the control trajectory is
-bit-identical to the pre-refactor inline path; an
-:class:`~repro.powercap.elastic.ElasticPolicy` additionally emits core
-allocation and node gate/wake actions through the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Union
+from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.dvs.capped import CappedCpuFreq
 from repro.hardware.activity import CpuActivity
@@ -52,11 +51,11 @@ from repro.powercap.actuators import (
     dispatch_plan,
 )
 from repro.powercap.budget import PowerBudget
-from repro.powercap.elastic import ElasticPolicy, PlanContext
+from repro.powercap.elastic import ElasticPolicy
 from repro.powercap.monitor import InvariantMonitor
 from repro.powercap.policy import (
-    CapAllocation,
     CapPolicy,
+    PlanContext,
     SlackRedistributionPolicy,
     UniformCapPolicy,
 )
@@ -183,10 +182,10 @@ class CapGovernor:
                 "the crash watchdog cannot tell an orderly gated node "
                 "from a dead one"
             )
-        #: ``None`` = legacy fair-weather control loop; a
-        #: :class:`~repro.powercap.resilience.ResilienceConfig` enables
-        #: the degraded-mode defenses (stale fallback, watchdog,
-        #: stuck-frequency re-apply, rejoin containment)
+        #: ``None`` = fair weather (every visible node is allocatable); a
+        #: :class:`~repro.powercap.resilience.ResilienceConfig` adds the
+        #: triage step (stale fallback, watchdog, stuck-frequency
+        #: re-apply, rejoin containment)
         self.resilience = resilience
         #: always-on assertion layer recording invariant breaches
         self.monitor = monitor if monitor is not None else InvariantMonitor(budget)
@@ -230,29 +229,22 @@ class CapGovernor:
             (point.frequency, *_point_watts(self._model, self._table, point))
             for point in self._table
         ]
+        self._wake_cost_watts = demand_power(
+            self._model, self._table, 1.0, self._floor
+        )
         # This window's prediction rows: node id → (sample, frequency →
         # predicted watts).  Both inputs of a prediction (the sample and
         # the demand high-water marks) are fixed between _observe_demand
         # calls, which is where the rows are rebuilt.
         self._rows: Dict[int, tuple] = {}
-        # Wire the demand-tracked slack metric into the policy if it
-        # wants one and the caller didn't supply their own.
-        if (
-            isinstance(self.policy, SlackRedistributionPolicy)
-            and self.policy._intensity_of is None
-        ):
-            self.policy._intensity_of = lambda s: self._demand_of(s.node_id)
-        if isinstance(self.policy, ElasticPolicy):
-            if self.policy._intensity_of is None:
-                self.policy._intensity_of = lambda s: self._demand_of(
-                    s.node_id
-                )
-            inner = self.policy.inner
-            if (
-                isinstance(inner, SlackRedistributionPolicy)
-                and inner._intensity_of is None
-            ):
-                inner._intensity_of = lambda s: self._demand_of(s.node_id)
+        # Wire the demand-tracked slack metric into every layer of the
+        # policy (an elastic policy, then its DVFS allocator) that wants
+        # one and was not given its own.
+        layer = self.policy
+        while layer is not None:
+            if getattr(layer, "_intensity_of", False) is None:
+                layer._intensity_of = self._sample_demand
+            layer = getattr(layer, "inner", None)
         self._telemetry = ClusterTelemetry(cluster)
         self._process: Optional[Process] = None
         self._stopped = False
@@ -283,6 +275,10 @@ class CapGovernor:
         worst-case 1.0.
         """
         return max(self._demand.get(node_id, 1.0), self._spin)
+
+    def _sample_demand(self, sample: NodeWindowSample) -> float:
+        """:meth:`_demand_of` as a policy's per-sample intensity metric."""
+        return self._demand_of(sample.node_id)
 
     def _observe_demand(self, samples: List[NodeWindowSample]) -> None:
         """Fold a window's measured intensities into the high-water marks.
@@ -342,61 +338,81 @@ class CapGovernor:
             self._rows[sample.node_id] = entry
         return entry[1][point.frequency]
 
-    def _apply(self, allocation: CapAllocation) -> None:
-        """Install a pure-DVFS allocation through the control plane."""
-        self._apply_plan(GovernorPlan.from_allocation(allocation))
-
     def _apply_plan(self, plan: GovernorPlan) -> None:
         """Route a plan's actions to their actuators (daemon context)."""
         dispatch_plan(plan, self._routes)
         self._gated.update(plan.gated_node_ids)
 
-    def _plan_elastic(self, samples: List[NodeWindowSample]) -> GovernorPlan:
-        """One elastic control decision: context assembly + policy.plan.
-
-        Reconciles the gating books first: a node the actuator finished
-        waking is powered again and must leave ``_gated`` *before* the
-        policy counts suspend reserves (its fresh telemetry sample is
-        already in ``samples`` — the cluster sampler saw it powered).
-        """
-        policy = self.policy
-        assert isinstance(policy, ElasticPolicy)
+    def _plan_window(
+        self, samples: List[NodeWindowSample], t0: float, t1: float
+    ) -> GovernorPlan:
+        """One window's decision: the pipeline of the module docstring."""
+        # Reconcile the gating books first: a node the actuator finished
+        # waking is powered again (its fresh sample is already in
+        # ``samples``) and stops paying its suspend reserve.
         for nid in sorted(self._gated):
             if self.cluster.nodes[nid].cpu.powered:
                 self._gated.discard(nid)
                 self._dark_count[nid] = 0
+        policy = self.policy
+        target = self.target_watts
+        gated = frozenset(self._gated)
+        carved: Dict[int, float] = {}
+        forced: Dict[int, float] = {}
+        if self.resilience is not None:
+            samples, carved, forced, stale = self._triage(samples, t0, t1)
+            target = target - sum(carved.values())
+            gated = frozenset()  # carved at their suspend draw instead
+            if stale or target <= 0 or not samples:
+                # Blind, out of headroom, or nothing left to allocate:
+                # the uniform allocator's worst-case answer, all-floors
+                # pin and empty allocation are exactly what is wanted.
+                policy = UniformCapPolicy()
         gate = self._gate_actuator
-        ctx = PlanContext(
-            samples=tuple(samples),
-            target_watts=self.target_watts,
-            table=self._table,
-            floor=self._floor,
-            ceiling=self._ceiling,
-            predict=self._predict,
-            base_power=self._model.base_power,
-            gated_draw_watts=self._model.gated_power,
-            wake_cost_watts=demand_power(
-                self._model, self._table, 1.0, self._floor
-            ),
-            gated=frozenset(self._gated),
-            waking=(
-                frozenset(gate.waking) if gate is not None else frozenset()
-            ),
-            core_allocation={
-                node.node_id: node.cpu.core_allocation
-                for node in self.cluster.nodes
-                if node.cpu.powered
-            },
-            protected=policy.protected,
+        plan = policy.plan(
+            PlanContext(
+                samples=tuple(samples),
+                target_watts=target,
+                table=self._table,
+                floor=self._floor,
+                ceiling=self._ceiling,
+                predict=self._predict,
+                base_power=self._model.base_power,
+                gated_draw_watts=self._model.gated_power,
+                wake_cost_watts=self._wake_cost_watts,
+                gated=gated,
+                waking=(
+                    frozenset(gate.waking) if gate is not None else frozenset()
+                ),
+                core_allocation={
+                    node.node_id: node.cpu.core_allocation
+                    for node in self.cluster.nodes
+                    if node.cpu.powered
+                },
+                protected=getattr(policy, "protected", frozenset()),
+            )
         )
-        return policy.plan(ctx)
+        if carved:
+            # Forced ceilings are actuated after the allocated ones; the
+            # prediction covers the carved draw, while feasibility stays
+            # the allocation's own.
+            plan = GovernorPlan(
+                actions=plan.actions
+                + tuple(
+                    SetFreqCeiling(node_id=nid, frequency=frequency)
+                    for nid, frequency in forced.items()
+                ),
+                predicted_watts=plan.predicted_watts + sum(carved.values()),
+                feasible=plan.feasible,
+            )
+        return plan
 
     # ------------------------------------------------------------------
     def start(self, engine: Engine) -> Process:
         """Install the worst-case allocation and launch the control loop."""
         if self._process is not None:
             raise RuntimeError("governor already started")
-        self._apply(self._initial_allocation())
+        self._apply_plan(self._initial_allocation())
         self._process = engine.process(self._run(engine), name="cap-governor")
         return self._process
 
@@ -411,8 +427,8 @@ class CapGovernor:
         if self.cluster.engine.now > self._telemetry.window_start:
             self._close_window(reallocate=False)
 
-    def _initial_allocation(self) -> CapAllocation:
-        """Worst-case uniform allocation: every node fully active.
+    def _initial_allocation(self) -> GovernorPlan:
+        """Worst-case uniform plan: every node fully active.
 
         With no telemetry yet, assume α=1 at 100 % busy on every node and
         pick the highest common frequency that still fits the target —
@@ -436,11 +452,13 @@ class CapGovernor:
             )
             total = n * self._predict(worst, point)
             if total <= self.target_watts or idx == lo:
-                return CapAllocation(
-                    frequencies={
-                        node.node_id: point.frequency
+                return GovernorPlan(
+                    actions=tuple(
+                        SetFreqCeiling(
+                            node_id=node.node_id, frequency=point.frequency
+                        )
                         for node in self.cluster.nodes
-                    },
+                    ),
                     predicted_watts=total,
                     feasible=total <= self.target_watts,
                 )
@@ -462,50 +480,23 @@ class CapGovernor:
         avg = total / (t1 - t0)
         self._observe_demand(samples)
         if reallocate:
-            if isinstance(self.policy, ElasticPolicy):
-                plan = self._plan_elastic(samples)
-                self._apply_plan(plan)
-                allocation = CapAllocation(
-                    frequencies=plan.frequencies,
-                    predicted_watts=plan.predicted_watts,
-                    feasible=plan.feasible,
-                )
-            elif self.resilience is not None:
-                allocation = self._allocate_resilient(samples, t0, t1)
-                self._apply(allocation)
-            else:
-                target = self.target_watts
-                if self._gated:
-                    # Nodes someone gated out from under a legacy policy
-                    # still draw suspend power the cap must cover; the
-                    # guard keeps the no-gating path bit-identical
-                    # (``target - 0.0`` is not a float no-op in general).
-                    target -= self._model.gated_power * len(self._gated)
-                allocation = self.policy.allocate(
-                    samples,
-                    target,
-                    self._table,
-                    self._floor,
-                    self._ceiling,
-                    self._predict,
-                )
-                self._apply(allocation)
+            plan = self._plan_window(samples, t0, t1)
+            self._apply_plan(plan)
+            frequencies = plan.frequencies
+            predicted, feasible = plan.predicted_watts, plan.feasible
         else:
-            allocation = CapAllocation(
-                frequencies={
-                    nid: cf.current_frequency for nid, cf in self.cpufreqs.items()
-                },
-                predicted_watts=avg,
-                feasible=True,
-            )
+            frequencies = {
+                nid: cf.current_frequency for nid, cf in self.cpufreqs.items()
+            }
+            predicted, feasible = avg, True
         window = GovernorWindow(
             t0=t0,
             t1=t1,
             cluster_avg_watts=avg,
             compliant=self.budget.complies(avg),
-            frequencies=dict(allocation.frequencies),
-            predicted_watts=allocation.predicted_watts,
-            feasible=allocation.feasible,
+            frequencies=frequencies,
+            predicted_watts=predicted,
+            feasible=feasible,
         )
         self.windows.append(window)
         tracer = active_tracer()
@@ -513,7 +504,7 @@ class CapGovernor:
             tracer.span(
                 "window", "powercap.governor", "governor", t0, t1,
                 avg_watts=avg, target_watts=self.target_watts,
-                compliant=window.compliant, feasible=allocation.feasible,
+                compliant=window.compliant, feasible=feasible,
                 reallocated=reallocate,
             )
             tracer.counter("cluster_watts", "governor", t1, avg)
@@ -531,7 +522,7 @@ class CapGovernor:
         return samples
 
     # ------------------------------------------------------------------
-    # degraded-mode control path (resilience is not None)
+    # triage (resilience is not None)
     # ------------------------------------------------------------------
     @property
     def dead_nodes(self) -> frozenset:
@@ -633,16 +624,17 @@ class CapGovernor:
                 )
         return sample.frequency
 
-    def _allocate_resilient(
+    def _triage(
         self, samples: List[NodeWindowSample], t0: float, t1: float
-    ) -> CapAllocation:
-        """The hardened allocation: survive missing/late/false telemetry.
+    ) -> Tuple[List[NodeWindowSample], Dict[int, float], Dict[int, float], bool]:
+        """Survive missing, late and false telemetry.
 
-        Partitions nodes into *usable* (fresh or tolerably-stale
-        samples the policy may allocate), *carved* (uncontrollable for
-        this window — crashed, rejoining, or stuck — budgeted at their
-        known draw and subtracted from the target), and applies the
-        watchdog / stale / stuck defenses along the way.
+        Partitions nodes into *usable* (fresh or tolerably-stale samples
+        the policy may allocate) and *carved* (not allocatable this
+        window — gated, crashed, rejoining or stuck — budgeted at their
+        known draw, which the caller subtracts from the target), applying
+        the watchdog / stale / stuck defenses along the way.  Returns
+        ``(usable, carved watts, forced ceilings, stale fallback)``.
         """
         cfg = self.resilience
         assert cfg is not None
@@ -660,19 +652,13 @@ class CapGovernor:
         for node in self.cluster.nodes:
             nid = node.node_id
             if nid in self._gated:
-                if node.cpu.powered:
-                    # Woken since last window: back under normal control.
-                    self._gated.discard(nid)
-                else:
-                    # Orderly gated, not crashed: dark by design, drawing
-                    # exactly the platform's suspend power.  Budget that
-                    # draw and keep the watchdog/stale counters quiet —
-                    # without this carve the dead/stale machinery would
-                    # misclassify the node (the latent gating/telemetry
-                    # interaction this path now handles).
-                    carved[nid] = self._model.gated_power
-                    self._dark_count[nid] = 0
-                    continue
+                # Orderly gated, not crashed: dark by design, drawing
+                # exactly the platform's suspend power.  Budget that draw
+                # and keep the watchdog/stale counters quiet, which would
+                # otherwise misclassify the node as dead.
+                carved[nid] = self._model.gated_power
+                self._dark_count[nid] = 0
+                continue
             sample = present.get(nid)
             if sample is None:
                 dark = self._dark_count.get(nid, 0) + 1
@@ -750,41 +736,7 @@ class CapGovernor:
                 continue
             usable.append(sample)
 
-        reserve = sum(carved.values())
-        target = self.target_watts - reserve
-        policy: CapPolicy = self.policy
-        if stale_fallback and not isinstance(policy, UniformCapPolicy):
-            policy = UniformCapPolicy()
-        if not usable:
-            return CapAllocation(
-                frequencies=dict(forced),
-                predicted_watts=reserve,
-                feasible=reserve <= self.target_watts,
-            )
-        if target <= 0:
-            # The uncontrollable draw alone exceeds the target: all the
-            # governor can do is pin every controllable node at the
-            # floor and report infeasibility.
-            frequencies = {s.node_id: self._floor.frequency for s in usable}
-            frequencies.update(forced)
-            predicted = reserve + sum(
-                self._predict(s, self._floor) for s in usable
-            )
-            return CapAllocation(
-                frequencies=frequencies,
-                predicted_watts=predicted,
-                feasible=False,
-            )
-        allocation = policy.allocate(
-            usable, target, self._table, self._floor, self._ceiling, self._predict
-        )
-        frequencies = dict(allocation.frequencies)
-        frequencies.update(forced)
-        return CapAllocation(
-            frequencies=frequencies,
-            predicted_watts=allocation.predicted_watts + reserve,
-            feasible=allocation.feasible,
-        )
+        return usable, carved, forced, stale_fallback
 
     def _run(self, engine: Engine) -> Generator[Event, object, None]:
         while not self._stopped:

@@ -24,16 +24,18 @@ so a run is reproducible from its telemetry alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, FrozenSet, Sequence, Tuple
 
 from repro.hardware.dvfs import DVFSTable, OperatingPoint
 
+from repro.powercap.actions import GovernorPlan
 from repro.powercap.telemetry import NodeWindowSample
 
 __all__ = [
     "CapAllocation",
     "CapPolicy",
+    "PlanContext",
     "UniformCapPolicy",
     "SlackRedistributionPolicy",
 ]
@@ -52,11 +54,56 @@ class CapAllocation:
     #: above target (the budget cannot be met on this ladder)
 
 
+@dataclass
+class PlanContext:
+    """Everything one window's plan is a function of.
+
+    The governor assembles this once per window from its telemetry and
+    gating bookkeeping; tests construct it directly to drive a policy as
+    a pure function.  Policies treat it as read-only; it is not frozen
+    because a frozen dataclass costs twice as much to build, once per
+    control window.
+    """
+
+    samples: Tuple[NodeWindowSample, ...]  #: allocatable nodes
+    target_watts: float  #: the governor's derated allocation target
+    table: DVFSTable
+    floor: OperatingPoint
+    ceiling: OperatingPoint
+    predict: PowerPredictor  #: full-core node power at a ladder point
+    base_power: float  #: frequency-independent node watts (for scaling)
+    gated_draw_watts: float  #: suspend draw of one gated node
+    #: worst-case draw of a just-woken node (fully active at the floor)
+    wake_cost_watts: float
+    gated: FrozenSet[int] = frozenset()  #: node ids currently gated
+    waking: FrozenSet[int] = frozenset()  #: gated ids with boot in flight
+    #: node id → current powered-core fraction (missing = 1.0)
+    core_allocation: Dict[int, float] = field(default_factory=dict)
+    #: node ids the policy must never gate (e.g. one server per tier)
+    protected: FrozenSet[int] = frozenset()
+
+
 class CapPolicy:
     """Interface: map one telemetry window to a frequency allocation."""
 
     #: short label used in experiment tables ("uniform", "redist")
     name: str = "abstract"
+
+    def plan(self, ctx: PlanContext) -> GovernorPlan:
+        """One window's decision: :meth:`allocate` as DVFS ceilings.
+
+        Gated nodes are absent from ``ctx.samples`` but still draw
+        suspend power, so the allocation target is net of that reserve.
+        """
+        target = ctx.target_watts
+        if ctx.gated:
+            target = target - ctx.gated_draw_watts * len(ctx.gated)
+        return GovernorPlan.from_allocation(
+            self.allocate(
+                ctx.samples, target, ctx.table, ctx.floor, ctx.ceiling,
+                ctx.predict,
+            )
+        )
 
     def allocate(
         self,

@@ -1,9 +1,9 @@
 """Degraded-mode tuning knobs and the governor's repair record.
 
-:class:`ResilienceConfig` turns on the hardened control path in
-:class:`~repro.powercap.governor.CapGovernor` (pass ``resilience=None``
-— the default — for the legacy fair-weather governor, which is also the
-un-hardened baseline the chaos experiment compares against).  Every
+:class:`ResilienceConfig` turns on the triage step of
+:class:`~repro.powercap.governor.CapGovernor`'s control window (pass
+``resilience=None`` — the default — for the fair-weather governor, which
+is also the un-hardened baseline the chaos experiment compares against).  Every
 defensive action the hardened governor takes is appended to its
 ``repair_log`` as a :class:`RepairEvent`, so recovery behaviour is as
 inspectable as compliance.
@@ -79,10 +79,6 @@ class StuckState:
     windows: int = 0  #: windows since the stuck condition was detected
     next_retry: int = 1  #: ``windows`` value at which to retry next
     gave_up: bool = False
-
-    @property
-    def exhausted(self) -> bool:
-        return self.gave_up
 
 
 def describe_mhz(frequency_hz: Optional[float]) -> str:

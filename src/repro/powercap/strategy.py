@@ -88,7 +88,7 @@ class PowerCapStrategy(DVSStrategy):
         self.inner = inner
         #: enables the governor's degraded-mode defenses (see
         #: :class:`~repro.powercap.resilience.ResilienceConfig`); ``None``
-        #: keeps the legacy fair-weather control loop
+        #: keeps the fair-weather control loop
         self.resilience = resilience
         self.governor: Optional[CapGovernor] = None
 

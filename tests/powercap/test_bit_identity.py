@@ -9,8 +9,10 @@ Two layers pin this:
 
 * closed loop — the imbalanced powercap run (the PR-4 acceptance
   workload) driven twice over identical clusters: once through the
-  current actuator path, once through a governor whose ``_apply`` is the
-  pre-refactor inline code, verbatim;
+  current actuator path, once through a governor whose one apply method
+  (``_apply_plan``) is the pre-refactor inline code, verbatim — and the
+  oracle is asserted to have run for the initial install and every
+  reallocating window;
 * property — a pure-DVFS :class:`ElasticPolicy` degenerates bit-exactly
   to its inner legacy policy on arbitrary telemetry windows
   (hypothesis-generated).
@@ -47,20 +49,40 @@ MODEL = DEFAULT_CALIBRATION.node_power_model(TABLE)
 
 
 class LegacyInlineGovernor(CapGovernor):
-    """The pre-refactor ``_apply``: direct CappedCpuFreq calls, verbatim.
+    """The pre-refactor apply step: direct CappedCpuFreq calls, verbatim.
 
     This is the exact loop the governor inlined before the actuator
     refactor (same operations, same order, same bookkeeping) — the
-    oracle the actuator path is asserted against.
+    oracle the actuator path is asserted against.  It replaces the
+    governor's one apply method, so every plan the governor installs
+    (the initial worst case and each window's) bypasses the actuators.
     """
 
-    def _apply(self, allocation) -> None:
-        for node_id, frequency in allocation.frequencies.items():
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.oracle_installs = 0
+        self.reallocating_windows = 0
+
+    def _apply_plan(self, plan) -> None:
+        assert all(isinstance(a, SetFreqCeiling) for a in plan.actions)
+        self.oracle_installs += 1
+        for node_id, frequency in plan.frequencies.items():
             cpufreq = self.cpufreqs[node_id]
             cpufreq.set_ceiling(frequency)
             if cpufreq.current_frequency < frequency:
                 cpufreq.set_speed_now(frequency)
             self._pending_target[node_id] = frequency
+
+    def _close_window(self, reallocate: bool):
+        self.reallocating_windows += reallocate
+        return super()._close_window(reallocate)
+
+
+def assert_oracle_ran(governor):
+    """The oracle installed the initial plan and every window's plan."""
+    assert isinstance(governor, LegacyInlineGovernor)
+    assert governor.reallocating_windows > 0
+    assert governor.oracle_installs == governor.reallocating_windows + 1
 
 
 def closed_loop(policy, governor_cls=CapGovernor, budget_watts=None):
@@ -117,6 +139,7 @@ class TestClosedLoopIdentity:
         actuated_run, actuated_gov = closed_loop(
             policy_cls(), budget_watts=budget_watts
         )
+        assert_oracle_ran(legacy_gov)
         assert_trajectories_identical(legacy_gov, actuated_gov)
         assert abs(legacy_run.point.delay - actuated_run.point.delay) <= TOL
         assert abs(legacy_run.point.energy - actuated_run.point.energy) <= TOL
@@ -135,6 +158,7 @@ class TestClosedLoopIdentity:
             ElasticPolicy(knobs=("dvfs",), inner=SlackRedistributionPolicy()),
             budget_watts=budget_watts,
         )
+        assert_oracle_ran(legacy_gov)
         assert_trajectories_identical(legacy_gov, elastic_gov)
         assert abs(legacy_run.point.delay - elastic_run.point.delay) <= TOL
 

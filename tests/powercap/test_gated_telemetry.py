@@ -10,10 +10,12 @@ corrupt the control loop.  These tests pin the gated case explicitly:
 
 * the cluster sampler reports no window sample for a gated node, and
   resumes the moment it powers back on;
-* the legacy allocation path hands :class:`SlackRedistributionPolicy`
+* the fair-weather window hands :class:`SlackRedistributionPolicy`
   only powered nodes, against a target reduced by the gated reserve;
 * the resilient path carves the gated node at suspend power instead of
-  walking it through the dead/stale machinery.
+  walking it through the dead/stale machinery;
+* a node woken again leaves the gating books under every policy, so
+  its suspend reserve stops being charged against the target.
 """
 
 import pytest
@@ -29,6 +31,7 @@ from repro.powercap import (
     NodeGateActuator,
     PowerBudget,
     SlackRedistributionPolicy,
+    WakeNode,
 )
 from repro.powercap.resilience import ResilienceConfig
 
@@ -88,7 +91,7 @@ class RecordingPolicy(SlackRedistributionPolicy):
 
 
 class TestGatedAllocationExclusion:
-    def run_windows(self, resilience=None, until=1.0):
+    def run_windows(self, resilience=None, until=1.0, wake_at=None):
         cluster = make_cluster(3)
         policy = RecordingPolicy()
         governor = CapGovernor(
@@ -105,6 +108,13 @@ class TestGatedAllocationExclusion:
         governor._gated.add(0)
         for node in cluster.nodes[1:]:
             cluster.engine.process(busy(node, 0.6))
+        if wake_at is not None:
+
+            def wake():
+                yield cluster.engine.timeout(wake_at)
+                governor._routes[WakeNode].apply(WakeNode(node_id=0))
+
+            cluster.engine.process(wake())
         cluster.engine.run(until=until)
         governor.stop()
         return cluster, governor, policy
@@ -138,3 +148,12 @@ class TestGatedAllocationExclusion:
         assert not [e for e in governor.repair_log if e.node_id == 0]
         for node_ids, _target in policy.calls[1:]:
             assert 0 not in node_ids
+
+    def test_woken_node_stops_paying_its_suspend_reserve(self):
+        cluster, governor, policy = self.run_windows(wake_at=0.6, until=2.0)
+        assert cluster.nodes[0].cpu.powered
+        rejoined = [c for c in policy.calls[1:] if c[0] == (0, 1, 2)]
+        assert rejoined, "the woken node was never allocated again"
+        assert governor._gated == set()
+        for _node_ids, target in rejoined:
+            assert target == governor.target_watts

@@ -2,7 +2,7 @@
 
 Optimisations of the governor's window (how predictions are computed,
 how window energies are read) must not move a single bit of what it
-decides.  These digests pin, for three closed-loop runs, every
+decides.  These digests pin, for five closed-loop runs, every
 :class:`~repro.powercap.governor.GovernorWindow` (``t0``, ``t1``,
 ``cluster_avg_watts``, ``predicted_watts``, ``frequencies``,
 ``feasible``) and the hardened path's ``repair_log``, as exact float
@@ -13,11 +13,12 @@ hex strings:
   (carried-forward sample), a long dropout (stale fallback to worst-case
   samples), a stuck regulator and noisy power readings;
 * the same plan under the fair-weather redistribution governor;
+* the same plan under the uniform allocator, hardened and fair-weather;
 * a serving day under the elastic control plane at a 48 W budget, below
   the six-node cluster's DVFS floor, so gating and core allocation act.
 
 A digest that moves means the control trajectory moved: a change that
-claims to leave the governor's decisions alone must leave all three
+claims to leave the governor's decisions alone must leave all five
 unchanged.
 """
 
@@ -69,6 +70,12 @@ GOLDEN = {
     "chaos-fairweather": (
         "b16b5490b712e169261d347d7380f3bb4c00f632c2a9756c9b7b15ce55f268b1"
     ),
+    "chaos-hardened-uniform": (
+        "64961195ac6c0d0e1b6d9d07bbbfa302ef2f3ff38a33ad014a4604c0468cf270"
+    ),
+    "chaos-fairweather-uniform": (
+        "38d88b1d33967a48a03e19be7364822f057d88e3d25d1c22e552f42afe9b3291"
+    ),
     "serving-elastic48": (
         "6c51fca300861902a1594a654d3553c8b5902c6d61b96f01cbd75b93f0ab9d13"
     ),
@@ -98,12 +105,12 @@ def digest(governor) -> str:
     return hashlib.sha256(trajectory(governor).encode()).hexdigest()
 
 
-def chaos_governor(hardened: bool):
+def chaos_governor(hardened: bool, policy: str = "redist"):
     task = ChaosTask(
         CHAOS_WORKLOAD,
         CHAOS_PLAN,
         200.0,
-        policy="redist",
+        policy=policy,
         hardened=hardened,
         interval=INTERVAL,
     )
@@ -164,6 +171,17 @@ def test_chaos_hardened_trajectory(hardened):
 
 def test_chaos_fairweather_trajectory():
     assert digest(chaos_governor(hardened=False)) == GOLDEN["chaos-fairweather"]
+
+
+def test_chaos_hardened_uniform_trajectory():
+    governor = chaos_governor(hardened=True, policy="uniform")
+    assert "stale-fallback" in {r.action for r in governor.repair_log}
+    assert digest(governor) == GOLDEN["chaos-hardened-uniform"]
+
+
+def test_chaos_fairweather_uniform_trajectory():
+    governor = chaos_governor(hardened=False, policy="uniform")
+    assert digest(governor) == GOLDEN["chaos-fairweather-uniform"]
 
 
 def test_serving_elastic48_trajectory():
