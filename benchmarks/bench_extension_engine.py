@@ -1,27 +1,25 @@
-"""Extension: columnar engine speedup over the scalar oracle.
+"""Extension: the bulk model paths' speedup over the per-event walks.
 
-Two cases, each running the *same* simulation under both engine modes
-and asserting the columnar/scalar wall-clock ratio:
+Two cases, each running the *same* simulation on the walks in
+``tests/oracles.py`` (a timeout-vs-frequency race per ``run_cycles``
+round, one link hold per network chunk) and on the production bulk
+paths (one armed completion per quantum, one hold per uncontended
+message), and asserting the walk/bulk wall-clock ratio:
 
 * ``ft_c`` — NAS FT class C on 16 ranks under cpuspeed daemons.  The
   hot path is pure event churn (per-chunk network events, per-slice
-  ``run_cycles``), where frontier batching and bulk holds pay directly.
-  Fault-free, so the two runs must also be **bit-identical** in energy
-  and delay.
+  ``run_cycles``), where bulk holds pay directly.  Fault-free, so the
+  two runs must also be **bit-identical** in energy and delay.
 * ``chaos`` — the faulted capped sweep (hardened + fair-weather
   governor against the same accelerated fault plan) at 32 KiB network
-  chunks, the contention granularity the scalar engine pays one event
-  per chunk for while the bulk path posts one completion per message.
-  Faulted runs stay delay-identical; energy may differ in the last few
-  parts in 1e4 from same-timestamp tie ordering under faulted
-  contention (see docs/ENGINE.md), so the assertion here is the
-  speedup and the identical violation/repair counts, not bitwise
-  energy.
+  chunks, the contention granularity the walk pays one event per chunk
+  for while the bulk path posts one completion per message.  Faulted
+  runs stay delay-identical with identical violation counts; energy may
+  differ by parts in 1e4 where a crash meets contended transfers (see
+  docs/ENGINE.md), so energy is checked at 1e-3.
 
-Both cases assert **≥ 10×** (issue acceptance).  Measured on the dev
-container: ~13× for ft_c, ~18-25× reduced / ~40-48× full-scale for
-chaos.  ``REPRO_FULL_SCALE=1`` grows chaos to class C on 16 ranks
-(~10 s scalar); the default keeps the scalar leg under ~3 s.
+Both cases assert **≥ 10×**.  ``REPRO_FULL_SCALE=1`` grows chaos to
+class C on 16 ranks; the default keeps the walk leg to a few seconds.
 """
 
 import time
@@ -36,27 +34,40 @@ from repro.faults.spec import FaultPlan
 from repro.faults.sweep import ChaosTask, run_chaos_sweep
 from repro.hardware.calibration import DEFAULT_CALIBRATION
 from repro.hardware.reliability import ReliabilityModel
-from repro.sim import using_engine_mode
 from repro.workloads.nas_ft import NasFT
+from tests.oracles import using_walks
 
 KIB = 1024
 MIN_SPEEDUP = 10.0
 
 
-def _timed(mode, fn):
-    with using_engine_mode(mode):
-        t0 = time.perf_counter()
-        result = fn()
-        return result, time.perf_counter() - t0
+def _timed(fn):
+    t0 = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - t0
+
+
+def _both_paths(fn):
+    """Time ``fn()`` on the walks, then on the bulk paths."""
+    with using_walks():
+        walk, t_walk = _timed(fn)
+    bulk, t_bulk = _timed(fn)
+    return {
+        "walk": walk,
+        "bulk": bulk,
+        "speedup": t_walk / t_bulk,
+        "t_walk": t_walk,
+        "t_bulk": t_bulk,
+    }
 
 
 def _fine_chunks():
     """The default calibration at 32 KiB network chunks.
 
-    Chunk size is the fabric's contention granularity: the scalar engine
-    schedules one event per chunk, the columnar bulk path posts one
-    completion per message, so finer chunks probe exactly the gap this
-    engine exists to close (and match the chaos case's fabric).
+    Chunk size is the fabric's contention granularity: the walk
+    schedules one event per chunk, the bulk path posts one completion
+    per message, so finer chunks probe exactly the gap the bulk paths
+    exist to close (and match the chaos case's fabric).
     """
     return DEFAULT_CALIBRATION.with_overrides(
         network=replace(DEFAULT_CALIBRATION.network, chunk_bytes=32 * KIB)
@@ -67,39 +78,27 @@ def bench_extension_engine_ft_c(benchmark):
     workload = NasFT("C", n_ranks=16, iterations=1)
     calibration = _fine_chunks()
 
-    def both_modes():
-        scalar, t_scalar = _timed(
-            "scalar",
-            lambda: run_measured(workload, CpuspeedStrategy(), calibration),
-        )
-        columnar, t_columnar = _timed(
-            "columnar",
-            lambda: run_measured(workload, CpuspeedStrategy(), calibration),
-        )
-        return {
-            "scalar": scalar.point,
-            "columnar": columnar.point,
-            "speedup": t_scalar / t_columnar,
-            "t_scalar": t_scalar,
-            "t_columnar": t_columnar,
-        }
-
-    out = run_once(benchmark, both_modes)
-    # Fault-free: the columnar engine is an exact drop-in, not approximate.
-    assert out["columnar"].energy == out["scalar"].energy
-    assert out["columnar"].delay == out["scalar"].delay
+    out = run_once(
+        benchmark,
+        lambda: _both_paths(
+            lambda: run_measured(workload, CpuspeedStrategy(), calibration).point
+        ),
+    )
+    # Fault-free: the bulk paths are exact, not approximate.
+    assert out["bulk"].energy == out["walk"].energy
+    assert out["bulk"].delay == out["walk"].delay
     assert out["speedup"] >= MIN_SPEEDUP, (
-        f"columnar speedup {out['speedup']:.1f}x below {MIN_SPEEDUP:.0f}x "
-        f"(scalar {out['t_scalar']:.3f}s, columnar {out['t_columnar']:.3f}s)"
+        f"bulk speedup {out['speedup']:.1f}x below {MIN_SPEEDUP:.0f}x "
+        f"(walk {out['t_walk']:.3f}s, bulk {out['t_bulk']:.3f}s)"
     )
     benchmark.extra_info["engine"] = {
         "speedup": round(out["speedup"], 2),
-        "scalar_s": round(out["t_scalar"], 4),
-        "columnar_s": round(out["t_columnar"], 4),
+        "walk_s": round(out["t_walk"], 4),
+        "bulk_s": round(out["t_bulk"], 4),
     }
     print(
-        f"\nft_c: scalar {out['t_scalar']:.3f}s, columnar "
-        f"{out['t_columnar']:.3f}s -> {out['speedup']:.1f}x (bit-identical)"
+        f"\nft_c: walk {out['t_walk']:.3f}s, bulk "
+        f"{out['t_bulk']:.3f}s -> {out['speedup']:.1f}x (bit-identical)"
     )
 
 
@@ -142,42 +141,29 @@ def _chaos_tasks():
 def bench_extension_engine_chaos(benchmark):
     tasks = _chaos_tasks()
 
-    def both_modes():
-        scalar, t_scalar = _timed("scalar", lambda: run_chaos_sweep(tasks))
-        columnar, t_columnar = _timed("columnar", lambda: run_chaos_sweep(tasks))
-        return {
-            "scalar": scalar,
-            "columnar": columnar,
-            "speedup": t_scalar / t_columnar,
-            "t_scalar": t_scalar,
-            "t_columnar": t_columnar,
-        }
-
-    out = run_once(benchmark, both_modes)
-    for s_outcome, c_outcome in zip(out["scalar"], out["columnar"]):
+    out = run_once(benchmark, lambda: _both_paths(lambda: run_chaos_sweep(tasks)))
+    for walk, bulk in zip(out["walk"], out["bulk"]):
         # Faulted runs are delay-identical with identical chaos scores;
         # energy may drift by tie ordering only (documented contract).
-        assert c_outcome.point.delay == s_outcome.point.delay
+        assert bulk.point.delay == walk.point.delay
         assert (
-            c_outcome.report.post_recovery_violations
-            == s_outcome.report.post_recovery_violations
+            bulk.report.post_recovery_violations
+            == walk.report.post_recovery_violations
         )
-        assert c_outcome.point.energy == pytest.approx(
-            s_outcome.point.energy, rel=1e-3
-        )
+        assert bulk.point.energy == pytest.approx(walk.point.energy, rel=1e-3)
     assert out["speedup"] >= MIN_SPEEDUP, (
-        f"columnar chaos speedup {out['speedup']:.1f}x below "
-        f"{MIN_SPEEDUP:.0f}x (scalar {out['t_scalar']:.3f}s, columnar "
-        f"{out['t_columnar']:.3f}s)"
+        f"bulk chaos speedup {out['speedup']:.1f}x below "
+        f"{MIN_SPEEDUP:.0f}x (walk {out['t_walk']:.3f}s, bulk "
+        f"{out['t_bulk']:.3f}s)"
     )
     benchmark.extra_info["engine"] = {
         "speedup": round(out["speedup"], 2),
-        "scalar_s": round(out["t_scalar"], 4),
-        "columnar_s": round(out["t_columnar"], 4),
+        "walk_s": round(out["t_walk"], 4),
+        "bulk_s": round(out["t_bulk"], 4),
         "faults": len(tasks[0].plan.faults),
     }
     print(
-        f"\nchaos: scalar {out['t_scalar']:.3f}s, columnar "
-        f"{out['t_columnar']:.3f}s -> {out['speedup']:.1f}x "
+        f"\nchaos: walk {out['t_walk']:.3f}s, bulk "
+        f"{out['t_bulk']:.3f}s -> {out['speedup']:.1f}x "
         f"({len(tasks[0].plan.faults)} faults)"
     )

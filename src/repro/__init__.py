@@ -62,13 +62,7 @@ _EXPORTS = {
     "validate_chrome_trace": "repro.obs.export",
     # simulation engine (repro.sim)
     "Engine": "repro.sim.engine",
-    "ColumnarEngine": "repro.sim.columnar",
-    "EngineStats": "repro.sim.columnar",
-    "ENGINE_MODES": "repro.sim.factory",
-    "make_engine": "repro.sim.factory",
-    "engine_mode": "repro.sim.factory",
-    "set_engine_mode": "repro.sim.factory",
-    "using_engine_mode": "repro.sim.factory",
+    "EngineStats": "repro.sim.engine",
     # power-series kernel (repro.hardware)
     "PowerTimeline": "repro.hardware.timeline",
     "EnergyCursor": "repro.hardware.timeline",
@@ -236,15 +230,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     )
     from repro.serving.elastic import ElasticServingPolicy
     from repro.serving.policy import TierDvsPolicy
-    from repro.sim.columnar import ColumnarEngine, EngineStats
-    from repro.sim.engine import Engine
-    from repro.sim.factory import (
-        ENGINE_MODES,
-        engine_mode,
-        make_engine,
-        set_engine_mode,
-        using_engine_mode,
-    )
+    from repro.sim.engine import Engine, EngineStats
     from repro.serving.runner import run_serving
     from repro.serving.spec import ServingWorkload, TierSpec
     from repro.serving.sweep import (

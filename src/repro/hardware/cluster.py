@@ -22,10 +22,13 @@ from repro.hardware.series import ClusterSeries
 from repro.hardware.spec import ClusterSpec
 from repro.hardware.timeline import shared_series
 from repro.sim.engine import Engine
-from repro.sim.factory import make_engine
 from repro.sim.trace import NullRecorder, TraceRecorder
 
 __all__ = ["Cluster"]
+
+#: Builds the engine of a cluster made without one; a module-level name
+#: so ``perfbench/layers.py`` can wrap it to read each run's engine stats.
+make_engine = Engine
 
 
 class Cluster:

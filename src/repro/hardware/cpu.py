@@ -36,14 +36,13 @@ _CYCLE_EPSILON = 1e-6
 
 
 class _CycleWork:
-    """One in-flight ``run_cycles`` quantum on the columnar fast path.
+    """One in-flight ``run_cycles`` quantum.
 
     The worker generator parks on ``done``; the CPU keeps a cancellable
     ``deadline`` timeout armed at the quantum's completion instant and
-    re-arms it (after re-timing ``remaining`` with the scalar walk's
-    exact arithmetic) whenever the frequency changes — so completion
-    lands on the same float the scalar AnyOf race would produce, without
-    racing any events while the frequency holds still.
+    re-arms it (after re-timing ``remaining`` as
+    ``remaining -= (now - started) * freq``) whenever the frequency
+    changes, without racing any events while the frequency holds still.
     """
 
     __slots__ = ("done", "deadline", "remaining", "freq", "started")
@@ -342,9 +341,8 @@ class SimCPU:
 
         Behaves like a P-state change for in-flight work: the accounting
         segment closes, waiters racing completion against rate changes
-        wake, and armed quanta re-time at the new effective rate using
-        the exact scalar expression — so a mid-quantum reallocation
-        lands completion on the same float the scalar walk computes.
+        wake, and armed quanta re-time at the new effective rate (see
+        :meth:`_retime_inflight`).
         Setting 1.0 restores full throughput and full dynamic power.
         """
         if not 0.0 < fraction <= 1.0:
@@ -376,22 +374,16 @@ class SimCPU:
         mid-run P-state change re-times the remainder at the new frequency,
         exactly as a real core slows down under the daemon's feet.
 
-        On a cancellable (columnar) engine this takes the bulk fast path:
-        one armed completion per quantum, re-timed in place on frequency
-        and power events, instead of a timeout-vs-freq_event ``AnyOf``
-        race per scheduling round.  Completion instants are float-exact
-        matches of the scalar race (the re-timing arithmetic is the same
-        expression the scalar loop evaluates on wake-up).
+        Each quantum arms one cancellable completion, re-timed in place
+        on frequency and power events (:meth:`_retime_inflight`), so no
+        event races while the frequency holds still.
         """
         check_nonnegative("cycles", cycles)
         if self.cycles_per_work != 1.0:
             # Workloads count *nominal* work; an in-order core pays more
-            # cycles for it.  Scaled once here so both the bulk and the
-            # scalar paths (and mid-run re-timing) see the same total.
+            # cycles for it.  Scaled once here so mid-run re-timing sees
+            # the same total.
             cycles = cycles * self.cycles_per_work
-        if self.engine.supports_cancel:
-            yield from self._run_cycles_bulk(float(cycles), state)
-            return
         remaining = float(cycles)
         self.set_state(state, 1.0)
         try:
@@ -399,31 +391,6 @@ class SimCPU:
                 if not self._powered:
                     # Fail-stop outage: park (accounted idle, drawing
                     # nothing) and resume the remainder after restart.
-                    self.set_state(CpuActivity.IDLE, 1.0)
-                    yield self.power_restored
-                    self.set_state(state, 1.0)
-                    continue
-                freq = self._point.frequency * self._core_scale
-                started = self.engine.now
-                done = self.engine.timeout(remaining / freq)
-                yield self.engine.any_of([done, self.freq_changed])
-                if done.processed:
-                    remaining = 0.0
-                else:
-                    remaining -= (self.engine.now - started) * freq
-        finally:
-            self.set_state(CpuActivity.IDLE, 1.0)
-
-    def _run_cycles_bulk(
-        self,
-        remaining: float,
-        state: CpuActivity,
-    ) -> Generator[Event, object, None]:
-        """Columnar fast path for :meth:`run_cycles` (see its docstring)."""
-        self.set_state(state, 1.0)
-        try:
-            while remaining > _CYCLE_EPSILON:
-                if not self._powered:
                     self.set_state(CpuActivity.IDLE, 1.0)
                     yield self.power_restored
                     self.set_state(state, 1.0)
@@ -452,11 +419,11 @@ class SimCPU:
     def _retime_inflight(self) -> None:
         """Re-time armed quanta after a frequency or power transition.
 
-        Uses the exact scalar expression
-        ``remaining -= (now - started) * freq`` so the re-armed deadline
-        lands on the same float instant the scalar wake-and-reschedule
-        walk computes.  During an outage the quantum's waiter is woken
-        instead (it parks on ``power_restored``, like the scalar loop).
+        ``remaining -= (now - started) * freq`` is the expression a
+        wake-and-reschedule race evaluates on every rate change, so the
+        re-armed deadline lands on the float instant that race computes.
+        During an outage the quantum's waiter is woken instead (it parks
+        on ``power_restored``).
         """
         if not self._inflight:
             return

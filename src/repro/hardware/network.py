@@ -66,48 +66,30 @@ class NetworkConfig:
 
 class _LinkActivity:
     """One direction of one endpoint: an activity counter whose 0↔>0
-    transitions wake waiters and notify the fabric."""
+    transitions notify the fabric."""
 
-    __slots__ = ("_fabric", "_node", "_count", "_changed")
+    __slots__ = ("_fabric", "_node", "_count")
 
     def __init__(self, fabric: "NetworkFabric", node: int):
         self._fabric = fabric
         self._node = node
         self._count = 0
-        self._changed: Optional[Event] = None
 
     @property
     def active(self) -> bool:
         return self._count > 0
 
-    @property
-    def changed(self) -> Event:
-        """Event that fires on the next activity transition (0↔>0).
-
-        Created on first access, so a transition nobody waits on
-        schedules nothing.
-        """
-        if self._changed is None:
-            self._changed = self._fabric.engine.event()
-        return self._changed
-
     def acquire(self) -> None:
         self._count += 1
         if self._count == 1:
-            self._fire()
+            self._fabric._activity_flipped(self._node)
 
     def release(self) -> None:
         if self._count <= 0:
             raise RuntimeError("link activity released more times than acquired")
         self._count -= 1
         if self._count == 0:
-            self._fire()
-
-    def _fire(self) -> None:
-        old, self._changed = self._changed, None
-        if old is not None:
-            old.succeed(self.active)
-        self._fabric._activity_flipped(self._node)
+            self._fabric._activity_flipped(self._node)
 
 
 class _Endpoint:
@@ -120,8 +102,7 @@ class _Endpoint:
         self.rx = Resource(fabric.engine)
         self.tx_activity = _LinkActivity(fabric, node)
         self.rx_activity = _LinkActivity(fabric, node)
-        #: combined tx|rx change event (columnar engines); None ⇒ nobody
-        #: is currently waiting
+        #: combined tx|rx change event; None ⇒ nobody is currently waiting
         self.changed: Optional[Event] = None
 
 
@@ -177,15 +158,9 @@ class NetworkFabric:
     def activity_changed(self, node: int) -> Event:
         """Event firing at the node's next tx *or* rx activity transition."""
         endpoint = self._endpoint(node)
-        if self.engine.columnar:
-            # One shared event per node instead of a fresh nested AnyOf
-            # per call.
-            if endpoint.changed is None:
-                endpoint.changed = self.engine.event()
-            return endpoint.changed
-        return self.engine.any_of(
-            [endpoint.tx_activity.changed, endpoint.rx_activity.changed]
-        )
+        if endpoint.changed is None:
+            endpoint.changed = self.engine.event()
+        return endpoint.changed
 
     def add_activity_listener(self, listener: Callable[[int], None]) -> None:
         """Synchronous ``listener(node)`` on every tx/rx activity flip of
@@ -270,7 +245,6 @@ class NetworkFabric:
         sender, receiver = self._endpoint(src), self._endpoint(dst)
         tx, rx = sender.tx, receiver.rx
         tx_act, rx_act = sender.tx_activity, receiver.rx_activity
-        bulk = self.engine.supports_cancel
         while remaining > 0:
             tx_req = tx.request()
             yield tx_req
@@ -280,14 +254,13 @@ class NetworkFabric:
             rx_act.acquire()
             try:
                 if (
-                    bulk
-                    and remaining > cfg.chunk_bytes
+                    remaining > cfg.chunk_bytes
                     and not tx.queue_length
                     and not rx.queue_length
                 ):
-                    # Uncontended multi-chunk message on a cancellable
-                    # engine: hold both links across every chunk, racing
-                    # completion against new contention (see _bulk_hold).
+                    # Uncontended multi-chunk message: hold both links
+                    # across every chunk, racing completion against new
+                    # contention (see _bulk_hold).
                     remaining = yield from self._bulk_hold(
                         remaining, rate, tx, rx
                     )
@@ -315,12 +288,12 @@ class NetworkFabric:
         Schedules a single cancellable completion at the message's last
         chunk boundary instead of one timeout (plus resource churn and
         activity flaps) per chunk.  The boundary comes from the same
-        left-to-right float fold the scalar per-chunk walk performs
+        left-to-right float fold a per-chunk walk performs
         (``t = t + chunk/rate`` per chunk), so completion lands on the
-        **exact** float instant the oracle produces; no list of
-        boundaries is built.  A request queueing on either link fires
+        **exact** float instant the walk produces; no list of boundaries
+        is built.  A request queueing on either link fires
         ``contended()``; the hold is then released at the next chunk
-        boundary, re-folded from the start — restoring the scalar walk's
+        boundary, re-folded from the start — restoring the walk's
         chunk-granularity fair sharing.  Returns the bytes still to send.
         """
         engine = self.engine

@@ -153,14 +153,13 @@ class PowerTimeline:
         return len(self._times)
 
     # ------------------------------------------------------------------
-    # scalar walks (the pre-columnar reference implementations)
+    # scalar segment walk
     # ------------------------------------------------------------------
-    # The property-based tests and ``benchmarks/bench_extension_timeline.py``
-    # compare the kernel against these brute-force walks.
-    # ``_energy_walk`` is also live product code: every
-    # :meth:`EnergyCursor.advance` (one per node per cap-governor window)
-    # integrates its window with it, so a window's joules never depend
-    # on the trace recorded before it.
+    # Every :meth:`EnergyCursor.advance` (one per node per cap-governor
+    # window) integrates its window with this walk, so a window's joules
+    # never depend on the trace recorded before it.  The property tests
+    # and ``benchmarks/bench_extension_timeline.py`` also compare the
+    # kernel against it.
     def _energy_walk(self, t0: float, t1: float) -> float:
         if t1 < t0:
             raise ValueError(f"energy interval reversed: [{t0}, {t1}]")
@@ -178,25 +177,6 @@ class PowerTimeline:
             cursor = upto
             idx += 1
         return total
-
-    def _power_at_walk(self, time: float) -> float:
-        if time < self._times[0]:
-            raise ValueError(f"t={time} precedes timeline start {self._times[0]}")
-        idx = bisect.bisect_right(self._times, time) - 1
-        return self._watts[idx]
-
-    def _peak_walk(self, t0: float, t1: float) -> float:
-        if t1 < t0:
-            raise ValueError(f"peak interval reversed: [{t0}, {t1}]")
-        if t0 < self._times[0]:
-            raise ValueError(f"t0={t0} precedes timeline start {self._times[0]}")
-        idx = bisect.bisect_right(self._times, t0) - 1
-        peak = self._watts[idx]
-        for i in range(idx + 1, len(self._times)):
-            if self._times[i] > t1:
-                break
-            peak = max(peak, self._watts[i])
-        return peak
 
 
 def shared_series(timelines: Iterable[PowerTimeline]) -> List[PowerSeries]:

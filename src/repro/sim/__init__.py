@@ -11,35 +11,29 @@ a single engine, which is what lets the framework measure energy exactly
 while still modelling asynchronous behaviour such as governor preemption.
 """
 
-from repro.sim.columnar import ColumnarEngine, EngineStats
 from repro.sim.engine import (
     Engine,
+    EngineStats,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
 )
 from repro.sim.errors import Interrupt, SimulationError, StopSimulation
-from repro.sim.factory import (
-    ENGINE_MODES,
-    engine_mode,
-    make_engine,
-    set_engine_mode,
-    using_engine_mode,
-)
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import FilterStore, Request, Resource, Store
 from repro.sim.trace import NullRecorder, TraceRecord, TraceRecorder
 
+
+def engine_mode() -> str:
+    """Name of the one simulation engine (``perfbench`` fingerprints it)."""
+    return "heap"
+
+
 __all__ = [
     "Engine",
-    "ColumnarEngine",
     "EngineStats",
-    "ENGINE_MODES",
     "engine_mode",
-    "make_engine",
-    "set_engine_mode",
-    "using_engine_mode",
     "Event",
     "Timeout",
     "Condition",

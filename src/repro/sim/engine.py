@@ -6,6 +6,14 @@ kernel objects (:class:`~repro.sim.events.Event`,
 :mod:`repro.sim.resources`) are created against an engine and scheduled
 through it.
 
+Events dispatch in ``(time, priority, insertion-seq)`` order.
+:meth:`Engine.cancel` revokes a queued event lazily: it flags the event,
+whose row stays in the heap and is dropped when it reaches the head, so
+cancelling is O(1) and a cancelled event never decides the next dispatch
+time.  The hardware layer's bulk paths are built on it (a
+``run_cycles`` quantum re-armed on a frequency change, a link hold
+preempted by contention).
+
 Time is a ``float`` in **seconds**; the hardware layer converts everything
 (cycle counts, byte counts) to seconds before scheduling.
 """
@@ -20,7 +28,13 @@ from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
-__all__ = ["Engine", "PRIORITY_URGENT", "PRIORITY_NORMAL", "PRIORITY_LOW"]
+__all__ = [
+    "Engine",
+    "EngineStats",
+    "PRIORITY_URGENT",
+    "PRIORITY_NORMAL",
+    "PRIORITY_LOW",
+]
 
 #: Scheduling priorities: ties in time are broken first by priority, then by
 #: insertion order.  Urgent is used for event-triggering bookkeeping so that
@@ -30,6 +44,17 @@ PRIORITY_NORMAL = 1
 PRIORITY_LOW = 2
 
 _INF = float("inf")
+
+
+class EngineStats:
+    """Counters the engine maintains (cheap ints, always on)."""
+
+    __slots__ = ("dispatched", "cancelled", "frontiers")
+
+    def __init__(self) -> None:
+        self.dispatched = 0  #: events actually processed
+        self.cancelled = 0  #: events revoked before dispatch
+        self.frontiers = 0  #: times the clock advanced to a later instant
 
 
 class Engine:
@@ -46,18 +71,13 @@ class Engine:
         waiters observe the exception.
     """
 
-    #: True on engines that batch same-timestamp events through columnar
-    #: storage (see :class:`repro.sim.columnar.ColumnarEngine`).
-    columnar = False
-    #: True on engines exposing O(1) ``cancel()`` — the hardware layer's
-    #: bulk fast paths (whole-message transfers, re-timed ``run_cycles``)
-    #: require it and fall back to per-chunk/per-race event walks here.
-    supports_cancel = False
-
     def __init__(self, start_time: float = 0.0, strict: bool = True):
         self._now = float(start_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
+        # Rows of cancelled events still in the heap.
+        self._dead = 0
+        self.stats = EngineStats()
         self._active_process: Optional[Process] = None
         self.strict = strict
         self._running = False
@@ -93,25 +113,85 @@ class Engine:
             self._queue, (self._now + delay, priority, next(self._eid), event)
         )
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else _INF
+    def schedule_at(
+        self,
+        event: Event,
+        when: float,
+        priority: int = PRIORITY_NORMAL,
+    ) -> None:
+        """Queue ``event`` for processing at absolute time ``when``.
 
-    def _has_pending(self) -> bool:
-        """Whether any event is still queued (the :meth:`run` loop guard)."""
-        return bool(self._queue)
+        Unlike ``schedule(delay=when - now)`` this does not round-trip
+        through a subtraction, so a caller that *computed* an exact float
+        instant (e.g. the last chunk boundary of a bulk link hold) gets
+        the event dispatched at exactly that float.
+        """
+        if not self._now <= when < _INF:
+            raise SimulationError(
+                f"cannot schedule at {when!r} (now={self._now}, "
+                f"non-finite and past instants are rejected)"
+            )
+        heapq.heappush(self._queue, (when, priority, next(self._eid), event))
+
+    def timeout_at(self, when: float, value: object = None) -> Event:
+        """An event that fires at absolute time ``when`` (cancellable)."""
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        self.schedule_at(event, when)
+        return event
+
+    def cancel(self, event: Event) -> bool:
+        """Revoke a scheduled-but-unprocessed event in O(1).
+
+        Returns ``True`` when the event was live and is now cancelled.
+        The event object stays *triggered* (it carries its value) but its
+        callbacks will never run and it never becomes ``processed``.
+        Only events currently in the queue may be cancelled.
+        """
+        if event.callbacks is None or not event.triggered or event._cancelled:
+            return False
+        event._cancelled = True
+        self._dead += 1
+        self.stats.cancelled += 1
+        return True
+
+    def peek(self) -> float:
+        """Time of the next live event, or ``inf`` if none."""
+        queue = self._queue
+        # Drop cancelled rows at the head, so that a cancelled event never
+        # determines the next dispatch time (run(until=t) must not
+        # overshoot on one).
+        while self._dead and queue[0][3]._cancelled:
+            heapq.heappop(queue)
+            self._dead -= 1
+        return queue[0][0] if queue else _INF
+
+    @property
+    def pending(self) -> int:
+        """Number of live (scheduled, uncancelled) events."""
+        return len(self._queue) - self._dead
 
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _prio, _eid, event = heapq.heappop(self._queue)
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:  # pragma: no cover - defensive
-            raise SimulationError(f"{event!r} processed twice")
-        for callback in callbacks:
-            callback(event)
+        """Process exactly one live event (advancing the clock to it)."""
+        queue = self._queue
+        while queue:
+            when, _prio, _eid, event = heapq.heappop(queue)
+            if event._cancelled:
+                self._dead -= 1
+                continue
+            stats = self.stats
+            stats.dispatched += 1
+            if when != self._now:
+                self._now = when
+                stats.frontiers += 1
+            callbacks, event.callbacks = event.callbacks, None
+            if callbacks is None:  # pragma: no cover - defensive
+                raise SimulationError(f"{event!r} processed twice")
+            for callback in callbacks:
+                callback(event)
+            return
+        raise SimulationError("step() on an empty event queue")
 
     def run(self, until: object = None) -> object:
         """Run the simulation.
@@ -148,12 +228,13 @@ class Engine:
         else:
             raise SimulationError(f"invalid until argument: {until!r}")
 
+        limit = _INF if stop_at is None else stop_at
         self._running = True
         try:
-            while self._has_pending():
-                if stop_at is not None and self.peek() > stop_at:
-                    self._now = stop_at
-                    return None
+            while True:
+                when = self.peek()
+                if when == _INF or when > limit:
+                    break
                 try:
                     self.step()
                 except StopSimulation as stop:
@@ -165,7 +246,9 @@ class Engine:
         finally:
             self._running = False
 
-        if watched is not None and not watched.triggered:
+        if watched is not None and not watched.processed:
+            # A cancelled event is triggered but never processed: it
+            # ends the run exactly like an event that never triggers.
             raise SimulationError(
                 "run(until=event) ended with the event never triggering "
                 "(deadlock or missing stimulus)"
@@ -204,4 +287,4 @@ class Engine:
         return AllOf(self, events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Engine t={self._now:.6g} pending={len(self._queue)}>"
+        return f"<Engine t={self._now:.6g} pending={self.pending}>"

@@ -38,6 +38,7 @@ class Event:
     Life cycle::
 
         created -> triggered (succeed/fail) -> processed (callbacks ran)
+                                            -> cancelled (never processed)
 
     ``callbacks`` is a list of callables ``cb(event)`` invoked when the
     engine processes the event; it is set to ``None`` afterwards, which is
@@ -45,13 +46,15 @@ class Event:
     immediately instead of registering a callback.
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_ok")
+    __slots__ = ("engine", "callbacks", "_value", "_ok", "_cancelled")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: object = PENDING
         self._ok: bool = True
+        #: set by :meth:`Engine.cancel`; the engine drops the event's row
+        self._cancelled: bool = False
 
     # ------------------------------------------------------------------
     # state inspection

@@ -81,14 +81,13 @@ class Resource:
     def contended(self) -> Event:
         """Event firing the next time a request has to queue.
 
-        Bulk holders (the columnar fast path in
+        Bulk holders (the link holds in
         :meth:`repro.hardware.network.NetworkFabric.transfer`) race this
         against their completion so they can hand the resource over at
-        the next chunk boundary, reproducing the scalar walk's
-        chunk-granularity fair sharing without per-chunk events while
-        uncontended.  Note it only reports *future* arrivals — a holder
-        must check :attr:`queue_length` for waiters that queued before
-        the call.
+        the next chunk boundary, keeping chunk-granularity fair sharing
+        without per-chunk events while uncontended.  Note it only
+        reports *future* arrivals — a holder must check
+        :attr:`queue_length` for waiters that queued before the call.
         """
         ev = self._contended
         if ev is None:

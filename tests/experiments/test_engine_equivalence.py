@@ -1,11 +1,14 @@
-"""Scalar-vs-columnar equivalence on the paper's headline outputs.
+"""Walk-vs-bulk equivalence on the paper's headline outputs.
 
-The columnar engine is the default; the scalar engine is the oracle.
-Running the same reduced experiment under both modes must produce the
-same numbers to within 1e-9 — fig3's energy/delay series, the powercap
-allocation summary, the serving SLO table, and the span-energy
-attribution report.  (Fault-free runs are in fact bit-identical; the
-tolerance only leaves room for the contract, not for drift.)
+Production runs take the bulk model paths: one armed completion per
+``run_cycles`` quantum and one link hold per uncontended message.  The
+walks in ``tests/oracles.py`` race a timeout per scheduling round and
+hold a link per chunk.  Running the same reduced experiment both ways
+must produce the same numbers to within 1e-9 — fig3's energy/delay
+series, the powercap allocation summary, the serving SLO table, and the
+span-energy attribution report.  (Fault-free runs are in fact
+bit-identical; the tolerance only leaves room for the contract, not for
+drift.)
 """
 
 import pytest
@@ -15,65 +18,63 @@ from repro.dvs.strategy import StaticStrategy
 from repro.experiments import run_experiment
 from repro.metrics.attribution import build_attribution_report
 from repro.obs.tracer import Tracer
-from repro.sim import using_engine_mode
 from repro.workloads.nas_ft import NasFT
 
 from tests.hardware.test_spec_equivalence import (
     LARGE_SPEC_GOLDENS,
     large_spec_point,
 )
+from tests.oracles import using_walks
 
 TOL = 1e-9
 
 
-def _both_modes(fn):
-    """Run ``fn()`` under the scalar and columnar engine modes."""
-    out = {}
-    for mode in ("scalar", "columnar"):
-        with using_engine_mode(mode):
-            out[mode] = fn()
-    return out["scalar"], out["columnar"]
+def _both_paths(fn):
+    """Run ``fn()`` on the walks, then on the bulk paths."""
+    with using_walks():
+        walk = fn()
+    return walk, fn()
 
 
-def _assert_results_match(scalar, columnar):
-    assert [c.quantity for c in scalar.comparisons] == [
-        c.quantity for c in columnar.comparisons
+def _assert_results_match(walk, bulk):
+    assert [c.quantity for c in walk.comparisons] == [
+        c.quantity for c in bulk.comparisons
     ]
-    for s, c in zip(scalar.comparisons, columnar.comparisons):
-        assert c.measured == pytest.approx(s.measured, rel=TOL, abs=TOL), s.quantity
-    assert set(scalar.series) == set(columnar.series)
-    for name in scalar.series:
-        s_pts = scalar.series[name].points
-        c_pts = columnar.series[name].points
-        assert len(s_pts) == len(c_pts)
-        for sp, cp in zip(s_pts, c_pts):
-            assert cp.energy == pytest.approx(sp.energy, rel=TOL, abs=TOL)
-            assert cp.delay == pytest.approx(sp.delay, rel=TOL, abs=TOL)
+    for w, b in zip(walk.comparisons, bulk.comparisons):
+        assert b.measured == pytest.approx(w.measured, rel=TOL, abs=TOL), w.quantity
+    assert set(walk.series) == set(bulk.series)
+    for name in walk.series:
+        w_pts = walk.series[name].points
+        b_pts = bulk.series[name].points
+        assert len(w_pts) == len(b_pts)
+        for wp, bp in zip(w_pts, b_pts):
+            assert bp.energy == pytest.approx(wp.energy, rel=TOL, abs=TOL)
+            assert bp.delay == pytest.approx(wp.delay, rel=TOL, abs=TOL)
 
 
 def test_fig3_is_engine_invariant():
-    scalar, columnar = _both_modes(lambda: run_experiment("fig3", iterations=1))
-    _assert_results_match(scalar, columnar)
+    walk, bulk = _both_paths(lambda: run_experiment("fig3", iterations=1))
+    _assert_results_match(walk, bulk)
 
 
 def test_powercap_is_engine_invariant():
-    scalar, columnar = _both_modes(
+    walk, bulk = _both_paths(
         lambda: run_experiment("powercap", cap_fractions=(0.9,), transpose_n=1500)
     )
-    _assert_results_match(scalar, columnar)
-    assert scalar.tables.keys() == columnar.tables.keys()
+    _assert_results_match(walk, bulk)
+    assert walk.tables.keys() == bulk.tables.keys()
 
 
 def test_serving_is_engine_invariant():
-    scalar, columnar = _both_modes(lambda: run_experiment("serving", horizon_s=6.0))
-    _assert_results_match(scalar, columnar)
+    walk, bulk = _both_paths(lambda: run_experiment("serving", horizon_s=6.0))
+    _assert_results_match(walk, bulk)
 
 
 @pytest.mark.parametrize("strategy", sorted(LARGE_SPEC_GOLDENS))
 def test_1024_node_spec_is_engine_invariant(strategy):
-    scalar, columnar = _both_modes(lambda: large_spec_point(strategy))
-    assert (scalar.energy, scalar.delay) == (columnar.energy, columnar.delay)
-    assert (columnar.energy, columnar.delay) == LARGE_SPEC_GOLDENS[strategy]
+    walk, bulk = _both_paths(lambda: large_spec_point(strategy))
+    assert (walk.energy, walk.delay) == (bulk.energy, bulk.delay)
+    assert (bulk.energy, bulk.delay) == LARGE_SPEC_GOLDENS[strategy]
 
 
 def test_attribution_is_engine_invariant():
@@ -87,13 +88,13 @@ def test_attribution_is_engine_invariant():
         )
         return run, report
 
-    (s_run, s_report), (c_run, c_report) = _both_modes(attribute)
-    assert c_run.point.energy == pytest.approx(s_run.point.energy, rel=TOL)
-    assert c_run.point.delay == pytest.approx(s_run.point.delay, rel=TOL)
-    assert len(c_report.rows) == len(s_report.rows)
-    for s_row, c_row in zip(s_report.rows, c_report.rows):
-        assert (c_row.rank, c_row.phase) == (s_row.rank, s_row.phase)
-        assert c_row.energy_j == pytest.approx(s_row.energy_j, rel=TOL, abs=TOL)
-    assert c_report.total_energy_j == pytest.approx(
-        s_report.total_energy_j, rel=TOL, abs=TOL
+    (w_run, w_report), (b_run, b_report) = _both_paths(attribute)
+    assert b_run.point.energy == pytest.approx(w_run.point.energy, rel=TOL)
+    assert b_run.point.delay == pytest.approx(w_run.point.delay, rel=TOL)
+    assert len(b_report.rows) == len(w_report.rows)
+    for w_row, b_row in zip(w_report.rows, b_report.rows):
+        assert (b_row.rank, b_row.phase) == (w_row.rank, w_row.phase)
+        assert b_row.energy_j == pytest.approx(w_row.energy_j, rel=TOL, abs=TOL)
+    assert b_report.total_energy_j == pytest.approx(
+        w_report.total_energy_j, rel=TOL, abs=TOL
     )

@@ -1,20 +1,20 @@
-"""Bulk link holds against the scalar per-chunk oracle.
+"""Bulk link holds against the per-chunk walk.
 
-On an engine with O(1) ``cancel`` the fabric holds both links of an
-uncontended multi-chunk message across every chunk, completing at the
-last chunk boundary, and a request queueing on either link preempts
-the hold at the next boundary.  The scalar engine walks the same
-message one chunk at a time.  Both must land every transfer on the
-same float instant, so random transfer programs run on both engines and
-their completion instants compare with ``==``.
+The fabric holds both links of an uncontended multi-chunk message
+across every chunk, completing at the last chunk boundary, and a
+request queueing on either link preempts the hold at the next boundary.
+The walk (``tests/oracles.py``) sends the same message one chunk per
+hold.  Both must land every transfer on the same float instant, so
+random transfer programs run on both and their completion instants
+compare with ``==``.
 
 Known divergence: when a request queues at the very instant a hold
-reaches a chunk boundary, the scalar walk's order at that instant
-depends on when its boundary timeout was scheduled, an event the hold
-never creates.  The hold always hands over; the walk may re-acquire
-first.  The property below therefore covers programs without such a
-*boundary tie*, and :func:`test_boundary_tie_hands_over_like_the_oracle`
-pins the divergence as an expected failure.
+reaches a chunk boundary, the walk's order at that instant depends on
+when its boundary timeout was scheduled, an event the hold never
+creates.  The hold always hands over; the walk may re-acquire first.
+The property below therefore covers programs without such a *boundary
+tie*, and :func:`test_boundary_tie_hands_over_like_the_oracle` pins the
+divergence as an expected failure.
 """
 
 import pytest
@@ -22,7 +22,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.hardware.network import NetworkConfig, NetworkFabric
 from repro.sim import Engine
-from repro.sim.columnar import ColumnarEngine
+
+from tests.oracles import using_walks
 
 N_NODES = 4
 CHUNK = 1000
@@ -69,9 +70,10 @@ def watch_boundary_ties(fabric):
     return ties
 
 
-def completions(engine, program, latency=0.0, penalty=(0.0,) * N_NODES):
+def completions(program, latency=0.0, penalty=(0.0,) * N_NODES):
     """Run ``program`` (one process per transfer); return every
     transfer's completion instant, the engine and the boundary ties."""
+    engine = Engine()
     fabric = NetworkFabric(
         engine, N_NODES, NetworkConfig(chunk_bytes=CHUNK, latency=latency)
     )
@@ -91,11 +93,16 @@ def completions(engine, program, latency=0.0, penalty=(0.0,) * N_NODES):
     return done, engine, ties
 
 
+def walked(program, **options):
+    with using_walks():
+        return completions(program, **options)[0]
+
+
 def assert_same_instants(program, **options):
-    scalar, _, _ = completions(Engine(), program, **options)
-    bulk, engine, ties = completions(ColumnarEngine(), program, **options)
+    walk = walked(program, **options)
+    bulk, engine, ties = completions(program, **options)
     assume(not ties)
-    assert bulk == scalar
+    assert bulk == walk
     assert len(bulk) == len(program)
     return engine
 
@@ -146,15 +153,15 @@ def test_boundary_tie_hands_over_like_the_oracle():
     first boundary the one-chunk message takes tx0, sender 1 takes rx2
     and holds it in bulk.  The one-chunk message completes at the
     instant sender 1 reaches a chunk boundary, and sender 0 then queues
-    on rx2: the hold hands over, while the scalar walk scheduled that
-    boundary first and has already re-acquired."""
+    on rx2: the hold hands over, while the walk scheduled that boundary
+    first and has already re-acquired."""
     program = [
         (0, 1, CHUNK, 1e-5, None),
         (0, 2, 2 * CHUNK, 0.0, None),
         (1, 2, 2 * CHUNK, 0.0, None),
     ]
-    scalar, _, _ = completions(Engine(), program)
-    bulk, _, ties = completions(ColumnarEngine(), program)
+    walk = walked(program)
+    bulk, _, ties = completions(program)
     if not ties:
         pytest.fail("the program no longer produces a boundary tie")
-    assert bulk == scalar
+    assert bulk == walk

@@ -5,7 +5,7 @@ its notification events do not exist, so a transition on it schedules
 nothing, and its cpuspeed daemon is polled by the one clock every node
 shares.  The observable contract: an FT job on the 1024-node
 four-generation spec dispatches exactly as many events as the same job
-on an exact-size cluster, under either engine and any strategy.
+on an exact-size cluster, under any strategy.
 """
 
 import pytest
@@ -19,7 +19,6 @@ from repro.hardware.dvfs import PENTIUM_M_1400
 from repro.hardware.network import NetworkConfig, NetworkFabric
 from repro.hardware.spec import ClusterSpec
 from repro.sim import Engine
-from repro.sim.columnar import ColumnarEngine
 from repro.workloads.nas_ft import NasFT
 
 from tests.hardware.test_spec_equivalence import LARGE_SPEC_STRATEGIES, SPEC_1024
@@ -31,41 +30,27 @@ STRATEGIES = {
 }
 
 
-class CountingEngine(Engine):
-    """The scalar engine plus a dispatch counter."""
-
-    def __init__(self):
-        super().__init__()
-        self.dispatched = 0
-
-    def step(self):
-        self.dispatched += 1
-        super().step()
-
-
-def _dispatched(engine):
-    return engine.stats.dispatched if engine.columnar else engine.dispatched
-
-
-def _ft_run(spec, strategy, engine_cls):
+def _ft_run(spec, strategy):
     return run_measured(
         NasFT("S", n_ranks=8, iterations=1),
         STRATEGIES[strategy](),
-        cluster_factory=lambda: Cluster.from_spec(spec, engine=engine_cls()),
+        cluster_factory=lambda: Cluster.from_spec(spec),
     )
 
 
-@pytest.mark.parametrize("engine_cls", [ColumnarEngine, CountingEngine])
 @pytest.mark.parametrize("strategy", ["cpuspeed", "dyn", "stat"])
-def test_idle_nodes_dispatch_no_events(engine_cls, strategy):
-    big = _ft_run(SPEC_1024, strategy, engine_cls)
-    exact = _ft_run(ClusterSpec.homogeneous(8), strategy, engine_cls)
-    assert _dispatched(big.cluster.engine) == _dispatched(exact.cluster.engine)
+def test_idle_nodes_dispatch_no_events(strategy):
+    big = _ft_run(SPEC_1024, strategy)
+    exact = _ft_run(ClusterSpec.homogeneous(8), strategy)
+    assert (
+        big.cluster.engine.stats.dispatched
+        == exact.cluster.engine.stats.dispatched
+    )
     assert big.point.delay == exact.point.delay
 
 
 def test_only_ranked_endpoints_hold_link_state():
-    run = _ft_run(SPEC_1024, "stat", ColumnarEngine)
+    run = _ft_run(SPEC_1024, "stat")
     assert run.cluster.fabric.wired_endpoints == tuple(range(8))
 
 
@@ -74,7 +59,7 @@ def test_only_ranked_endpoints_hold_link_state():
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def cpu():
-    return SimCPU(ColumnarEngine(), PENTIUM_M_1400)
+    return SimCPU(Engine(), PENTIUM_M_1400)
 
 
 def test_frequency_flip_without_waiter_schedules_nothing(cpu):
@@ -137,7 +122,7 @@ def _fabric(engine, n=4):
 
 
 def test_activity_flip_without_waiter_schedules_nothing():
-    eng = ColumnarEngine()
+    eng = Engine()
     fab = _fabric(eng)
 
     def sender():
@@ -151,7 +136,7 @@ def test_activity_flip_without_waiter_schedules_nothing():
     assert eng.stats.dispatched == 5
 
 
-@pytest.mark.parametrize("engine_cls", [ColumnarEngine, Engine])
+@pytest.mark.parametrize("engine_cls", [Engine])
 def test_late_activity_waiter_wakes_on_the_next_flip(engine_cls):
     eng = engine_cls()
     fab = _fabric(eng)
@@ -175,7 +160,7 @@ def test_late_activity_waiter_wakes_on_the_next_flip(engine_cls):
 
 
 def test_untouched_endpoints_hold_no_link_state():
-    eng = ColumnarEngine()
+    eng = Engine()
     fab = _fabric(eng, n=1024)
     assert fab.wired_endpoints == ()
     assert not fab.traffic_active(900)
@@ -191,7 +176,7 @@ def test_untouched_endpoints_hold_no_link_state():
 
 
 def test_latency_penalty_on_an_untouched_endpoint_takes_effect():
-    eng = ColumnarEngine()
+    eng = Engine()
     fab = NetworkFabric(eng, 1024, NetworkConfig(latency=1e-4))
     fab.set_link_latency_penalty(900, 0.25)
     assert fab.wired_endpoints == ()

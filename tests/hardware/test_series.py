@@ -1,10 +1,10 @@
 """Property-based tests for the columnar power-series kernel.
 
 Every batch/prefix-sum query must agree with the brute-force scalar
-segment walks kept on :class:`PowerTimeline` exactly for that purpose
-(``_energy_walk`` / ``_power_at_walk`` / ``_peak_walk``) — including the
-extend-to-infinity convention past the last change point and degenerate
-``t0 == t1`` intervals.
+segment walks (``PowerTimeline._energy_walk``, which ``EnergyCursor``
+runs, and the ``power_at_walk`` / ``peak_walk`` oracles in
+``tests/oracles.py``) — including the extend-to-infinity convention past
+the last change point and degenerate ``t0 == t1`` intervals.
 """
 
 import numpy as np
@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hardware.series import ClusterSeries, PowerSeries
 from repro.hardware.timeline import PowerTimeline, shared_series
+
+from tests.oracles import peak_walk, power_at_walk
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -52,7 +54,7 @@ def test_energy_matches_segment_walk(changes, t0, t1):
 @given(changes=_CHANGES, t=_T)
 def test_power_at_matches_walk_exactly(changes, t):
     tl, _ = _build(changes)
-    assert tl.series().power_at(t) == tl._power_at_walk(t)
+    assert tl.series().power_at(t) == power_at_walk(tl, t)
 
 
 @given(changes=_CHANGES, t0=_T, t1=_T)
@@ -61,7 +63,7 @@ def test_average_power_matches_walk(changes, t0, t1):
     lo, hi = min(t0, t1), max(t0, t1)
     got = tl.series().average_power(lo, hi)
     if hi == lo:
-        assert got == tl._power_at_walk(lo)  # degenerate interval
+        assert got == power_at_walk(tl, lo)  # degenerate interval
     else:
         # Compare via window energy: prefix-sum cancellation error is
         # absolute in joules, and dividing by a tiny width would turn it
@@ -75,7 +77,7 @@ def test_average_power_matches_walk(changes, t0, t1):
 def test_peak_power_matches_walk_exactly(changes, t0, t1):
     tl, _ = _build(changes)
     lo, hi = min(t0, t1), max(t0, t1)
-    assert tl.series().peak_power(lo, hi) == tl._peak_walk(lo, hi)
+    assert tl.series().peak_power(lo, hi) == peak_walk(tl, lo, hi)
 
 
 @given(
@@ -85,7 +87,7 @@ def test_peak_power_matches_walk_exactly(changes, t0, t1):
 def test_batch_sample_matches_scalar_walk(changes, times):
     tl, _ = _build(changes)
     got = tl.series().sample(np.array(sorted(times)))
-    want = [tl._power_at_walk(t) for t in sorted(times)]
+    want = [power_at_walk(tl, t) for t in sorted(times)]
     assert got.tolist() == want
 
 
@@ -122,7 +124,7 @@ def test_windowed_average_matches_walk_per_cell(changes, start, widths):
         lo, hi = float(edges[k]), float(edges[k + 1])
         if hi == lo:
             # zero-width cell: reports the instantaneous sample
-            assert avg == tl._power_at_walk(lo)
+            assert avg == power_at_walk(tl, lo)
         else:
             # Energy-space comparison, as in the average_power test.
             assert avg * (hi - lo) == pytest.approx(
@@ -220,7 +222,7 @@ def test_cluster_series_matches_per_node_walk_sums(per_node, t0, dt):
     want_total = sum(tl._energy_walk(t0, t1) for tl in timelines)
     assert cs.total_energy(t0, t1) == pytest.approx(want_total, rel=1e-12, abs=1e-9)
     assert cs.power_at(t0) == pytest.approx(
-        sum(tl._power_at_walk(t0) for tl in timelines), rel=1e-12
+        sum(power_at_walk(tl, t0) for tl in timelines), rel=1e-12
     )
     got_nodes = cs.node_energies(t0, t1)
     for i, tl in enumerate(timelines):
@@ -246,7 +248,7 @@ def test_cluster_peak_is_max_of_merged_trace(per_node, t0, dt):
             t for t in tl.change_times(t0, t1)
         )
     want = max(
-        sum(tl._power_at_walk(t) for tl in timelines) for t in candidates
+        sum(power_at_walk(tl, t) for tl in timelines) for t in candidates
     )
     assert cs.peak_power(t0, t1) == pytest.approx(want, rel=1e-12, abs=1e-12)
 

@@ -1,20 +1,20 @@
-"""Property-based oracle tests for the columnar batched engine.
+"""Property-based oracle tests for the engine's queue, and its cancel API.
 
-The scalar :class:`~repro.sim.engine.Engine` heap walk is kept verbatim
-as the behavioural oracle (exactly as ``PowerTimeline`` keeps
-``_energy_walk`` for the power-series kernel).  For any random program,
-:class:`~repro.sim.columnar.ColumnarEngine` must process the **same
-events in the same order at the same float clock values** — frontier
-batching, tail flushes, run merges, and lazy cancellation purges are all
-invisible to simulation code.
+:class:`~repro.sim.engine.Engine` dispatches in ``(time, priority,
+insertion-seq)`` order and drops cancelled rows lazily.  For any random
+program — timeouts, bare scheduled events, shared triggers, ``any_of``
+races, absolute ``timeout_at`` instants and cancellations — every
+dispatch must be the head of the live, non-cancelled rows sorted by
+``(time, priority, seq)``, at that row's exact float time.  The
+reference is that sort, not a second engine.
 
-Also covers the engine-level additions this layer introduced:
-``cancel`` / ``schedule_at`` / ``timeout_at`` semantics, the non-finite
-delay guard (a ``NaN`` delay used to corrupt the scalar heap silently),
-and the ``Engine.run`` edge cases around ``until``.
+Also covers ``cancel`` / ``schedule_at`` / ``timeout_at`` semantics, the
+non-finite delay guard (a ``NaN`` delay used to corrupt the heap
+silently), and the ``Engine.run`` edge cases around ``until``.
 """
 
 import math
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,17 +23,70 @@ from repro.sim import (
     PRIORITY_LOW,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
-    ColumnarEngine,
     Engine,
     SimulationError,
 )
+
+
+# ---------------------------------------------------------------------------
+# the sorted-rows reference
+# ---------------------------------------------------------------------------
+class SortedRows:
+    """Records every row an engine queues and checks each dispatch.
+
+    Wraps the engine's ``schedule``/``schedule_at``/``cancel``/``step``
+    on the instance.  Before each step the expected event is the minimum
+    of the live rows by ``(time, priority, seq)``; after it, that event
+    must be processed at exactly its row's time.
+    """
+
+    def __init__(self, eng):
+        self.live = {}  # event -> (when, priority, seq)
+        self.log = []  # (when, priority, seq) per dispatch, in order
+        self.cancelled = 0
+        seq = count()
+        schedule, schedule_at = eng.schedule, eng.schedule_at
+        cancel, step = eng.cancel, eng.step
+
+        def checked_schedule(event, delay=0.0, priority=PRIORITY_NORMAL):
+            schedule(event, delay, priority)
+            self.live[event] = (eng.now + delay, priority, next(seq))
+
+        def checked_schedule_at(event, when, priority=PRIORITY_NORMAL):
+            schedule_at(event, when, priority)
+            self.live[event] = (when, priority, next(seq))
+
+        def checked_cancel(event):
+            done = cancel(event)
+            if done:
+                del self.live[event]
+                self.cancelled += 1
+            return done
+
+        def checked_step():
+            want = min(self.live, key=self.live.get)
+            row = self.live.pop(want)
+            try:
+                step()
+            finally:
+                assert want.processed and eng.now == row[0]
+                self.log.append(row)
+
+        eng.schedule, eng.schedule_at = checked_schedule, checked_schedule_at
+        eng.cancel, eng.step = checked_cancel, checked_step
+
+    def check_stats(self, eng):
+        assert eng.stats.dispatched == len(self.log)
+        assert eng.stats.cancelled == self.cancelled
+        assert eng.pending == len(self.live)
+
 
 # ---------------------------------------------------------------------------
 # random-program strategies
 # ---------------------------------------------------------------------------
 # A deliberately collision-rich delay pool: duplicates force many events
-# onto the same timestamp frontier, which is where batching could diverge
-# from the scalar heap's (time, priority, insertion-seq) order.
+# onto the same timestamp, where only the (priority, seq) tie-break
+# decides the order.
 _DELAYS = [0.0, 0.125, 0.25, 0.25, 0.5, 1.0 / 3.0, 0.125, 1.0]
 _PRIOS = [PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW]
 
@@ -42,81 +95,82 @@ _PRIOS = [PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW]
 #   kind 1 — schedule a bare event at (delay, priority) and wait on it
 #   kind 2 — succeed a shared event (if still pending), then short wait
 #   kind 3 — wait on any_of(shared event, timeout(delay))
+#   kind 4 — wait on timeout_at(now + delay)
+#   kind 5 — queue a decoy at (delay, priority), cancel decoy #index
+#            (a no-op if it already fired or was cancelled), then wait
+#            on a timeout(delay)
 _OP = st.tuples(
-    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=5),
     st.sampled_from(range(len(_DELAYS))),
     st.sampled_from(range(len(_PRIOS))),
-    st.integers(min_value=0, max_value=2),  # shared-event index
+    st.integers(min_value=0, max_value=2),  # shared-event / decoy index
 )
 _PROGRAM = st.lists(
     st.lists(_OP, min_size=1, max_size=6), min_size=1, max_size=5
 )
 
 
-def _execute(engine_cls, program):
-    """Run the interpreted program; return its dispatch log and end time."""
-    eng = engine_cls()
+def _bare_event(eng, value):
+    ev = eng.event()
+    ev._ok = True
+    ev._value = value
+    return ev
+
+
+def _execute(program, until=None):
+    """Run the interpreted program on a checked engine."""
+    eng = Engine()
+    rows = SortedRows(eng)
     shared = [eng.event() for _ in range(3)]
-    log = []
+    decoys = []
 
     def body(pid, ops):
         for step, (kind, d_idx, p_idx, s_idx) in enumerate(ops):
-            delay = _DELAYS[d_idx]
+            delay, prio = _DELAYS[d_idx], _PRIOS[p_idx]
             if kind == 0:
                 yield eng.timeout(delay, value=(pid, step))
             elif kind == 1:
-                ev = eng.event()
-                ev._ok = True
-                ev._value = (pid, step)
-                eng.schedule(ev, delay, _PRIOS[p_idx])
+                ev = _bare_event(eng, (pid, step))
+                eng.schedule(ev, delay, prio)
                 yield ev
             elif kind == 2:
                 if not shared[s_idx].triggered:
                     shared[s_idx].succeed((pid, step))
                 yield eng.timeout(delay)
-            else:
+            elif kind == 3:
                 yield eng.any_of([shared[s_idx], eng.timeout(delay)])
-            log.append((eng.now, pid, step))
+            elif kind == 4:
+                yield eng.timeout_at(eng.now + delay, value=(pid, step))
+            else:
+                decoy = _bare_event(eng, None)
+                eng.schedule(decoy, delay, prio)
+                decoys.append(decoy)
+                eng.cancel(decoys[s_idx % len(decoys)])
+                yield eng.timeout(delay)
 
     for pid, ops in enumerate(program):
         eng.process(body(pid, ops), name=f"p{pid}")
-    eng.run()
-    return log, eng.now
+    eng.run(until=until)
+    rows.check_stats(eng)
+    return eng, rows
 
 
 @settings(max_examples=150, deadline=None)
 @given(program=_PROGRAM)
 def test_random_programs_are_bit_identical(program):
-    scalar_log, scalar_end = _execute(Engine, program)
-    columnar_log, columnar_end = _execute(ColumnarEngine, program)
-    # == on the tuples compares the clock floats exactly — no tolerance.
-    assert columnar_log == scalar_log
-    assert columnar_end == scalar_end
+    eng, rows = _execute(program)
+    assert not rows.live  # the run drained every live row
+    assert rows.log == sorted(rows.log, key=lambda row: row[0])
+    assert eng.now == (rows.log[-1][0] if rows.log else 0.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(program=_PROGRAM, until=st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.5]))
 def test_run_until_time_is_bit_identical(program, until):
-    logs = []
-    for engine_cls in (Engine, ColumnarEngine):
-        eng = engine_cls()
-        shared = [eng.event() for _ in range(3)]
-        log = []
-
-        def body(pid, ops, eng=eng, shared=shared, log=log):
-            for step, (kind, d_idx, p_idx, s_idx) in enumerate(ops):
-                delay = _DELAYS[d_idx]
-                if kind == 2 and not shared[s_idx].triggered:
-                    shared[s_idx].succeed(None)
-                yield eng.timeout(delay)
-                log.append((eng.now, pid, step))
-
-        for pid, ops in enumerate(program):
-            eng.process(body(pid, ops), name=f"p{pid}")
-        eng.run(until=until)
-        assert eng.now == until  # the clock lands exactly on the stop time
-        logs.append(log)
-    assert logs[0] == logs[1]
+    eng, rows = _execute(program, until=until)
+    assert eng.now == until  # the clock lands exactly on the stop time
+    assert all(row[0] <= until for row in rows.log)
+    assert all(row[0] > until for row in rows.live.values())
 
 
 @settings(max_examples=50, deadline=None)
@@ -125,31 +179,26 @@ def test_run_until_time_is_bit_identical(program, until):
         st.tuples(
             st.sampled_from(range(len(_DELAYS))),
             st.sampled_from(range(len(_PRIOS))),
+            st.booleans(),  # cancel it right away
         ),
         min_size=1,
         max_size=300,
     )
 )
 def test_bulk_scheduling_through_flushes_and_merges(batch):
-    """Hundreds of schedules force tail flushes and run merges; dispatch
-    order must still match the scalar heap exactly."""
-    logs = []
-    for engine_cls in (Engine, ColumnarEngine):
-        eng = engine_cls()
-        log = []
-
-        def record(event, log=log, eng=eng):
-            log.append((eng.now, event._value))
-
-        for i, (d_idx, p_idx) in enumerate(batch):
-            ev = eng.event()
-            ev._ok = True
-            ev._value = i
-            ev.callbacks.append(record)
-            eng.schedule(ev, _DELAYS[d_idx], _PRIOS[p_idx])
-        eng.run()
-        logs.append(log)
-    assert logs[0] == logs[1]
+    """Hundreds of schedules, some cancelled before the run: dispatch
+    order must be the live rows sorted by (time, priority, seq)."""
+    eng = Engine()
+    rows = SortedRows(eng)
+    for d_idx, p_idx, cancelled in batch:
+        ev = _bare_event(eng, None)
+        eng.schedule(ev, _DELAYS[d_idx], _PRIOS[p_idx])
+        if cancelled:
+            eng.cancel(ev)
+    want = sorted(rows.live.values())
+    eng.run()
+    assert rows.log == want
+    rows.check_stats(eng)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +206,7 @@ def test_bulk_scheduling_through_flushes_and_merges(batch):
 # ---------------------------------------------------------------------------
 class TestCancel:
     def test_cancelled_event_never_dispatches(self):
-        eng = ColumnarEngine()
+        eng = Engine()
         fired = []
         ev = eng.timeout(1.0)
         ev.callbacks.append(lambda e: fired.append(e))
@@ -167,27 +216,37 @@ class TestCancel:
         assert eng.now == 0.0  # nothing left to run
 
     def test_cancel_is_idempotent_and_reports(self):
-        eng = ColumnarEngine()
+        eng = Engine()
         ev = eng.timeout(1.0)
         assert eng.cancel(ev) is True
         assert eng.cancel(ev) is False  # already cancelled
 
+    def test_cancel_after_the_row_is_dropped_returns_false(self):
+        """Once peek() has dropped a cancelled row, cancelling the event
+        again must not count it twice or make pending negative."""
+        eng = Engine()
+        ev = eng.timeout(0.0)
+        assert eng.cancel(ev) is True
+        assert eng.peek() == float("inf")  # the dead row is gone
+        assert eng.cancel(ev) is False
+        assert (eng.stats.cancelled, eng.pending) == (1, 0)
+
     def test_cancel_processed_event_returns_false(self):
-        eng = ColumnarEngine()
+        eng = Engine()
         ev = eng.timeout(1.0)
         eng.run()
         assert ev.processed
         assert eng.cancel(ev) is False
 
     def test_cancel_untriggered_event_returns_false(self):
-        eng = ColumnarEngine()
+        eng = Engine()
         ev = eng.event()  # never scheduled
         assert eng.cancel(ev) is False
 
     def test_cancelled_head_never_determines_the_frontier(self):
         """run(until=t) must not overshoot because a cancelled event sat
-        at the head of the queue (the _purge() contract)."""
-        eng = ColumnarEngine()
+        at the head of the queue."""
+        eng = Engine()
         early = eng.timeout(1.0)
         eng.timeout(5.0)
         eng.cancel(early)
@@ -196,7 +255,7 @@ class TestCancel:
         assert eng.now == 2.0
 
     def test_pending_counts_live_events_only(self):
-        eng = ColumnarEngine()
+        eng = Engine()
         evs = [eng.timeout(float(i + 1)) for i in range(4)]
         assert eng.pending == 4
         eng.cancel(evs[0])
@@ -206,8 +265,19 @@ class TestCancel:
         assert eng.pending == 0
         assert eng.now == 4.0
 
+    def test_run_until_a_cancelled_event_raises(self):
+        """A cancelled event never triggers its waiters: run(until=it)
+        drains the queue and raises like any event that never fires."""
+        eng = Engine()
+        ev = eng.timeout(1.0)
+        eng.timeout(2.0)
+        eng.cancel(ev)
+        with pytest.raises(SimulationError, match="never triggering"):
+            eng.run(until=ev)
+        assert eng.now == 2.0 and not ev.processed
+
     def test_stats_count_cancellations_and_frontiers(self):
-        eng = ColumnarEngine()
+        eng = Engine()
         ev = eng.timeout(1.0)
         eng.timeout(1.0)
         eng.timeout(2.0)
@@ -215,13 +285,12 @@ class TestCancel:
         eng.run()
         assert eng.stats.cancelled == 1
         assert eng.stats.dispatched == 2
-        assert eng.stats.frontiers >= 2
-        assert eng.stats.as_dict()["dispatched"] == 2
+        assert eng.stats.frontiers == 2  # the clock advanced to 1.0 and 2.0
 
 
 class TestAbsoluteScheduling:
     def test_timeout_at_fires_on_the_exact_float(self):
-        eng = ColumnarEngine()
+        eng = Engine()
         # A float that a delay round-trip (when - now) would perturb.
         when = 0.1 + 0.2  # 0.30000000000000004
         ev = eng.timeout_at(when, value="x")
@@ -229,20 +298,20 @@ class TestAbsoluteScheduling:
         assert eng.now == when
 
     def test_schedule_at_past_rejected(self):
-        eng = ColumnarEngine()
+        eng = Engine()
         eng.timeout(1.0)
         eng.run()
         with pytest.raises(SimulationError):
             eng.schedule_at(eng.event(), 0.5)
 
     def test_schedule_at_non_finite_rejected(self):
-        eng = ColumnarEngine()
+        eng = Engine()
         for bad in (float("nan"), float("inf")):
             with pytest.raises(SimulationError):
                 eng.schedule_at(eng.event(), bad)
 
     def test_timeout_at_value_delivered(self):
-        eng = ColumnarEngine()
+        eng = Engine()
         ev = eng.timeout_at(1.5, value=42)
         assert eng.run(until=ev) == 42
 
@@ -250,7 +319,7 @@ class TestAbsoluteScheduling:
 # ---------------------------------------------------------------------------
 # the non-finite delay guard (regression: NaN used to corrupt the heap)
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("engine_cls", [Engine, ColumnarEngine])
+@pytest.mark.parametrize("engine_cls", [Engine])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5, -1e-9])
 def test_schedule_rejects_non_finite_and_negative_delays(engine_cls, bad):
     eng = engine_cls()
@@ -264,7 +333,7 @@ def test_schedule_rejects_non_finite_and_negative_delays(engine_cls, bad):
     assert eng.now == 1.0
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, ColumnarEngine])
+@pytest.mark.parametrize("engine_cls", [Engine])
 def test_nan_delay_does_not_corrupt_order(engine_cls):
     """Regression: before the guard, scheduling a NaN delay silently
     poisoned heap comparisons and later events dispatched out of order."""
@@ -282,9 +351,9 @@ def test_nan_delay_does_not_corrupt_order(engine_cls):
 
 
 # ---------------------------------------------------------------------------
-# Engine.run edge cases (both engines)
+# Engine.run edge cases
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("engine_cls", [Engine, ColumnarEngine])
+@pytest.mark.parametrize("engine_cls", [Engine])
 class TestRunEdgeCases:
     def test_until_equal_to_now_runs_due_events_only(self, engine_cls):
         eng = engine_cls()
@@ -356,11 +425,11 @@ class TestRunEdgeCases:
 
 
 def test_step_on_empty_queue_raises():
-    eng = ColumnarEngine()
+    eng = Engine()
     with pytest.raises(SimulationError, match="empty event queue"):
         eng.step()
 
 
 def test_peek_on_empty_queue_is_inf():
-    eng = ColumnarEngine()
+    eng = Engine()
     assert math.isinf(eng.peek())

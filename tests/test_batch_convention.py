@@ -33,8 +33,8 @@ ALLOWED_FILES = frozenset(
 #: ``yield engine.timeout(dt)`` inside a daemon loop is a *wait* (one
 #: event alive at a time) and stays legal; queueing many future events
 #: one ``schedule``/``schedule_at``/``timeout_at`` call at a time is the
-#: scalar anti-pattern the columnar engine's bulk paths (``run_cycles``
-#: cycle work, the fabric's bulk holds) exist to replace.
+#: per-event anti-pattern the bulk paths (``run_cycles`` cycle work, the
+#: fabric's bulk holds) exist to replace.
 BANNED_SCHEDULING = frozenset({"schedule", "schedule_at", "timeout_at"})
 
 #: the engine internals — batching has to be built out of something

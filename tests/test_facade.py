@@ -42,17 +42,11 @@ class TestExports:
         assert repro.ServingReport is DeepReport
 
     def test_engine_facade_names_are_the_canonical_objects(self):
-        from repro.sim.columnar import ColumnarEngine as DeepColumnar
         from repro.sim.engine import Engine as DeepEngine
-        from repro.sim.factory import make_engine as deep_make_engine
-        from repro.sim.factory import using_engine_mode as deep_using
+        from repro.sim.engine import EngineStats as DeepStats
 
         assert repro.Engine is DeepEngine
-        assert repro.ColumnarEngine is DeepColumnar
-        assert repro.make_engine is deep_make_engine
-        assert repro.using_engine_mode is deep_using
-        assert "columnar" in repro.ENGINE_MODES
-        assert "scalar" in repro.ENGINE_MODES
+        assert repro.EngineStats is DeepStats
 
     def test_exec_facade_names_are_the_canonical_objects(self):
         from repro.exec.backends import (
@@ -129,14 +123,8 @@ class TestExports:
         fine (extend the list and docs/API.md together)."""
         documented = {
             "AttributionReport",
-            "ColumnarEngine",
-            "ENGINE_MODES",
             "Engine",
             "EngineStats",
-            "engine_mode",
-            "make_engine",
-            "set_engine_mode",
-            "using_engine_mode",
             "ChaosOutcome",
             "ChaosTask",
             "EnergyDelayPoint",
