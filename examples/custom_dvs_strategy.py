@@ -14,6 +14,15 @@ subclass ``NodeGovernor`` for the per-node state and its ``poll(now)``
 decision, and ``GovernorStrategy`` to put one on every node, all polled
 by one clock (``start_poll_clock``).
 
+The clone contract: nodes no rank touches are stood for by one twin
+per group, and so is their governor, which polls once for all of them.
+When one of those nodes is first touched mid-run, ``NodeGovernor.clone``
+copies the twin's governor for it.  The copy shares the config and the
+clock and gets its own copy of every list, deque, dict and set
+attribute: here the ``history`` deque and the decision log, plus the
+``/proc/stat`` baseline (immutable, so shared).  A governor keeping
+mutable state of another kind must override ``clone`` to copy it.
+
 Run with::
 
     python examples/custom_dvs_strategy.py

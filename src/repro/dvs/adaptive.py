@@ -132,20 +132,16 @@ class AdaptiveStrategy(DVSStrategy):
 
     def prepare(self, cluster: Cluster) -> None:
         super().prepare(cluster)
-        self._low = (
-            self.low_frequency
-            if self.low_frequency is not None
-            else cluster.table.slowest.frequency
-        )
-        for node in cluster.nodes:
-            self._cpufreqs[node.node_id].set_speed_now(self.base_frequency)
+        for member in cluster.members():
+            self._member_cpufreq(member).set_speed_now(self.base_frequency)
 
     def controller(self, comm) -> AdaptiveController:
+        cpufreq = self.cpufreq_for(comm.rank)
+        low = self.low_frequency
+        if low is None:
+            low = cpufreq.node.table.slowest.frequency
         ctl = AdaptiveController(
-            self.cpufreq_for(comm.rank),
-            self.base_frequency,
-            self._low,
-            config=self.config,
+            cpufreq, self.base_frequency, low, config=self.config
         )
         self.controllers.append(ctl)
         return ctl

@@ -85,9 +85,9 @@ class CpuFreq:
         if not tracer.enabled:
             return
         now = self.node.engine.now
-        nid = self.node.node_id
-        tracer.instant(
-            "transition", "dvs", nid, now,
-            from_mhz=before / 1e6, to_mhz=after / 1e6, mode=mode,
-        )
-        tracer.counter("freq_mhz", nid, now, after / 1e6)
+        for nid in self.node.stands_for:
+            tracer.instant(
+                "transition", "dvs", nid, now,
+                from_mhz=before / 1e6, to_mhz=after / 1e6, mode=mode,
+            )
+            tracer.counter("freq_mhz", nid, now, after / 1e6)

@@ -22,8 +22,10 @@ event a poll schedules for ``now`` still runs after the whole sweep.
 
 from __future__ import annotations
 
+import copy
+from collections import deque
 from dataclasses import dataclass
-from typing import Generator, Optional, Sequence
+from typing import Generator, List, Optional, Sequence
 
 from repro.dvs.cpufreq import CpuFreq
 from repro.dvs.policy import cpuspeed_decision
@@ -31,6 +33,7 @@ from repro.hardware.node import Node
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 from repro.sim.process import Process
+from repro.util.copying import shallow_copy
 from repro.util.validation import check_fraction, check_positive
 
 __all__ = ["CpuspeedConfig", "CpuspeedDaemon", "NodeGovernor", "start_poll_clock"]
@@ -75,6 +78,23 @@ class NodeGovernor:
         name = f"{type(self).__name__}[node{self.node.node_id}]"
         return start_poll_clock(engine, self.config.interval, [self], name)
 
+    def clone(self, node: Node, cpufreq: CpuFreq) -> "NodeGovernor":
+        """This governor's exact state, governing ``node`` via ``cpufreq``.
+
+        A twin's governor is cloned for each node materialised from the
+        twin.  The clone shares the config and the clock, and gets its
+        own copy of every list, deque, dict and set attribute: the
+        decision log and any subclass history.  The baseline snapshot is
+        immutable and shared.  A subclass keeping other mutable state
+        overrides this to copy it.
+        """
+        governor = shallow_copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, (list, deque, dict, set)):
+                setattr(governor, name, copy.copy(value))
+        governor.node, governor.cpufreq = node, cpufreq
+        return governor
+
     def stop(self) -> None:
         """Skip this governor from its clock's next wake-up on."""
         self.stopped = True
@@ -98,13 +118,17 @@ class NodeGovernor:
 
 
 def start_poll_clock(
-    engine: Engine, interval: float, governors: Sequence[NodeGovernor], name: str
+    engine: Engine, interval: float, governors: List[NodeGovernor], name: str
 ) -> Process:
-    """Poll ``governors`` every ``interval`` seconds, in the given
-    order, until all of them are stopped."""
+    """Poll ``governors`` every ``interval`` seconds, in list order,
+    until all of them are stopped.
+
+    The clock reads the list as it stands at each wake-up, so its owner
+    may insert governors between sweeps (a strategy does, for the clones
+    of a twin's governor)."""
     if any(governor.clock is not None for governor in governors):
         raise RuntimeError("governor already started")
-    clock = engine.process(_tick(engine, interval, list(governors)), name=name)
+    clock = engine.process(_tick(engine, interval, governors), name=name)
     for governor in governors:
         governor.clock = clock
     return clock

@@ -26,6 +26,7 @@ from repro.hardware.dvfs import DVFSTable, OperatingPoint
 from repro.hardware.procstat import ProcStat
 from repro.sim.engine import Engine
 from repro.sim.events import Event
+from repro.util.copying import shallow_copy
 from repro.util.validation import check_fraction, check_nonnegative
 
 __all__ = ["SimCPU"]
@@ -359,6 +360,26 @@ class SimCPU:
     def finalize(self) -> None:
         """Close the open accounting segment (call at end of simulation)."""
         self._close_segment()
+
+    def clone(
+        self, procstat: ProcStat, on_change: Callable[[], None]
+    ) -> "SimCPU":
+        """This CPU's exact state, accounting to ``procstat``.
+
+        In-flight work and waiters belong to processes and cannot be
+        copied, so only an idle CPU nobody waits on may be cloned.
+        """
+        if (
+            self._inflight
+            or self._freq_event is not None
+            or self._power_restored is not None
+        ):
+            raise RuntimeError("only an idle, unwatched CPU can be cloned")
+        cpu = shallow_copy(self)
+        cpu.procstat = procstat
+        cpu._on_change = on_change
+        cpu._inflight = []
+        return cpu
 
     # ------------------------------------------------------------------
     # work primitives (generators — use with ``yield from``)

@@ -8,7 +8,7 @@ that the emulated instruments sample.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.hardware.cpu import SimCPU
 from repro.hardware.dvfs import DVFSTable
@@ -18,6 +18,7 @@ from repro.hardware.procstat import ProcStat
 from repro.hardware.timeline import PowerTimeline
 from repro.sim.engine import Engine
 from repro.sim.trace import NullRecorder, TraceRecorder
+from repro.util.copying import shallow_copy
 
 __all__ = ["Node", "NodeFaultState"]
 
@@ -61,6 +62,9 @@ class Node:
     ):
         self.engine = engine
         self.node_id = node_id
+        #: the ids whose state this node carries and whose trace records
+        #: it emits: its own, or a cluster twin's run of untouched ids
+        self.stands_for: Sequence[int] = (node_id,)
         self.table = table
         self.power_model = power_model
         self.memory = memory
@@ -116,18 +120,36 @@ class Node:
         watts = self._current_power()
         self.timeline.set_power(self.engine.now, watts)
         if self.trace.active:
-            self.trace.record(
-                self.engine.now,
-                "node.power",
-                node=self.node_id,
+            fields = dict(
                 watts=round(watts, 6),
                 state=str(self.cpu.state),
                 mhz=self.cpu.frequency / 1e6,
             )
+            for node_id in self.stands_for:
+                self.trace.record(
+                    self.engine.now, "node.power", node=node_id, **fields
+                )
 
     def finalize(self) -> None:
         """Close open accounting segments at the end of a run."""
         self.cpu.finalize()
+
+    def clone(self, node_id: int) -> "Node":
+        """A node in this node's exact state, as ``node_id``.
+
+        The clone shares the models (ladder, power model, memory, trace
+        sink) and copies the mutable state: the CPU's point, state,
+        segment start and counters, the ``/proc/stat`` totals, the power
+        timeline and the fault switches.
+        """
+        node = shallow_copy(self)
+        node.node_id = node_id
+        node.stands_for = (node_id,)
+        node.procstat = shallow_copy(self.procstat)
+        node.cpu = self.cpu.clone(node.procstat, node._update_power)
+        node.faults = shallow_copy(self.faults)
+        node.timeline = self.timeline.copy()
+        return node
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Node {self.node_id} f={self.cpu.frequency / 1e6:.0f}MHz>"

@@ -202,7 +202,8 @@ class ClusterSeries:
     per-node levels sampled and summed in one vectorised pass), so every
     cluster-total query — energy, average, peak, instantaneous — is a
     single O(log n) kernel query instead of a Python loop over nodes.
-    Nodes may share one series object (identical traces, see
+    Nodes may share one series object (the untouched nodes a cluster
+    twin stands for, or identical traces, see
     :func:`repro.hardware.timeline.shared_series`); the merge samples
     each distinct object once.
     """

@@ -27,6 +27,7 @@ import bisect
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.hardware.series import PowerSeries
+from repro.util.copying import shallow_copy
 from repro.util.validation import check_nonnegative
 
 __all__ = ["EnergyCursor", "PowerTimeline", "shared_series"]
@@ -94,6 +95,14 @@ class PowerTimeline:
 
     #: alias — the record-phase/frozen-phase naming used by the docs
     frozen = series
+
+    def copy(self) -> "PowerTimeline":
+        """An independent timeline with the same trace, version and
+        frozen view."""
+        twin = shallow_copy(self)
+        twin._times = list(self._times)
+        twin._watts = list(self._watts)
+        return twin
 
     @property
     def version(self) -> int:
@@ -183,8 +192,8 @@ def shared_series(timelines: Iterable[PowerTimeline]) -> List[PowerSeries]:
     """Each timeline's frozen view, one shared view per distinct trace.
 
     Nodes no rank touches record the same trace as every other idle node
-    of their group, so a large cluster freezes a handful of series
-    instead of one per node.  A timeline whose trace equals an earlier
+    of their group, so a large cluster whose nodes were all materialised
+    freezes a handful of series instead of one per node.  A timeline whose trace equals an earlier
     one's adopts that timeline's view as its own cached frozen view.
     """
     seen: Dict[Tuple[int, float, float], List[PowerTimeline]] = {}

@@ -118,9 +118,9 @@ class NodeGateActuator:
     budget may never grant).  Either way the node ends at platform
     suspend power.  Waking spawns a boot process: after
     ``wake_latency_s`` of continued suspend draw the node powers on at
-    the requested clock (default: the ladder's floor — the governor's
-    containment default); a wake issued while a drain is still pending
-    simply cancels the drain.  ``waking`` tracks nodes whose boot is
+    the requested clock resolved on the node's own ladder (default: its
+    floor — the governor's containment default); a wake issued while a
+    drain is still pending simply cancels the drain.  ``waking`` tracks nodes whose boot is
     still in flight and ``draining`` nodes whose suspend is, so
     policies and the governor's gating books don't double-act on them.
     """
@@ -190,10 +190,10 @@ class NodeGateActuator:
             return
         if node.cpu.powered or node_id in self.waking:
             return
-        point = self.cluster.table.closest(
+        point = node.table.closest(
             boot_frequency
             if boot_frequency is not None
-            else self.cluster.table.slowest.frequency
+            else node.table.slowest.frequency
         )
         self.waking.add(node_id)
         self.log.append((self.cluster.engine.now, node_id, "wake"))

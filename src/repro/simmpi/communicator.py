@@ -70,7 +70,7 @@ class Communicator:
 
     @property
     def node(self) -> Node:
-        return self.world.cluster.nodes[self.rank]
+        return self.world.cluster.node(self.rank)
 
     @property
     def cpu(self) -> SimCPU:

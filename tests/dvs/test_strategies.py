@@ -1,5 +1,7 @@
 """Tests for DVS strategies and the dynamic controller."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.dvs import (
@@ -9,9 +11,11 @@ from repro.dvs import (
     NullController,
     StaticStrategy,
 )
+from repro.dvs.adaptive import AdaptiveStrategy
 from repro.dvs.cpufreq import CpuFreq
 from repro.hardware.cluster import Cluster
-from repro.hardware.spec import ClusterSpec
+from repro.hardware.scaling import tech_node
+from repro.hardware.spec import ClusterSpec, NodeSpec
 from repro.simmpi import run_spmd
 from repro.util.units import MHZ
 
@@ -72,6 +76,21 @@ def test_dynamic_strategy_custom_low_frequency():
 
     result = run_spmd(cluster, program, program_args=(strat,))
     assert result.returns[0] == 800 * MHZ
+
+
+@pytest.mark.parametrize("make", [DynamicStrategy, AdaptiveStrategy])
+def test_default_low_frequency_is_each_nodes_own_ladder_minimum(make):
+    # 8 nm nodes first: their ladder minimum is above the 45 nm maximum
+    spec = ClusterSpec((NodeSpec(2, tech=tech_node(8, "itrs")), NodeSpec(2)))
+    cluster = Cluster.from_spec(spec)
+    strat = make(1400 * MHZ)
+    strat.prepare(cluster)
+    lows = []
+    for rank in range(4):
+        ctl = strat.controller(SimpleNamespace(rank=rank))
+        lows.append(ctl.cpufreq.resolve(ctl.low_frequency).frequency)
+    assert lows == [cluster.nodes[r].table.slowest.frequency for r in range(4)]
+    assert lows[2:] == [600 * MHZ, 600 * MHZ]
 
 
 def test_dynamic_controller_region_filter():

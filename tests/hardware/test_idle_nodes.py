@@ -1,11 +1,12 @@
 """Idle nodes cost nothing until touched.
 
-A node no rank, fault or waiter touches holds no fabric link state, and
-its notification events do not exist, so a transition on it schedules
-nothing, and its cpuspeed daemon is polled by the one clock every node
-shares.  The observable contract: an FT job on the 1024-node
-four-generation spec dispatches exactly as many events as the same job
-on an exact-size cluster, under any strategy.
+A node no rank, fault or waiter touches is not materialised: its
+group's twin stands for it, so it holds no node object, no fabric link
+state and no notification events, and its group's strategy setting and
+cpuspeed polls happen once on the twin.  The observable contract: an FT
+job on the 1024-node four-generation spec dispatches exactly as many
+events as the same job on an exact-size cluster, under any strategy,
+and touches only the ranked nodes.
 """
 
 import pytest
@@ -47,6 +48,7 @@ def test_idle_nodes_dispatch_no_events(strategy):
         == exact.cluster.engine.stats.dispatched
     )
     assert big.point.delay == exact.point.delay
+    assert big.cluster.touched_nodes == tuple(range(8))
 
 
 def test_only_ranked_endpoints_hold_link_state():

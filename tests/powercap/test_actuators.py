@@ -5,7 +5,8 @@ import pytest
 from repro.dvs.capped import CappedCpuFreq
 from repro.hardware.activity import CpuActivity
 from repro.hardware.cluster import Cluster
-from repro.hardware.spec import ClusterSpec
+from repro.hardware.scaling import tech_node
+from repro.hardware.spec import ClusterSpec, NodeSpec
 from repro.powercap import (
     Actuator,
     CoreAllocationActuator,
@@ -143,6 +144,19 @@ class TestNodeGateActuator:
         assert cluster.nodes[0].cpu.powered
         assert 0 not in gate.waking
         assert cluster.nodes[0].cpu.frequency == cluster.table.slowest.frequency
+        assert [entry[2] for entry in gate.log] == ["gate", "wake", "booted"]
+
+    def test_wake_boots_on_the_nodes_own_ladder(self):
+        # 8 nm nodes after the 45 nm group: their floor is not 600 MHz
+        spec = ClusterSpec((NodeSpec(2), NodeSpec(2, tech=tech_node(8, "itrs"))))
+        cluster = Cluster.from_spec(spec)
+        gate = NodeGateActuator(cluster, wake_latency_s=0.5)
+        gate.apply(GateNode(node_id=3))
+        gate.apply(WakeNode(node_id=3))
+        cluster.engine.run(until=0.6)
+        node = cluster.nodes[3]
+        assert node.cpu.powered
+        assert node.cpu.frequency == node.table.slowest.frequency
         assert [entry[2] for entry in gate.log] == ["gate", "wake", "booted"]
 
     def test_gate_and_wake_are_idempotent(self):
