@@ -221,10 +221,10 @@ class ReportCodec:
     report_type: ClassVar[type]  #: decoded with ``report_type.from_dict``
 
     def load(self, cache, key: str) -> Optional[object]:
-        point = cache.get(key)
-        if point is None:
+        hit = cache.get(key, with_meta=True)
+        if hit is None:
             return None
-        meta = cache.get_meta(key)
+        point, meta = hit
         if not meta or meta.get("kind") != self.meta_kind:
             return None
         try:

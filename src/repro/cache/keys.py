@@ -29,7 +29,9 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any, Mapping, Optional
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro import __version__
 
@@ -56,9 +58,28 @@ def simulator_salt() -> str:
     return f"repro/{__version__}/format{CACHE_FORMAT}"
 
 
-def _qualname(obj: object) -> str:
-    cls = type(obj)
-    return f"{cls.__module__}.{cls.__qualname__}"
+#: The leaf types, stored in an encoded tree as they are.  Exact types
+#: only: subclasses (``IntEnum``, ``StrEnum``, numpy's ``float64``) go
+#: through :data:`_ENCODERS` and end up at :func:`_same`.
+_LEAVES = frozenset({type(None), bool, int, str, float})
+
+
+class _EncoderTable(dict):
+    """Class -> that class's compiled encoder, compiled on first use.
+
+    Keyed by class alone: an entry holds the class's field names,
+    qualname and rule, never a value being encoded.
+    """
+
+    def __missing__(self, cls: type) -> Callable[[Any], Any]:
+        encoder = self[cls] = _compile(cls)
+        return encoder
+
+
+_ENCODERS = _EncoderTable()
+
+#: Enum class -> {member: the member's sort text}; see :func:`_sort_text`.
+_ENUM_SORT_TEXT: Dict[type, Dict[enum.Enum, str]] = {}
 
 
 def canonical_encode(obj: Any) -> Any:
@@ -71,43 +92,150 @@ def canonical_encode(obj: Any) -> Any:
     fully determine behaviour for deterministic spec classes like
     :class:`~repro.workloads.base.Workload` subclasses).
 
+    Each class's rule is picked once, on first use, and compiled into
+    an encoder (see :func:`_compile`); a leaf value is stored in its
+    parent without a call.
+
     Raises
     ------
     TypeError
         For objects that carry no state (no ``__dict__``) and match no
         other rule — hashing those silently would under-key the cache.
     """
-    if obj is None or isinstance(obj, (bool, int, str)):
+    cls = type(obj)
+    if cls in _LEAVES:
         return obj
-    if isinstance(obj, float):
-        # json round-trips repr(float) exactly; keep the raw value.
-        return obj
-    if isinstance(obj, enum.Enum):
-        return {"__enum__": _qualname(obj), "name": obj.name}
-    if isinstance(obj, (bytes, bytearray)):
-        return {"__bytes__": bytes(obj).hex()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            "__dataclass__": _qualname(obj),
-            "fields": {
-                f.name: canonical_encode(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)
-            },
+    return _ENCODERS[cls](obj)
+
+
+def _compile(cls: type) -> Callable[[Any], Any]:
+    """The encoder of ``cls``'s instances.
+
+    The rules, in order: ``int``/``str``/``float`` subclasses as they
+    are, enums by qualified member name, bytes as hex, dataclasses by
+    field, mappings and sets sorted by their elements' sort text,
+    sequences in order, then numpy scalars and arrays, and any other
+    object by its ``__dict__``.
+    """
+    qualname = f"{cls.__module__}.{cls.__qualname__}"
+    plain = issubclass(cls, (int, str, float))
+    if issubclass(cls, enum.Enum):
+        encode = _same if plain else (
+            lambda member: {"__enum__": qualname, "name": member.name}
+        )
+        _ENUM_SORT_TEXT[cls] = {
+            member: json.dumps(encode(member), sort_keys=True)
+            for member in cls.__members__.values()
         }
-    if isinstance(obj, Mapping):
-        items = [
-            [canonical_encode(k), canonical_encode(v)] for k, v in obj.items()
-        ]
-        items.sort(key=lambda kv: json.dumps(kv[0], sort_keys=True))
-        return {"__map__": items}
-    if isinstance(obj, (list, tuple)):
-        return [canonical_encode(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        encoded = [canonical_encode(v) for v in obj]
-        encoded.sort(key=lambda v: json.dumps(v, sort_keys=True))
-        return {"__set__": encoded}
-    # numpy scalars/arrays without importing numpy here (it is a hard
-    # dependency elsewhere, but the cache layer should not care).
+        return encode
+    if plain:
+        return _same
+    if issubclass(cls, (bytes, bytearray)):
+        return _encode_bytes
+    is_class = issubclass(cls, type)
+    if dataclasses.is_dataclass(cls) and not is_class:
+        # Sorted, so the JSON encoder's key sort finds each dict in order.
+        return _fields_encoder(
+            qualname, tuple(sorted(f.name for f in dataclasses.fields(cls)))
+        )
+    if issubclass(cls, Mapping):
+        return _encode_map
+    if issubclass(cls, (list, tuple)):
+        return _encode_sequence
+    if issubclass(cls, (set, frozenset)):
+        return _encode_set
+    if is_class or any(
+        hasattr(cls, name) for name in ("item", "tolist", "__getattr__")
+    ):
+        # numpy values (a 0-d array is a scalar, any other shape is an
+        # array), class objects and objects whose attributes resolve
+        # dynamically: decided per instance.
+        return _encode_duck
+    return lambda obj: _encode_object(obj, qualname)
+
+
+def _same(obj: Any) -> Any:
+    return obj
+
+
+def _encode_bytes(obj: Any) -> dict:
+    return {"__bytes__": bytes(obj).hex()}
+
+
+def _fields_encoder(
+    qualname: str, names: Tuple[str, ...]
+) -> Callable[[Any], dict]:
+    def encode(obj: Any) -> dict:
+        fields = {}
+        for name in names:
+            value = getattr(obj, name)
+            cls = type(value)
+            fields[name] = value if cls in _LEAVES else _ENCODERS[cls](value)
+        return {"__dataclass__": qualname, "fields": fields}
+
+    return encode
+
+
+def _encode_sequence(obj: Any) -> list:
+    return [
+        value if type(value) in _LEAVES else _ENCODERS[type(value)](value)
+        for value in obj
+    ]
+
+
+def _sort_text(value: Any, encoded: Any) -> str:
+    """The text a map key or set element sorts by: its JSON dump.
+
+    ``str`` values and enum members take it from a cheaper source that
+    gives the same text (the JSON string escape, the member's
+    precomputed text).
+    """
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    texts = _ENUM_SORT_TEXT.get(cls)
+    if texts is not None:
+        text = texts.get(value)
+        if text is not None:
+            return text
+    return json.dumps(encoded, sort_keys=True)
+
+
+_FIRST = itemgetter(0)
+
+
+def _encode_map(obj: Any) -> dict:
+    items = []
+    for key, value in obj.items():
+        encoded_key = canonical_encode(key)
+        items.append(
+            (
+                _sort_text(key, encoded_key),
+                [encoded_key, canonical_encode(value)],
+            )
+        )
+    items.sort(key=_FIRST)
+    return {"__map__": [item for _, item in items]}
+
+
+def _encode_set(obj: Any) -> dict:
+    items = []
+    for value in obj:
+        encoded = canonical_encode(value)
+        items.append((_sort_text(value, encoded), encoded))
+    items.sort(key=_FIRST)
+    return {"__set__": [encoded for _, encoded in items]}
+
+
+def _encode_object(obj: Any, qualname: str) -> dict:
+    state = getattr(obj, "__dict__", None)
+    if state is None or "item" in state or "tolist" in state:
+        # No state to encode, or array-like by instance attributes.
+        return _encode_duck(obj)
+    return _encode_attrs(qualname, state)
+
+
+def _encode_duck(obj: Any) -> Any:
     item = getattr(obj, "item", None)
     if callable(item) and getattr(obj, "shape", None) == ():
         return canonical_encode(obj.item())
@@ -119,25 +247,37 @@ def canonical_encode(obj: Any) -> Any:
             "data": tolist(),
         }
     state = getattr(obj, "__dict__", None)
-    if state is not None:
-        return {
-            "__object__": _qualname(obj),
-            "attrs": {
-                k: canonical_encode(v)
-                for k, v in sorted(state.items())
-                if not callable(v)
-            },
-        }
-    raise TypeError(
-        f"cannot canonically encode {type(obj).__name__!r} for cache keying"
-    )
+    if state is None:
+        raise TypeError(
+            f"cannot canonically encode {type(obj).__name__!r} for cache "
+            "keying"
+        )
+    cls = type(obj)
+    return _encode_attrs(f"{cls.__module__}.{cls.__qualname__}", state)
+
+
+def _encode_attrs(qualname: str, state: dict) -> dict:
+    attrs = {}
+    for name, value in state.items():
+        cls = type(value)
+        if cls in _LEAVES:
+            attrs[name] = value
+        elif not callable(value):
+            attrs[name] = _ENCODERS[cls](value)
+    return {"__object__": qualname, "attrs": attrs}
+
+
+#: The canonical serialiser: sorted keys, no whitespace.  An encoded
+#: tree is built fresh and holds no cycles, so the circular-reference
+#: bookkeeping is skipped.
+_CANONICAL_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
 
 
 def canonical_json(obj: Any) -> str:
     """The canonical serialisation: sorted keys, no whitespace."""
-    return json.dumps(
-        canonical_encode(obj), sort_keys=True, separators=(",", ":")
-    )
+    return _CANONICAL_JSON.encode(canonical_encode(obj))
 
 
 def task_key(task: Any, salt: Optional[str] = None) -> str:
@@ -189,17 +329,20 @@ def tagged_task_key(task: Any, kind: str, salt: Optional[str] = None) -> str:
     """
     from repro.hardware.calibration import DEFAULT_CALIBRATION
 
+    encoded = canonical_encode(task)
     if task.calibration is None:
-        task = dataclasses.replace(task, calibration=DEFAULT_CALIBRATION)
+        encoded["fields"]["calibration"] = canonical_encode(
+            DEFAULT_CALIBRATION
+        )
     return _digest(
         {
             "salt": salt if salt is not None else simulator_salt(),
             "kind": kind,
-            "task": canonical_encode(task),
+            "task": encoded,
         }
     )
 
 
 def _digest(payload: dict) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = _CANONICAL_JSON.encode(payload)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

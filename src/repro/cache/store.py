@@ -8,10 +8,11 @@ the re-run's lookups find them.
 
 Design properties:
 
-* **corruption-tolerant** — a truncated or hand-mangled line is skipped
-  (counted in ``stats.corrupt``), an unreadable shard file is discarded
-  wholesale; a bad cache can cost re-simulation but can never fail a
-  sweep;
+* **corruption-tolerant** — a truncated or hand-mangled line, or a
+  record whose point does not parse or whose meta is not an object, is
+  skipped (counted in ``stats.corrupt``); an unreadable shard file is
+  discarded wholesale.  A bad cache can cost re-simulation but can
+  never fail a sweep;
 * **bounded** — ``max_bytes`` enforces an LRU size cap at shard
   granularity: every hit touches its shard's mtime, and the
   least-recently-used shards are deleted first when the cap is exceeded;
@@ -59,7 +60,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 try:  # pragma: no cover - platform-dependent import
     import fcntl
@@ -76,6 +77,10 @@ _LOCK_SUFFIX = ".lock"
 
 #: size tag meaning "shard file absent when last examined"
 _ABSENT = -1
+
+#: One record as held in memory: its point and its meta (``None`` when
+#: the record has none).
+_Entry = Tuple[EnergyDelayPoint, Optional[dict]]
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,10 @@ class RunCache:
         self._misses = 0
         self._evictions = 0
         self._corrupt = 0
-        #: shard prefix -> {key -> record dict}, lazily loaded
-        self._shards: Dict[str, Dict[str, dict]] = {}
+        #: shard prefix -> {key -> (point, meta)}, lazily loaded
+        self._shards: Dict[str, Dict[str, _Entry]] = {}
+        #: shard prefix -> its shard file's path, as a str
+        self._paths: Dict[str, str] = {}
         #: shard prefix -> byte count the in-memory image parsed
         #: (:data:`_ABSENT` when the file was missing).  Shard files only
         #: ever grow in place, so a size match means the image is
@@ -156,8 +163,13 @@ class RunCache:
     def lock_dir(self) -> Path:
         return self.cache_dir / "locks"
 
-    def _shard_path(self, prefix: str) -> Path:
-        return self.shard_dir / f"{prefix}{_SHARD_SUFFIX}"
+    def _shard_path(self, prefix: str) -> str:
+        path = self._paths.get(prefix)
+        if path is None:
+            path = self._paths[prefix] = os.path.join(
+                self.cache_dir, "shards", prefix + _SHARD_SUFFIX
+            )
+        return path
 
     def _shard_files(self) -> Iterator[Path]:
         if not self.shard_dir.is_dir():
@@ -202,34 +214,35 @@ class RunCache:
             os.close(fd)
 
     # -- load ----------------------------------------------------------
-    def _load_shard(self, prefix: str) -> Dict[str, dict]:
+    def _load_shard(self, prefix: str) -> Dict[str, _Entry]:
         path = self._shard_path(prefix)
         try:
-            size = path.stat().st_size
+            size = os.stat(path).st_size
         except OSError:
             size = _ABSENT
         loaded = self._shards.get(prefix)
         if loaded is not None and self._tags.get(prefix) == size:
             return loaded
-        records: Dict[str, dict] = {}
+        records: Dict[str, _Entry] = {}
         data = b""
         if size != _ABSENT:
             try:
-                data = path.read_bytes()
+                with open(path, "rb") as fh:
+                    data = fh.read()
             except FileNotFoundError:
                 size = _ABSENT
             except OSError:
                 # Unreadable shard: discard it rather than fail the sweep.
                 self._corrupt += 1
                 with self._shard_lock(prefix):
-                    path.unlink(missing_ok=True)
+                    Path(path).unlink(missing_ok=True)
                 data, size = b"", _ABSENT
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError:
             self._corrupt += 1
             with self._shard_lock(prefix):
-                path.unlink(missing_ok=True)
+                Path(path).unlink(missing_ok=True)
             text, data, size = "", b"", _ABSENT
         for line in text.splitlines():
             if not line.strip():
@@ -239,13 +252,13 @@ class RunCache:
                 if not isinstance(record, dict):
                     raise ValueError("record is not an object")
                 key = record["key"]
-                # Validate eagerly so a poisoned record is discarded at
+                if not isinstance(key, str):
+                    raise ValueError("record key is not a string")
+                # Decode eagerly so a poisoned record is discarded at
                 # load time, not thrown mid-sweep.
-                self._point_of(record)
+                records[key] = self._entry_of(record)  # last writer wins
             except (KeyError, TypeError, ValueError):
                 self._corrupt += 1
-                continue
-            records[key] = record  # duplicate keys: last writer wins
         self._shards[prefix] = records
         # Tag with the bytes actually parsed: if the file grew between
         # the stat and the read, the tag still matches the image.
@@ -253,26 +266,39 @@ class RunCache:
         return records
 
     @staticmethod
-    def _point_of(record: dict) -> EnergyDelayPoint:
+    def _entry_of(record: dict) -> _Entry:
         point = record["point"]
-        return EnergyDelayPoint(
-            label=point["label"],
-            energy=float(point["energy"]),
-            delay=float(point["delay"]),
-            frequency=(
-                None
-                if point.get("frequency") is None
-                else float(point["frequency"])
+        meta = record.get("meta")
+        if meta is not None and not isinstance(meta, dict):
+            raise ValueError("record meta is not an object")
+        return (
+            EnergyDelayPoint(
+                label=point["label"],
+                energy=float(point["energy"]),
+                delay=float(point["delay"]),
+                frequency=(
+                    None
+                    if point.get("frequency") is None
+                    else float(point["frequency"])
+                ),
             ),
+            meta,
         )
 
     # -- public API ----------------------------------------------------
-    def get(self, key: str) -> Optional[EnergyDelayPoint]:
-        """The stored point for ``key``, or ``None`` (counted as a miss)."""
-        records = self._load_shard(key[:2])
-        record = records.get(key)
+    def get(
+        self, key: str, with_meta: bool = False
+    ) -> Union[None, EnergyDelayPoint, _Entry]:
+        """The stored point for ``key``, or ``None`` (counted as a miss).
+
+        With ``with_meta=True`` a hit is the pair ``(point, meta)``, meta
+        being the stored dict (``None`` when the record has none) — the
+        store's own object, so read it without mutating it.
+        """
+        prefix = key[:2]
+        entry = self._load_shard(prefix).get(key)
         tracer = active_tracer()
-        if record is None:
+        if entry is None:
             self._misses += 1
             if tracer.enabled:
                 tracer.instant(
@@ -287,15 +313,10 @@ class RunCache:
                 WALL_CLOCK, key=key[:12],
             )
         try:
-            os.utime(self._shard_path(key[:2]))  # LRU recency signal
+            os.utime(self._shard_path(prefix))  # LRU recency signal
         except OSError:
             pass  # shard evicted by a concurrent process mid-lookup
-        return self._point_of(record)
-
-    def get_meta(self, key: str) -> Optional[dict]:
-        """The auxiliary metadata stored alongside ``key`` (no hit/miss)."""
-        record = self._load_shard(key[:2]).get(key)
-        return None if record is None else dict(record.get("meta") or {})
+        return entry if with_meta else entry[0]
 
     def put(
         self, key: str, point: EnergyDelayPoint, meta: Optional[dict] = None
@@ -318,17 +339,17 @@ class RunCache:
         }
         if meta:
             record["meta"] = meta
+        entry = self._entry_of(record)
         prefix = key[:2]
         line = (json.dumps(record, separators=(",", ":")) + "\n").encode(
             "utf-8"
         )
-        path = self._shard_path(prefix)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        self.shard_dir.mkdir(parents=True, exist_ok=True)
         records = self._load_shard(prefix)
         with self._shard_lock(prefix):
-            with path.open("ab") as fh:
+            with open(self._shard_path(prefix), "ab") as fh:
                 fh.write(line)
-        records[key] = record
+        records[key] = entry
         # Advance the size tag optimistically: exact when no other
         # process appended since the load; any interleaved foreign
         # append leaves the tag short of the true size, which simply

@@ -273,7 +273,9 @@ def _nic_listener(fabric: NetworkFabric, cluster: Cluster):
     cluster_ref = weakref.ref(cluster)
 
     def listener(node_id: int) -> None:
-        node = cluster_ref().node(node_id)
-        node.set_nic_active(fabric.traffic_active(node_id))
+        cluster = cluster_ref()
+        if cluster is None:
+            return  # an abandoned transfer closing after its run ended
+        cluster.node(node_id).set_nic_active(fabric.traffic_active(node_id))
 
     return listener

@@ -25,10 +25,10 @@ def test_round_trip_is_exact(tmp_path):
     cache = RunCache(tmp_path)
     cache.put(KEY_A, POINT, meta={"workload": "ft.S"})
     fresh = RunCache(tmp_path)  # force a re-load from disk
-    got = fresh.get(KEY_A)
+    got, meta = fresh.get(KEY_A, with_meta=True)
     assert got == POINT
     assert got.energy == POINT.energy  # repr-exact float round-trip
-    assert fresh.get_meta(KEY_A) == {"workload": "ft.S"}
+    assert meta == {"workload": "ft.S"}
 
 
 def test_point_without_frequency_round_trips(tmp_path):
@@ -123,3 +123,45 @@ def test_clear_removes_everything(tmp_path):
 def test_max_bytes_must_be_positive(tmp_path):
     with pytest.raises(ValueError, match="max_bytes"):
         RunCache(tmp_path, max_bytes=0)
+
+
+@pytest.mark.parametrize("meta", ["oops", 5, ["x"], 0])
+def test_record_whose_meta_is_not_an_object_is_corrupt(tmp_path, meta):
+    shard = tmp_path / "shards" / "aa.jsonl"
+    shard.parent.mkdir(parents=True)
+    point = {"label": "x", "energy": 1.0, "delay": 2.0}
+    record = {"key": KEY_A, "point": point, "meta": meta}
+    shard.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    cache = RunCache(tmp_path)
+    assert cache.get(KEY_A, with_meta=True) is None  # a miss, not a crash
+    assert cache.stats.corrupt == 1
+
+
+def test_record_whose_key_is_not_a_string_is_corrupt(tmp_path):
+    shard = tmp_path / "shards" / "aa.jsonl"
+    shard.parent.mkdir(parents=True)
+    point = {"label": "x", "energy": 1.0, "delay": 2.0}
+    shard.write_text(
+        json.dumps({"key": [KEY_A], "point": point}) + "\n", encoding="utf-8"
+    )
+    cache = RunCache(tmp_path)
+    assert cache.get(KEY_A) is None
+    assert cache.stats.corrupt == 1
+
+
+def test_sweep_resimulates_a_record_whose_meta_is_not_an_object(tmp_path):
+    from repro.analysis.parallel import run_sweep
+    from tests.cache.test_key_history import family_tasks
+
+    chaos = family_tasks()[3]
+    key = chaos.key()
+    shard = tmp_path / "shards" / f"{key[:2]}.jsonl"
+    shard.parent.mkdir(parents=True)
+    point = {"label": "x", "energy": 1.0, "delay": 2.0}
+    record = {"key": key, "point": point, "meta": "oops"}
+    shard.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    cache = RunCache(tmp_path)
+    [outcome] = run_sweep([chaos], use_cache=cache)
+    assert outcome == chaos.run()
+    assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+    assert cache.stats.corrupt == 1

@@ -95,5 +95,5 @@ def test_cache_stores_workload_metadata(tmp_path):
     cache = RunCache(tmp_path)
     task = SweepTask(make_workload(), "cpuspeed")
     run_sweep([task], use_cache=cache)
-    meta = cache.get_meta(task_key(task))
+    _, meta = cache.get(task_key(task), with_meta=True)
     assert meta == {"workload": make_workload().name}

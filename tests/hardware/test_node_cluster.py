@@ -1,5 +1,7 @@
 """Tests for node power integration and cluster assembly."""
 
+import gc
+
 import pytest
 
 from repro.hardware.activity import CpuActivity
@@ -155,3 +157,16 @@ def test_cluster_aggregates_delegate_to_merged_series():
     assert cluster.average_power(1.0, 3.0) == pytest.approx(20.0)
     by_node = cluster.node_average_powers(1.0, 3.0)
     assert by_node == {0: pytest.approx(10.0), 1: pytest.approx(10.0)}
+
+
+def test_abandoned_transfer_closes_after_its_cluster_is_collected():
+    # The fabric's NIC listener holds the cluster weakly; a transfer left
+    # mid-flight and closed after the cluster is gone must not raise.
+    cluster = Cluster.from_spec(ClusterSpec.homogeneous(2))
+    engine = cluster.engine
+    transfer = cluster.fabric.transfer(0, 1, 10_000_000)
+    engine.process(transfer)
+    engine.run(until=0.01)
+    del cluster
+    gc.collect()
+    transfer.close()

@@ -10,7 +10,10 @@ version of a fast path in ``repro``:
   that ``NetworkFabric._bulk_hold`` folds into one completion;
 * :func:`power_at_walk` and :func:`peak_walk` answer timeline queries by
   bisecting and scanning the recorded change points, where the
-  ``PowerSeries`` kernel uses its columns.
+  ``PowerSeries`` kernel uses its columns;
+* :func:`canonical_encode_walk` picks a cache-key encoding rule for
+  every node of a spec tree by an ``isinstance`` chain, where
+  ``repro.cache.keys.canonical_encode`` compiles one encoder per class.
 
 :func:`using_walks` installs the first two in place of the bulk paths,
 so a whole experiment can run on the walks and be compared with the
@@ -18,8 +21,11 @@ production run.
 """
 
 import bisect
+import dataclasses
+import enum
+import json
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Iterator, Mapping
 
 from repro.hardware.activity import CpuActivity
 from repro.hardware.cpu import _CYCLE_EPSILON, SimCPU
@@ -94,3 +100,64 @@ def peak_walk(timeline, t0, t1):
             break
         peak = max(peak, watts[i])
     return peak
+
+
+def _qualname(obj: object) -> str:
+    cls = type(obj)
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+def canonical_encode_walk(obj: Any) -> Any:
+    """``canonical_encode`` as one generic walk over the spec tree."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        return obj
+    if isinstance(obj, enum.Enum):
+        return {"__enum__": _qualname(obj), "name": obj.name}
+    if isinstance(obj, (bytes, bytearray)):
+        return {"__bytes__": bytes(obj).hex()}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            "__dataclass__": _qualname(obj),
+            "fields": {
+                f.name: canonical_encode_walk(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)
+            },
+        }
+    if isinstance(obj, Mapping):
+        items = [
+            [canonical_encode_walk(k), canonical_encode_walk(v)]
+            for k, v in obj.items()
+        ]
+        items.sort(key=lambda kv: json.dumps(kv[0], sort_keys=True))
+        return {"__map__": items}
+    if isinstance(obj, (list, tuple)):
+        return [canonical_encode_walk(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        encoded = [canonical_encode_walk(v) for v in obj]
+        encoded.sort(key=lambda v: json.dumps(v, sort_keys=True))
+        return {"__set__": encoded}
+    item = getattr(obj, "item", None)
+    if callable(item) and getattr(obj, "shape", None) == ():
+        return canonical_encode_walk(obj.item())
+    tolist = getattr(obj, "tolist", None)
+    if callable(tolist) and hasattr(obj, "dtype"):
+        return {
+            "__ndarray__": str(obj.dtype),
+            "shape": list(getattr(obj, "shape", [])),
+            "data": tolist(),
+        }
+    state = getattr(obj, "__dict__", None)
+    if state is not None:
+        return {
+            "__object__": _qualname(obj),
+            "attrs": {
+                k: canonical_encode_walk(v)
+                for k, v in sorted(state.items())
+                if not callable(v)
+            },
+        }
+    raise TypeError(
+        f"cannot canonically encode {type(obj).__name__!r} for cache keying"
+    )
