@@ -46,6 +46,11 @@ class CpuActivity(enum.Enum):
     SPIN = "spin"
     IDLE = "idle"
 
+    #: position in declaration order (set at import, below)
+    index: int
+    #: whether /proc/stat counts this state as busy (set at import, below)
+    busy: bool
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -63,4 +68,14 @@ BUSY_STATES = frozenset(
 
 def is_busy_for_procstat(state: CpuActivity) -> bool:
     """Whether ``/proc/stat`` counts time in ``state`` as busy."""
-    return state in BUSY_STATES
+    return state.busy
+
+
+# Each member carries its position in declaration order (the column it
+# owns in a power or /proc/stat row, see CpuPowerModel.rows) and its
+# busy flag as plain attributes, so the per-flip paths index tuples
+# instead of hashing the member.
+for _index, _state in enumerate(CpuActivity):
+    _state.index = _index
+    _state.busy = _state in BUSY_STATES
+del _index, _state

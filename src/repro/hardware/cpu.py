@@ -101,6 +101,8 @@ class SimCPU:
         self.cycles_per_work = cycles_per_work
 
         self._point: OperatingPoint = table.fastest
+        #: ``_point``'s ladder position (0 = slowest): its power row
+        self._index: int = len(table) - 1
         self._inflight: List[_CycleWork] = []
         self._state: CpuActivity = CpuActivity.IDLE
         self._utilization: float = 1.0
@@ -204,7 +206,7 @@ class SimCPU:
         now = self.engine.now
         duration = now - self._segment_start
         if duration > 0:
-            self.procstat.account(
+            self.procstat._charge(
                 duration, self._state, self._utilization, self._floor
             )
         self._segment_start = now
@@ -251,9 +253,10 @@ class SimCPU:
             return
         if point.frequency == self._point.frequency:
             return
-        self.table.point_for(point.frequency)  # must be a legal point
+        index = self.table.position(point)  # must be a legal point
         self._close_segment()
         self._point = point
+        self._index = index
         self.transition_count += 1
         self._on_change()
         self._rate_changed(point)
@@ -325,12 +328,13 @@ class SimCPU:
         if self._powered:
             return
         point = boot_point if boot_point is not None else self.table.fastest
-        self.table.point_for(point.frequency)  # must be a legal point
+        index = self.table.position(point)  # must be a legal point
         self._close_segment()
         self._powered = True
         self._suspended = False
         if point.frequency != self._point.frequency:
             self._point = point
+            self._index = index
             self.transition_count += 1
         self._on_change()
         event, self._power_restored = self._power_restored, None

@@ -13,7 +13,7 @@ Inspiron 8600 — supports exactly five points, reproduced verbatim in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.units import MHZ, pretty_freq
 from repro.util.validation import check_positive
@@ -75,17 +75,14 @@ class DVFSTable:
                     f"{slow} vs {fast}"
                 )
         self._points: Tuple[OperatingPoint, ...] = tuple(ordered)
-        # Precomputed lookups for the ladder's own points.  The table and
-        # its points are immutable, so these are pure memoisations: the
-        # cached floats come from the exact expressions the uncached
-        # methods evaluate (id-keyed — self._points pins every id).
         self._index_by_freq = {p.frequency: i for i, p in enumerate(ordered)}
+        # The normalised power terms of the ladder's own points, by
+        # position: the exact expressions relative_fv2/relative_v2
+        # evaluate for an off-ladder point.
         fastest_fv2 = ordered[-1].fv2()
         fastest_v = ordered[-1].voltage
-        self._rel_fv2_by_id = {id(p): p.fv2() / fastest_fv2 for p in ordered}
-        self._rel_v2_by_id = {
-            id(p): (p.voltage / fastest_v) ** 2 for p in ordered
-        }
+        self._rel_fv2 = tuple(p.fv2() / fastest_fv2 for p in ordered)
+        self._rel_v2 = tuple((p.voltage / fastest_v) ** 2 for p in ordered)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -132,6 +129,28 @@ class DVFSTable:
             raise KeyError(f"no operating point at {pretty_freq(frequency)}")
         return idx
 
+    def position(self, point: OperatingPoint) -> int:
+        """Index (0 = slowest) of ``point``, which must be a ladder point:
+        ``KeyError`` for an unknown frequency, and for a point whose
+        voltage differs from the ladder's point at its frequency."""
+        idx = self._ladder_index(point)
+        if idx is None:
+            raise KeyError(
+                f"{point} is not a point of this ladder; "
+                f"available: {[str(p) for p in self._points]}"
+            )
+        return idx
+
+    def _ladder_index(self, point: OperatingPoint) -> Optional[int]:
+        """``point``'s index if it is a ladder point, else None."""
+        idx = self._index_by_freq.get(point.frequency)
+        if idx is None:
+            return None
+        ladder_point = self._points[idx]
+        if ladder_point is not point and ladder_point != point:
+            return None
+        return idx
+
     def closest(self, frequency: float) -> OperatingPoint:
         """The legal point nearest to an arbitrary requested frequency.
 
@@ -162,9 +181,9 @@ class DVFSTable:
         This is the frequency-dependent scale factor of CPU dynamic power
         (Eq. 2): at the fastest point it is 1.0.
         """
-        cached = self._rel_fv2_by_id.get(id(point))
-        if cached is not None:
-            return cached
+        idx = self._ladder_index(point)
+        if idx is not None:
+            return self._rel_fv2[idx]
         return point.fv2() / self.fastest.fv2()
 
     def relative_v2(self, point: OperatingPoint) -> float:
@@ -173,9 +192,9 @@ class DVFSTable:
         Used for the leakage-like component of idle power, which tracks
         voltage but not clock frequency (the clock is gated when halted).
         """
-        cached = self._rel_v2_by_id.get(id(point))
-        if cached is not None:
-            return cached
+        idx = self._ladder_index(point)
+        if idx is not None:
+            return self._rel_v2[idx]
         return (point.voltage / self.fastest.voltage) ** 2
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -65,8 +65,12 @@ class Node:
         #: the ids whose state this node carries and whose trace records
         #: it emits: its own, or a cluster twin's run of untouched ids
         self.stands_for: Sequence[int] = (node_id,)
+        if power_model.cpu.table.points != table.points:
+            raise ValueError("the power model is built on another DVFS ladder")
         self.table = table
         self.power_model = power_model
+        #: the power model's watts per ladder position (see CpuPowerModel.rows)
+        self._rows = power_model.cpu.rows
         self.memory = memory
         self.trace = trace if trace is not None else NullRecorder()
 
@@ -103,17 +107,20 @@ class Node:
         return self.cpu.powered and not self.faults.telemetry_dark
 
     def _current_power(self) -> float:
-        if not self.cpu.powered:
+        # Runs on every CPU flip, so it reads the CPU's validated fields
+        # directly and its ladder position's power row.
+        cpu = self.cpu
+        if not cpu._powered:
             # Suspended (orderly power-gate) keeps the platform's wake
             # state alive; a crash draws nothing at all.
-            return self.power_model.gated_power if self.cpu.suspended else 0.0
-        return self.power_model.power(
-            self.cpu.operating_point,
-            self.cpu.state,
-            self.cpu.utilization,
-            nic_active=self._nic_active,
-            floor=self.cpu.floor,
-            core_fraction=self.cpu.core_allocation,
+            return self.power_model.gated_power if cpu._suspended else 0.0
+        return self.power_model.row_power(
+            self._rows[cpu._index],
+            cpu._state,
+            cpu._utilization,
+            self._nic_active,
+            cpu._floor,
+            cpu._core_scale,
         )
 
     def _update_power(self) -> None:

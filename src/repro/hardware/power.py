@@ -21,7 +21,8 @@ the base keeps integrating over the (slightly longer) run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from repro.hardware.activity import CpuActivity
 from repro.hardware.dvfs import DVFSTable, OperatingPoint
@@ -43,7 +44,11 @@ DEFAULT_FACTORS: Mapping[CpuActivity, float] = {
 
 @dataclass(frozen=True)
 class ActivityFactors:
-    """Per-activity scaling of CPU power relative to fully active."""
+    """Per-activity scaling of CPU power relative to fully active.
+
+    Keeps a read-only copy of the mapping it is given, so a caller
+    editing its dict afterwards changes no model built from it.
+    """
 
     factors: Mapping[CpuActivity, float] = field(
         default_factory=lambda: dict(DEFAULT_FACTORS)
@@ -55,9 +60,27 @@ class ActivityFactors:
             raise ValueError(f"missing activity factors for {sorted(s.value for s in missing)}")
         for state, value in self.factors.items():
             check_fraction(f"activity factor for {state}", value)
+        object.__setattr__(self, "factors", MappingProxyType(dict(self.factors)))
 
     def __getitem__(self, state: CpuActivity) -> float:
         return self.factors[state]
+
+    def __reduce__(self) -> tuple:
+        return ActivityFactors, (dict(self.factors),)
+
+
+def _cpu_watts(
+    row: Tuple[float, ...],
+    state: CpuActivity,
+    utilization: float,
+    floor: CpuActivity,
+    core_fraction: float,
+) -> float:
+    """CPU watts blended from one ladder row of :attr:`CpuPowerModel.rows`."""
+    watts = utilization * row[state.index] + (1.0 - utilization) * row[floor.index]
+    if core_fraction != 1.0:
+        watts = core_fraction * watts
+    return watts
 
 
 class CpuPowerModel:
@@ -71,6 +94,10 @@ class CpuPowerModel:
         Fully-active power (watts) at the fastest operating point.
     factors:
         Per-activity scaling factors.
+
+    The model is a table built once: :attr:`rows` holds, per ladder
+    position (slowest first), the watts of every activity state (by
+    ``state.index``).  Its inputs are read-only, so no row goes stale.
     """
 
     def __init__(
@@ -79,14 +106,32 @@ class CpuPowerModel:
         max_power: float = 21.0,
         factors: ActivityFactors | None = None,
     ):
-        self.table = table
-        self.max_power = check_positive("max_power", max_power)
-        self.factors = factors or ActivityFactors()
-        # Memoised _state_power per (point, state).  Everything involved
-        # is immutable, so each cached float is exactly what the formula
-        # below computes; values keep a strong reference to their point,
-        # which pins its id for the cache's lifetime.
-        self._state_watts: Dict[tuple, tuple] = {}
+        self._table = table
+        self._max_power = check_positive("max_power", max_power)
+        self._factors = factors or ActivityFactors()
+        #: watts per ladder position, then per ``CpuActivity.index``
+        self.rows: Tuple[Tuple[float, ...], ...] = tuple(
+            tuple(self._row_entry(point, state) for state in CpuActivity)
+            for point in table
+        )
+
+    @property
+    def table(self) -> DVFSTable:
+        return self._table
+
+    @property
+    def max_power(self) -> float:
+        return self._max_power
+
+    @property
+    def factors(self) -> ActivityFactors:
+        return self._factors
+
+    def _row_entry(self, point: OperatingPoint, state: CpuActivity) -> float:
+        alpha = self._factors[state]
+        if state is CpuActivity.IDLE:
+            return alpha * self._max_power * self._table.relative_v2(point)
+        return alpha * self._max_power * self._table.relative_fv2(point)
 
     def power(
         self,
@@ -95,7 +140,7 @@ class CpuPowerModel:
         utilization: float = 1.0,
         floor: CpuActivity = CpuActivity.IDLE,
     ) -> float:
-        """Instantaneous CPU power in watts.
+        """Instantaneous CPU power in watts at the ladder point ``point``.
 
         ``utilization`` blends ``state`` with the ``floor`` state: a CPU
         doing protocol work for 40 % of the wall time and halted otherwise
@@ -104,22 +149,8 @@ class CpuPowerModel:
         ``(PROTO, 0.4, floor=SPIN)``.
         """
         check_fraction("utilization", utilization)
-        busy = self._state_power(point, state)
-        rest = self._state_power(point, floor)
-        return utilization * busy + (1.0 - utilization) * rest
-
-    def _state_power(self, point: OperatingPoint, state: CpuActivity) -> float:
-        key = (id(point), state)
-        hit = self._state_watts.get(key)
-        if hit is not None:
-            return hit[0]
-        alpha = self.factors[state]
-        if state is CpuActivity.IDLE:
-            watts = alpha * self.max_power * self.table.relative_v2(point)
-        else:
-            watts = alpha * self.max_power * self.table.relative_fv2(point)
-        self._state_watts[key] = (watts, point)
-        return watts
+        row = self.rows[self._table.position(point)]
+        return _cpu_watts(row, state, utilization, floor, 1.0)
 
 
 @dataclass(frozen=True)
@@ -163,16 +194,32 @@ class NodePowerModel:
         floor: CpuActivity = CpuActivity.IDLE,
         core_fraction: float = 1.0,
     ) -> float:
-        """Instantaneous node power in watts.
+        """Instantaneous node power in watts at the ladder point ``point``.
 
         ``core_fraction`` scales the CPU term by the powered-core share
         (per-core power gating: parked cores draw nothing).  The default
         1.0 takes the exact legacy path.
         """
-        cpu_watts = self.cpu.power(point, state, utilization, floor)
-        if core_fraction != 1.0:
-            cpu_watts = core_fraction * cpu_watts
-        total = self.base_power + cpu_watts
+        check_fraction("utilization", utilization)
+        row = self.cpu.rows[self.cpu.table.position(point)]
+        return self.row_power(
+            row, state, utilization, nic_active, floor, core_fraction
+        )
+
+    def row_power(
+        self,
+        row: Tuple[float, ...],
+        state: CpuActivity,
+        utilization: float,
+        nic_active: bool,
+        floor: CpuActivity,
+        core_fraction: float,
+    ) -> float:
+        """:meth:`power` on a row of ``cpu.rows``, without validation
+        (the node's per-flip path: its CPU validated every input)."""
+        total = self.base_power + _cpu_watts(
+            row, state, utilization, floor, core_fraction
+        )
         if nic_active:
             total += self.nic_active_power
         return total
@@ -183,10 +230,18 @@ class NodePowerModel:
         state: CpuActivity,
         utilization: float = 1.0,
         nic_active: bool = False,
+        floor: CpuActivity = CpuActivity.IDLE,
+        core_fraction: float = 1.0,
     ) -> Dict[str, float]:
-        """Per-component power, for reporting and the PowerPack profiles."""
+        """Per-component power, for reporting and the PowerPack profiles.
+
+        Takes :meth:`power`'s parameters and reads the same row, so the
+        parts sum (base, then CPU, then NIC) to exactly ``power()``.
+        """
+        check_fraction("utilization", utilization)
+        row = self.cpu.rows[self.cpu.table.position(point)]
         return {
             "base": self.base_power,
-            "cpu": self.cpu.power(point, state, utilization),
+            "cpu": _cpu_watts(row, state, utilization, floor, core_fraction),
             "nic": self.nic_active_power if nic_active else 0.0,
         }

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hardware.activity import CpuActivity, is_busy_for_procstat
+from repro.hardware.activity import CpuActivity
 from repro.util.validation import check_fraction, check_nonnegative
 
 __all__ = ["ProcStatSample", "ProcStat"]
@@ -57,12 +57,17 @@ class ProcStat:
     def __init__(self, spin_counts_busy: bool = True) -> None:
         self._busy = 0.0
         self._idle = 0.0
-        self.spin_counts_busy = spin_counts_busy
+        self._spin_counts_busy = spin_counts_busy
+        # 1.0 where a state's time counts busy, 0.0 where idle, by
+        # ``CpuActivity.index``; built once, as the flag is read-only.
+        self._busy_row = tuple(
+            float(state.busy and (spin_counts_busy or state is not CpuActivity.SPIN))
+            for state in CpuActivity
+        )
 
-    def _is_busy(self, state: CpuActivity) -> bool:
-        if state is CpuActivity.SPIN and not self.spin_counts_busy:
-            return False
-        return is_busy_for_procstat(state)
+    @property
+    def spin_counts_busy(self) -> bool:
+        return self._spin_counts_busy
 
     def account(
         self,
@@ -79,9 +84,21 @@ class ProcStat:
         """
         check_nonnegative("duration", duration)
         check_fraction("utilization", utilization)
-        busy_frac = utilization * float(self._is_busy(state)) + (
-            1.0 - utilization
-        ) * float(self._is_busy(floor))
+        self._charge(duration, state, utilization, floor)
+
+    def _charge(
+        self,
+        duration: float,
+        state: CpuActivity,
+        utilization: float,
+        floor: CpuActivity,
+    ) -> None:
+        """:meth:`account` without validation (the CPU's segment close:
+        it validated the state when it was set)."""
+        row = self._busy_row
+        busy_frac = utilization * row[state.index] + (1.0 - utilization) * row[
+            floor.index
+        ]
         self._busy += duration * busy_frac
         self._idle += duration * (1.0 - busy_frac)
 

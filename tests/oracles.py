@@ -13,7 +13,11 @@ version of a fast path in ``repro``:
   ``PowerSeries`` kernel uses its columns;
 * :func:`canonical_encode_walk` picks a cache-key encoding rule for
   every node of a spec tree by an ``isinstance`` chain, where
-  ``repro.cache.keys.canonical_encode`` compiles one encoder per class.
+  ``repro.cache.keys.canonical_encode`` compiles one encoder per class;
+* :func:`state_power`, :func:`node_power` and :class:`ProcStatWalk`
+  evaluate the CPU power model and ``/proc/stat`` accounting from
+  their formulas on every call, where ``CpuPowerModel.rows`` and
+  ``ProcStat`` read tables built once.
 
 :func:`using_walks` installs the first two in place of the bulk paths,
 so a whole experiment can run on the walks and be compared with the
@@ -27,7 +31,7 @@ import json
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
-from repro.hardware.activity import CpuActivity
+from repro.hardware.activity import BUSY_STATES, CpuActivity
 from repro.hardware.cpu import _CYCLE_EPSILON, SimCPU
 from repro.hardware.network import NetworkFabric
 from repro.util.validation import check_nonnegative
@@ -161,3 +165,76 @@ def canonical_encode_walk(obj: Any) -> Any:
     raise TypeError(
         f"cannot canonically encode {type(obj).__name__!r} for cache keying"
     )
+
+
+def state_power(model, point, state):
+    """CPU watts in ``state`` at ``point``: ``α·P_max`` times the
+    point's ``f·V²`` (halted: ``V²``) normalised to the fastest point."""
+    alpha = model.factors[state]
+    fastest = model.table.fastest
+    if state is CpuActivity.IDLE:
+        return alpha * model.max_power * (point.voltage / fastest.voltage) ** 2
+    return alpha * model.max_power * (point.fv2() / fastest.fv2())
+
+
+def cpu_power(model, point, state, utilization=1.0, floor=CpuActivity.IDLE):
+    """``CpuPowerModel.power`` from the formula."""
+    busy = state_power(model, point, state)
+    rest = state_power(model, point, floor)
+    return utilization * busy + (1.0 - utilization) * rest
+
+
+def node_power(
+    model,
+    point,
+    state,
+    utilization=1.0,
+    nic_active=False,
+    floor=CpuActivity.IDLE,
+    core_fraction=1.0,
+):
+    """``NodePowerModel.power`` from the formula."""
+    cpu_watts = cpu_power(model.cpu, point, state, utilization, floor)
+    if core_fraction != 1.0:
+        cpu_watts = core_fraction * cpu_watts
+    total = model.base_power + cpu_watts
+    if nic_active:
+        total += model.nic_active_power
+    return total
+
+
+def node_watts(node):
+    """What a node draws now, read from its public state."""
+    cpu = node.cpu
+    if not cpu.powered:
+        return node.power_model.gated_power if cpu.suspended else 0.0
+    return node_power(
+        node.power_model,
+        cpu.operating_point,
+        cpu.state,
+        cpu.utilization,
+        node.nic_active,
+        cpu.floor,
+        cpu.core_allocation,
+    )
+
+
+class ProcStatWalk:
+    """``/proc/stat`` busy/idle totals, the busy test made per segment."""
+
+    def __init__(self, spin_counts_busy=True):
+        self.spin_counts_busy = spin_counts_busy
+        self.busy = 0.0
+        self.idle = 0.0
+
+    def _is_busy(self, state):
+        if state is CpuActivity.SPIN and not self.spin_counts_busy:
+            return False
+        return state in BUSY_STATES
+
+    def account(self, duration, state, utilization=1.0, floor=CpuActivity.IDLE):
+        busy_frac = utilization * float(self._is_busy(state)) + (
+            1.0 - utilization
+        ) * float(self._is_busy(floor))
+        self.busy += duration * busy_frac
+        self.idle += duration * (1.0 - busy_frac)
