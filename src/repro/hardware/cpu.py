@@ -226,6 +226,16 @@ class SimCPU:
     ) -> None:
         """Switch activity state (closing the accounting segment)."""
         check_fraction("utilization", utilization)
+        self._set_state(state, utilization, floor)
+
+    def _set_state(
+        self,
+        state: CpuActivity,
+        utilization: float = 1.0,
+        floor: CpuActivity = CpuActivity.IDLE,
+    ) -> None:
+        """:meth:`set_state` without validation, for callers whose
+        utilization is a constant or already checked."""
         if (
             state is self._state
             and utilization == self._utilization
@@ -410,15 +420,15 @@ class SimCPU:
             # the same total.
             cycles = cycles * self.cycles_per_work
         remaining = float(cycles)
-        self.set_state(state, 1.0)
+        self._set_state(state, 1.0)
         try:
             while remaining > _CYCLE_EPSILON:
                 if not self._powered:
                     # Fail-stop outage: park (accounted idle, drawing
                     # nothing) and resume the remainder after restart.
-                    self.set_state(CpuActivity.IDLE, 1.0)
+                    self._set_state(CpuActivity.IDLE, 1.0)
                     yield self.power_restored
-                    self.set_state(state, 1.0)
+                    self._set_state(state, 1.0)
                     continue
                 work = _CycleWork(self.engine, remaining)
                 self._arm_work(work)
@@ -426,7 +436,7 @@ class SimCPU:
                 yield work.done
                 remaining = work.remaining
         finally:
-            self.set_state(CpuActivity.IDLE, 1.0)
+            self._set_state(CpuActivity.IDLE, 1.0)
 
     def _arm_work(self, work: _CycleWork) -> None:
         work.freq = self._point.frequency * self._core_scale
@@ -479,7 +489,8 @@ class SimCPU:
         utilization the CPU needs to keep the link fed).
         """
         check_nonnegative("duration", duration)
-        self.set_state(state, utilization)
+        check_fraction("utilization", utilization)
+        self._set_state(state, utilization)
         try:
             if not self._gated:
                 if duration > 0:
@@ -491,9 +502,9 @@ class SimCPU:
             remaining = float(duration)
             while remaining > 0:
                 if not self._powered:
-                    self.set_state(CpuActivity.IDLE, 1.0)
+                    self._set_state(CpuActivity.IDLE, 1.0)
                     yield self.power_restored
-                    self.set_state(state, utilization)
+                    self._set_state(state, utilization)
                     continue
                 started = self.engine.now
                 done = self.engine.timeout(remaining)
@@ -502,7 +513,7 @@ class SimCPU:
                     break
                 remaining -= self.engine.now - started
         finally:
-            self.set_state(CpuActivity.IDLE, 1.0)
+            self._set_state(CpuActivity.IDLE, 1.0)
 
     def wait_event(
         self,
@@ -519,7 +530,7 @@ class SimCPU:
             self.spin_block_threshold if spin_threshold is None else spin_threshold
         )
         check_nonnegative("spin_threshold", threshold)
-        self.set_state(CpuActivity.SPIN, 1.0)
+        self._set_state(CpuActivity.SPIN, 1.0)
         try:
             if threshold == float("inf"):
                 yield event
@@ -529,8 +540,8 @@ class SimCPU:
                 yield self.engine.any_of([event, give_up])
                 if event.processed:
                     return event.value
-            self.set_state(CpuActivity.IDLE, 1.0)
+            self._set_state(CpuActivity.IDLE, 1.0)
             yield event
             return event.value
         finally:
-            self.set_state(CpuActivity.IDLE, 1.0)
+            self._set_state(CpuActivity.IDLE, 1.0)

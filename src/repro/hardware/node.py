@@ -125,7 +125,7 @@ class Node:
 
     def _update_power(self) -> None:
         watts = self._current_power()
-        self.timeline.set_power(self.engine.now, watts)
+        self.timeline._set_power(self.engine.now, watts)
         if self.trace.active:
             fields = dict(
                 watts=round(watts, 6),

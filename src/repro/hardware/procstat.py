@@ -14,11 +14,24 @@ a process that alternates between short syscalls and halts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.hardware.activity import CpuActivity
 from repro.util.validation import check_fraction, check_nonnegative
 
-__all__ = ["ProcStatSample", "ProcStat"]
+__all__ = ["ProcStatSample", "ProcStat", "busy_share"]
+
+
+def busy_share(d_busy: float, d_total: float) -> float:
+    """Busy fraction of an interval with ``d_busy`` of ``d_total`` seconds
+    busy, clamped to [0, 1].
+
+    Returns 0.0 for an empty interval (daemon polled twice in the same
+    tick), matching cpuspeed's defensive behaviour.
+    """
+    if d_total <= 0:
+        return 0.0
+    return max(0.0, min(1.0, d_busy / d_total))
 
 
 @dataclass(frozen=True)
@@ -33,16 +46,9 @@ class ProcStatSample:
         return self.busy + self.idle
 
     def utilization_since(self, earlier: "ProcStatSample") -> float:
-        """Busy fraction over the interval between two snapshots.
-
-        Returns 0.0 for an empty interval (daemon polled twice in the same
-        tick), matching cpuspeed's defensive behaviour.
-        """
-        d_busy = self.busy - earlier.busy
-        d_total = self.total - earlier.total
-        if d_total <= 0:
-            return 0.0
-        return max(0.0, min(1.0, d_busy / d_total))
+        """Busy fraction over the interval between two snapshots
+        (:func:`busy_share` of the counter deltas)."""
+        return busy_share(self.busy - earlier.busy, self.total - earlier.total)
 
 
 class ProcStat:
@@ -101,6 +107,12 @@ class ProcStat:
         ]
         self._busy += duration * busy_frac
         self._idle += duration * (1.0 - busy_frac)
+
+    def counters(self) -> Tuple[float, float]:
+        """The cumulative ``(busy, idle)`` seconds, without building a
+        :class:`ProcStatSample` (the cap governor reads every node per
+        window)."""
+        return self._busy, self._idle
 
     def snapshot(self) -> ProcStatSample:
         """Current cumulative counters (what reading /proc/stat returns)."""

@@ -55,6 +55,11 @@ class PowerTimeline:
         Out-of-order appends are a modelling bug and raise.
         """
         check_nonnegative("watts", watts)
+        self._set_power(time, watts)
+
+    def _set_power(self, time: float, watts: float) -> None:
+        """:meth:`set_power` without the sign check, for a node whose
+        watts are sums of its power model's non-negative entries."""
         last_t = self._times[-1]
         if time < last_t:
             raise ValueError(

@@ -90,6 +90,15 @@ class DvfsActuator:
     def apply(self, action: SetFreqCeiling) -> None:
         cpufreq = self.cpufreqs[action.node_id]
         frequency = action.frequency
+        if (
+            frequency == cpufreq.ceiling
+            and not action.drive_down
+            and cpufreq.current_frequency >= frequency
+        ):
+            # The ceiling in place, already reached: set_ceiling would
+            # no-op and nothing below would switch the clock.
+            self.pending_target[action.node_id] = frequency
+            return
         cpufreq.set_ceiling(frequency)
         if action.drive_down:
             # Containment (rejoin/reboot): force the actual clock down

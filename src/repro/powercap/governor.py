@@ -37,6 +37,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
 from repro.dvs.capped import CappedCpuFreq
 from repro.hardware.activity import CpuActivity
 from repro.hardware.cluster import Cluster
+from repro.hardware.node import Node
 from repro.obs.tracer import active_tracer
 from repro.sim.engine import Engine
 from repro.sim.events import Event
@@ -67,10 +68,10 @@ from repro.powercap.resilience import (
 )
 from repro.powercap.telemetry import (
     ClusterTelemetry,
+    LadderWatts,
     NodeWindowSample,
-    _point_watts,
     demand_power,
-    infer_busy_alpha,
+    solve_busy_alpha,
 )
 
 __all__ = ["CapGovernorConfig", "GovernorWindow", "CapGovernor"]
@@ -122,6 +123,47 @@ class GovernorWindow:
         """Window length in seconds (never negative; 0-length windows
         are rejected before construction by the governor)."""
         return self.t1 - self.t0
+
+
+def _prediction_model(node: Node) -> tuple:
+    """What the governor's prediction reads of a node's hardware: its
+    ladder and the power model's constants and rows, by value."""
+    model = node.power_model
+    return (
+        node.table.points,
+        model.base_power,
+        model.nic_active_power,
+        model.gated_power,
+        model.cpu.max_power,
+        model.cpu.factors,
+        model.cpu.rows,
+    )
+
+
+def _check_one_model(cluster: Cluster) -> None:
+    """Reject a cluster whose nodes differ in ladder or power model.
+
+    The governor predicts, infers α and resolves bounds for every node
+    on one ladder and one power model; on a mixed-generation cluster
+    another group's clock is off that ladder.
+    """
+    runs: List[Tuple[Node, int]] = []  # (first node, last id) per model run
+    for node in cluster.nodes:
+        if runs and _prediction_model(node) == _prediction_model(runs[-1][0]):
+            runs[-1] = (runs[-1][0], node.node_id)
+        else:
+            runs.append((node, node.node_id))
+    if len(runs) > 1:
+        groups = "; ".join(
+            f"nodes {first.node_id}-{last}: "
+            f"{first.table.slowest.mhz:.0f}-{first.table.fastest.mhz:.0f} MHz, "
+            f"{first.power_model.cpu.max_power:.1f} W CPU"
+            for first, last in runs
+        )
+        raise ValueError(
+            "the cap governor predicts every node on one DVFS ladder and "
+            f"power model, but this cluster's groups differ ({groups})"
+        )
 
 
 class CapGovernor:
@@ -219,16 +261,14 @@ class CapGovernor:
         self._gated: set = set()
         self._model = cluster.nodes[0].power_model
         self._table = cluster.table
+        _check_one_model(cluster)
         self._floor, self._ceiling = budget.resolve_bounds(self._table)
         #: per-node compute-demand high-water mark (decayed each window);
         #: missing nodes read as the worst-case 1.0
         self._demand: Dict[int, float] = {}
         self._spin = self._model.cpu.factors[CpuActivity.SPIN]
-        #: the ladder's ``(frequency, busy, idle)`` CPU watts, slowest first
-        self._ladder = [
-            (point.frequency, *_point_watts(self._model, self._table, point))
-            for point in self._table
-        ]
+        #: ladder frequency → ``(busy, idle)`` CPU watts, slowest first
+        self._watts = LadderWatts(self._model, self._table)
         self._wake_cost_watts = demand_power(
             self._model, self._table, 1.0, self._floor
         )
@@ -281,24 +321,28 @@ class CapGovernor:
         return self._demand_of(sample.node_id)
 
     def _observe_demand(self, samples: List[NodeWindowSample]) -> None:
-        """Fold a window's measured intensities into the high-water marks.
+        """Fold a window's measured intensities into the high-water marks
+        and build each sample's prediction row, in one pass.
 
         ``max(measured, decay × previous)``: one window that catches a
         compute rank blocked at a barrier cannot talk the allocator into
         freeing headroom the rank will reclaim a moment later, while a
-        genuine phase change is forgotten within a few windows.
+        genuine phase change is forgotten within a few windows.  A
+        window has one sample per node, so a node's row reads its own
+        freshly folded mark.
         """
-        alphas = [infer_busy_alpha(self._model, self._table, s) for s in samples]
-        for s, alpha in zip(samples, alphas):
+        decay = self.config.demand_decay
+        demand = self._demand
+        base_power = self._model.base_power
+        watts = self._watts
+        rows = {}
+        for s in samples:
+            alpha = solve_busy_alpha(s, base_power, watts)
+            nid = s.node_id
             measured = s.busy_fraction * alpha  # = compute_intensity(s)
-            prev = self._demand.get(s.node_id, 1.0)
-            self._demand[s.node_id] = max(
-                measured, self.config.demand_decay * prev
-            )
-        self._rows = {
-            s.node_id: (s, self._row(s, alpha))
-            for s, alpha in zip(samples, alphas)
-        }
+            demand[nid] = max(measured, decay * demand.get(nid, 1.0))
+            rows[nid] = (s, self._row(s, alpha))
+        self._rows = rows
 
     def _row(self, sample: NodeWindowSample, alpha: float) -> Dict[float, float]:
         """Predicted watts at every ladder frequency: mix carryover vs
@@ -306,24 +350,26 @@ class CapGovernor:
 
         The two terms are :func:`predict_node_power` and
         :func:`demand_power` of :mod:`repro.powercap.telemetry`, written
-        out with the same expressions in the same order.  The first
-        captures the measured activity blend; the second assumes the node
-        runs at its recent high-water intensity for the whole next
-        window.  Taking the max makes allocation robust to
+        out with the same expressions in the same order (the shared
+        factors are the subexpressions Python evaluates first).  The
+        first captures the measured activity blend; the second assumes
+        the node runs at its recent high-water intensity for the whole
+        next window.  Taking the max makes allocation robust to
         barrier-boundary windows that sample a transiently quiet mix.
         """
         base = self._model.base_power
         busy_fraction = sample.busy_fraction
+        active = busy_fraction * alpha
+        halted = 1.0 - busy_fraction
         demand = self._demand_of(sample.node_id)
-        return {
-            frequency: max(
-                base
-                + busy_fraction * alpha * busy
-                + (1.0 - busy_fraction) * idle,
-                base + demand * busy + (1.0 - demand) * idle,
-            )
-            for frequency, busy, idle in self._ladder
-        }
+        rest = 1.0 - demand
+        row = {}
+        for frequency, (busy, idle) in self._watts.items():
+            mix = base + active * busy + halted * idle
+            bound = base + demand * busy + rest * idle
+            # max(mix, bound): the first argument wins ties
+            row[frequency] = bound if bound > mix else mix
+        return row
 
     def _predict(self, sample: NodeWindowSample, point) -> float:
         """Node power at ladder ``point``: a lookup in the sample's row.
@@ -333,7 +379,7 @@ class CapGovernor:
         """
         entry = self._rows.get(sample.node_id)
         if entry is None or entry[0] is not sample:
-            alpha = infer_busy_alpha(self._model, self._table, sample)
+            alpha = solve_busy_alpha(sample, self._model.base_power, self._watts)
             entry = (sample, self._row(sample, alpha))
             self._rows[sample.node_id] = entry
         return entry[1][point.frequency]

@@ -21,13 +21,14 @@ self-calibrating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Mapping, NoReturn
 
 from repro.hardware.activity import CpuActivity
 from repro.hardware.cluster import Cluster
 from repro.hardware.dvfs import DVFSTable, OperatingPoint
+from repro.hardware.node import Node
 from repro.hardware.power import NodePowerModel
-from repro.hardware.procstat import ProcStatSample
+from repro.hardware.procstat import busy_share
 from repro.hardware.timeline import EnergyCursor
 
 __all__ = [
@@ -77,10 +78,20 @@ class ClusterTelemetry:
 
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
-        self._prev_time = cluster.engine.now
-        self._prev_stat: Dict[int, ProcStatSample] = {
-            node.node_id: node.procstat.snapshot() for node in cluster.nodes
-        }
+        now = cluster.engine.now
+        self._prev_time = now
+        # Per-node state by position, in node-id order: one pass over
+        # these lists is one window.
+        self._nodes: List[Node] = list(cluster.nodes)
+        self._ids = [node.node_id for node in self._nodes]
+        #: each node's ``/proc/stat`` busy and busy+idle seconds at the
+        #: last window close
+        self._prev_busy: List[float] = []
+        self._prev_total: List[float] = []
+        for node in self._nodes:
+            busy, idle = node.procstat.counters()
+            self._prev_busy.append(busy)
+            self._prev_total.append(busy + idle)
         # Live per-node integrators.  The governor is a *closed-loop*
         # consumer: the watts it reads feed back into frequency
         # decisions, so the window integral must be reproducible
@@ -90,10 +101,9 @@ class ClusterTelemetry:
         # rounding depends on the whole trace before the window and
         # would perturb control trajectories.  Batch/offline consumers
         # (profiles, attribution, figures) use the frozen series instead.
-        self._meters: Dict[int, EnergyCursor] = {
-            node.node_id: node.timeline.cursor(cluster.engine.now)
-            for node in cluster.nodes
-        }
+        self._meters: List[EnergyCursor] = [
+            node.timeline.cursor(now) for node in self._nodes
+        ]
         #: node id → joules over the last closed window, in node order
         self.window_joules: Dict[int, float] = {}
 
@@ -120,34 +130,37 @@ class ClusterTelemetry:
         t0 = self._prev_time
         if now <= t0:
             return []
-        for node in self.cluster.nodes:
-            node.cpu.finalize()
+        duration = now - t0
+        prev_busy, prev_total = self._prev_busy, self._prev_total
+        meters = self._meters
         samples = []
-        self.window_joules = {}
-        for node in self.cluster.nodes:
-            stat = node.procstat.snapshot()
-            busy = stat.utilization_since(self._prev_stat[node.node_id])
-            self._prev_stat[node.node_id] = stat
+        joules_by_position = []
+        for i, node in enumerate(self._nodes):
+            # Close the open accounting segment before reading the
+            # counters, as the cpuspeed daemon must.
+            node.cpu.finalize()
+            busy, idle = node.procstat.counters()
+            total = busy + idle
+            busy_fraction = busy_share(busy - prev_busy[i], total - prev_total[i])
+            prev_busy[i] = busy
+            prev_total[i] = total
             # Advance every node's meter (dark nodes too — their windows
             # must stay aligned for when visibility returns).
-            joules = self._meters[node.node_id].advance(now)
-            self.window_joules[node.node_id] = joules
+            joules = meters[i].advance(now)
+            joules_by_position.append(joules)
             if not node.telemetry_visible:
                 continue
-            avg_watts = joules / (now - t0)
+            avg_watts = joules / duration
             noise = node.faults.power_noise
             if noise is not None:
                 avg_watts = noise(avg_watts, now)
             samples.append(
                 NodeWindowSample(
-                    node_id=node.node_id,
-                    t0=t0,
-                    t1=now,
-                    avg_watts=avg_watts,
-                    busy_fraction=busy,
-                    frequency=node.cpu.frequency,
+                    node.node_id, t0, now, avg_watts, busy_fraction,
+                    node.cpu.frequency,
                 )
             )
+        self.window_joules = dict(zip(self._ids, joules_by_position))
         self._prev_time = now
         return samples
 
@@ -167,6 +180,40 @@ def _point_watts(model: NodePowerModel, table: DVFSTable, point) -> tuple:
     return busy, idle
 
 
+class LadderWatts(dict):
+    """Ladder frequency → ``(busy, idle)`` CPU watts (see
+    :func:`_point_watts`), evaluated once per ladder point.
+
+    A frequency off the ladder raises the ladder's own ``KeyError``.
+    """
+
+    def __init__(self, model: NodePowerModel, table: DVFSTable):
+        super().__init__(
+            (point.frequency, _point_watts(model, table, point)) for point in table
+        )
+        self._table = table
+
+    def __missing__(self, frequency: float) -> NoReturn:
+        # Every ladder frequency is a key, so the ladder's lookup raises.
+        self._table.point_for(frequency)
+        raise KeyError(frequency)
+
+
+def solve_busy_alpha(
+    sample: NodeWindowSample, base_power: float, watts: Mapping
+) -> float:
+    """:func:`infer_busy_alpha` against a ``frequency → (busy, idle)``
+    table (a :class:`LadderWatts`) built once per ladder."""
+    busy_fraction = sample.busy_fraction
+    if busy_fraction < _MIN_BUSY_FOR_INFERENCE:
+        return 1.0
+    busy, idle = watts[sample.frequency]
+    cpu_watts = sample.avg_watts - base_power
+    residual = cpu_watts - (1.0 - busy_fraction) * idle
+    alpha = residual / (busy_fraction * busy)
+    return max(0.0, min(1.0, alpha))
+
+
 def infer_busy_alpha(
     model: NodePowerModel, table: DVFSTable, sample: NodeWindowSample
 ) -> float:
@@ -174,15 +221,10 @@ def infer_busy_alpha(
 
     Solves ``avg = base + busy·α·P_active(f) + (1−busy)·P_idle(f)`` for α.
     Windows with almost no busy time return the conservative 1.0 (if the
-    node *does* get busy next window, assume full draw).
+    node *does* get busy next window, assume full draw).  A sample at a
+    frequency off the ladder raises ``KeyError``.
     """
-    if sample.busy_fraction < _MIN_BUSY_FOR_INFERENCE:
-        return 1.0
-    busy, idle = _point_watts(model, table, table.point_for(sample.frequency))
-    cpu_watts = sample.avg_watts - model.base_power
-    residual = cpu_watts - (1.0 - sample.busy_fraction) * idle
-    alpha = residual / (sample.busy_fraction * busy)
-    return max(0.0, min(1.0, alpha))
+    return solve_busy_alpha(sample, model.base_power, LadderWatts(model, table))
 
 
 def predict_node_power(

@@ -395,12 +395,14 @@ class Communicator:
         cpu = self.cpu
         cal = self.world.calibration
         nid = self.rank
+        # The unvalidated state switch: every utilization below is a
+        # constant or _proto_utilization's, which is in [0, 1].
         try:
             while not event.processed:
                 if fabric.traffic_active(nid):
                     # Bytes are flowing on our links: the progress engine is
                     # busy-polling and doing protocol byte-work.
-                    cpu.set_state(
+                    cpu._set_state(
                         CpuActivity.PROTO,
                         self._proto_utilization(),
                         floor=CpuActivity.SPIN,
@@ -410,7 +412,7 @@ class Communicator:
                     )
                     continue
                 # Nothing moving: spin briefly, then block in the kernel.
-                cpu.set_state(CpuActivity.SPIN, 1.0)
+                cpu._set_state(CpuActivity.SPIN, 1.0)
                 threshold = cal.spin_block_threshold
                 if threshold == float("inf"):
                     yield engine.any_of([event, fabric.activity_changed(nid)])
@@ -423,10 +425,10 @@ class Communicator:
                     continue
                 if not deadline.processed:
                     continue  # activity flapped; restart the spin window
-                cpu.set_state(CpuActivity.IDLE, 1.0)
+                cpu._set_state(CpuActivity.IDLE, 1.0)
                 yield engine.any_of([event, fabric.activity_changed(nid)])
         finally:
-            cpu.set_state(CpuActivity.IDLE, 1.0)
+            cpu._set_state(CpuActivity.IDLE, 1.0)
         if not event.ok:
             raise event.value  # type: ignore[misc]
         return event.value

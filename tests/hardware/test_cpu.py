@@ -58,6 +58,19 @@ def test_negative_cycles_rejected(eng, cpu):
         run(eng, prog())
 
 
+@pytest.mark.parametrize("utilization", [-0.1, 1.5])
+def test_public_state_changes_reject_a_bad_utilization(eng, cpu, utilization):
+    with pytest.raises(ValueError):
+        cpu.set_state(CpuActivity.PROTO, utilization)
+
+    def prog():
+        yield from cpu.stall(0.1, CpuActivity.PROTO, utilization)
+
+    with pytest.raises(ValueError):
+        run(eng, prog())
+    assert cpu.state is CpuActivity.IDLE and eng.now == 0.0
+
+
 def test_midwork_frequency_change_retimes_remainder(eng, cpu):
     """Half the work at 1.4 GHz, half at 700M-cycle equivalent at 600 MHz."""
 

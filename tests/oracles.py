@@ -17,7 +17,13 @@ version of a fast path in ``repro``:
 * :func:`state_power`, :func:`node_power` and :class:`ProcStatWalk`
   evaluate the CPU power model and ``/proc/stat`` accounting from
   their formulas on every call, where ``CpuPowerModel.rows`` and
-  ``ProcStat`` read tables built once.
+  ``ProcStat`` read tables built once;
+* :func:`dvfs_apply_walk` runs a ceiling action's whole
+  ``set_ceiling`` → ``set_speed_now`` chain, where ``DvfsActuator.apply``
+  returns early for a ceiling that is in place and reached;
+* :class:`TelemetryBusyWalk` takes a ``ProcStatSample`` snapshot per node
+  per window and calls ``utilization_since``, where ``ClusterTelemetry``
+  reads position-indexed counters.
 
 :func:`using_walks` installs the first two in place of the bulk paths,
 so a whole experiment can run on the walks and be compared with the
@@ -238,3 +244,45 @@ class ProcStatWalk:
         ) * float(self._is_busy(floor))
         self.busy += duration * busy_frac
         self.idle += duration * (1.0 - busy_frac)
+
+
+def dvfs_apply_walk(actuator, action):
+    """``DvfsActuator.apply`` with every step taken, whatever is in place."""
+    cpufreq = actuator.cpufreqs[action.node_id]
+    frequency = action.frequency
+    cpufreq.set_ceiling(frequency)
+    if action.drive_down:
+        if cpufreq.current_frequency > frequency:
+            cpufreq.set_speed_now(frequency)
+    elif cpufreq.current_frequency < frequency:
+        cpufreq.set_speed_now(frequency)
+    actuator.pending_target[action.node_id] = frequency
+
+
+class TelemetryBusyWalk:
+    """The busy fractions ``ClusterTelemetry.sample`` reports, from one
+    ``/proc/stat`` snapshot per node per window."""
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+        self.window_start = cluster.engine.now
+        self.previous = {
+            node.node_id: node.procstat.snapshot() for node in cluster.nodes
+        }
+
+    def sample(self):
+        """node id → busy fraction of every visible node (empty for a
+        zero-length window, which moves no baseline)."""
+        now = self.cluster.engine.now
+        if now <= self.window_start:
+            return {}
+        fractions = {}
+        for node in self.cluster.nodes:
+            node.cpu.finalize()
+            snapshot = node.procstat.snapshot()
+            busy = snapshot.utilization_since(self.previous[node.node_id])
+            self.previous[node.node_id] = snapshot
+            if node.telemetry_visible:
+                fractions[node.node_id] = busy
+        self.window_start = now
+        return fractions

@@ -19,8 +19,11 @@ from repro.powercap import (
     SlackRedistributionPolicy,
     UniformCapPolicy,
 )
+from repro.hardware.scaling import CORE_IO, tech_node
+from repro.hardware.spec import ClusterSpec, NodeSpec
 from repro.workloads.imbalanced import ImbalancedMix
 from repro.workloads.nas_ft import NasFT
+from repro.workloads.synthetic import SyntheticMix
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +160,41 @@ class TestComposition:
         run = run_measured(workload, strategy)
         with pytest.raises(RuntimeError, match="already started"):
             strategy.governor.start(run.cluster.engine)
+
+
+class TestOneModelPerCluster:
+    """The governor predicts every node on one ladder and power model."""
+
+    WORKLOAD = SyntheticMix(0.6, 0.2, 0.2, iterations=2, n_ranks=8)
+
+    def capped(self, spec):
+        strategy = PowerCapStrategy(PowerBudget(cluster_watts=150.0))
+        run = run_measured(self.WORKLOAD, strategy, spec=spec)
+        return run, strategy.governor
+
+    def test_a_mixed_generation_cluster_is_rejected(self):
+        spec = ClusterSpec(
+            groups=(
+                NodeSpec(count=4),
+                NodeSpec(count=4, tech=tech_node(22, "itrs")),
+            )
+        )
+        with pytest.raises(ValueError, match=r"nodes 0-3: .*; nodes 4-7: "):
+            self.capped(spec)
+
+    def test_a_core_kind_mix_on_one_ladder_is_rejected(self):
+        spec = ClusterSpec(
+            groups=(NodeSpec(count=4), NodeSpec(count=4, core=CORE_IO))
+        )
+        with pytest.raises(ValueError, match="groups differ"):
+            self.capped(spec)
+
+    def test_groups_that_build_equal_models_run_as_one(self):
+        split = ClusterSpec(groups=(NodeSpec(count=4), NodeSpec(count=4)))
+        run, governor = self.capped(split)
+        one_run, one_governor = self.capped(ClusterSpec.homogeneous(8))
+        assert governor.windows == one_governor.windows
+        assert (run.point.energy, run.point.delay) == (
+            one_run.point.energy,
+            one_run.point.delay,
+        )

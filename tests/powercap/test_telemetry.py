@@ -14,7 +14,12 @@ from repro.powercap import (
     infer_busy_alpha,
     predict_node_power,
 )
-from repro.powercap.telemetry import demand_power, spin_floor_power
+from repro.powercap.telemetry import (
+    LadderWatts,
+    demand_power,
+    solve_busy_alpha,
+    spin_floor_power,
+)
 from repro.util.units import MHZ
 
 TABLE = PENTIUM_M_1400
@@ -80,6 +85,17 @@ class TestAlphaInference:
                                 frequency=point.frequency)
         assert infer_busy_alpha(MODEL, TABLE, hot) == 1.0
         assert infer_busy_alpha(MODEL, TABLE, cold) == 0.0
+
+    def test_a_busy_window_off_the_ladder_raises_the_ladders_key_error(self):
+        off = NodeWindowSample(0, 0.0, 0.25, avg_watts=20.0, busy_fraction=0.5,
+                               frequency=1904 * MHZ)
+        with pytest.raises(KeyError, match="no operating point at 1.904GHz"):
+            infer_busy_alpha(MODEL, TABLE, off)
+        with pytest.raises(KeyError, match="no operating point at 1.904GHz"):
+            solve_busy_alpha(off, MODEL.base_power, LadderWatts(MODEL, TABLE))
+        quiet = NodeWindowSample(0, 0.0, 0.25, avg_watts=20.0, busy_fraction=0.0,
+                                 frequency=1904 * MHZ)
+        assert infer_busy_alpha(MODEL, TABLE, quiet) == 1.0
 
 
 class TestPrediction:
