@@ -273,10 +273,16 @@ class CapGovernor:
             self._model, self._table, 1.0, self._floor
         )
         # This window's prediction rows: node id → (sample, frequency →
-        # predicted watts).  Both inputs of a prediction (the sample and
-        # the demand high-water marks) are fixed between _observe_demand
-        # calls, which is where the rows are rebuilt.
+        # predicted watts, carried inputs or None).  Both inputs of a
+        # prediction (the sample and the demand high-water marks) are
+        # fixed between _observe_demand calls, which is where the rows
+        # are built.
         self._rows: Dict[int, tuple] = {}
+        # node id → the inputs and row of its last sample: (node id,
+        # (avg watts, busy fraction, frequency), demand, α, row)
+        self._carried: Dict[int, tuple] = {}
+        # The last planned window's key and the policy's plan for it.
+        self._planned: tuple = (None, None)
         # Wire the demand-tracked slack metric into every layer of the
         # policy (an elastic policy, then its DVFS allocator) that wants
         # one and was not given its own.
@@ -285,6 +291,8 @@ class CapGovernor:
             if getattr(layer, "_intensity_of", False) is None:
                 layer._intensity_of = self._sample_demand
             layer = getattr(layer, "inner", None)
+        #: whether a window's plan may be reused (see :meth:`_keyed`)
+        self._plans_from_key = self._keyed(self.policy)
         self._telemetry = ClusterTelemetry(cluster)
         self._process: Optional[Process] = None
         self._stopped = False
@@ -320,6 +328,17 @@ class CapGovernor:
         """:meth:`_demand_of` as a policy's per-sample intensity metric."""
         return self._demand_of(sample.node_id)
 
+    def _keyed(self, policy) -> bool:
+        """Whether ``policy``'s plan is a function of :meth:`_plan_window`'s
+        key: a built-in stateless policy (or an elastic one over such a
+        policy) whose intensity metric is this governor's."""
+        own = getattr(policy, "_intensity_of", None) == self._sample_demand
+        if type(policy) is ElasticPolicy:
+            return own and self._keyed(policy.inner)
+        if type(policy) is SlackRedistributionPolicy:
+            return own
+        return type(policy) is UniformCapPolicy
+
     def _observe_demand(self, samples: List[NodeWindowSample]) -> None:
         """Fold a window's measured intensities into the high-water marks
         and build each sample's prediction row, in one pass.
@@ -330,18 +349,34 @@ class CapGovernor:
         genuine phase change is forgotten within a few windows.  A
         window has one sample per node, so a node's row reads its own
         freshly folded mark.
+
+        A node whose avg watts, busy fraction and frequency are ``==``
+        its carried ones keeps its α; if its folded demand is ``==`` too,
+        it keeps its row and the carried tuple itself.
         """
         decay = self.config.demand_decay
         demand = self._demand
         base_power = self._model.base_power
         watts = self._watts
+        spin = self._spin
+        carried = self._carried
         rows = {}
         for s in samples:
-            alpha = solve_busy_alpha(s, base_power, watts)
             nid = s.node_id
+            inputs = (s.avg_watts, s.busy_fraction, s.frequency)
+            last = carried.get(nid)
+            if last is not None and last[1] == inputs:
+                alpha = last[3]
+            else:
+                alpha = solve_busy_alpha(s, base_power, watts)
+                last = None
             measured = s.busy_fraction * alpha  # = compute_intensity(s)
             demand[nid] = max(measured, decay * demand.get(nid, 1.0))
-            rows[nid] = (s, self._row(s, alpha))
+            level = max(demand[nid], spin)  # = _demand_of(nid)
+            if last is None or last[2] != level:
+                last = (nid, inputs, level, alpha, self._row(s, alpha))
+                carried[nid] = last
+            rows[nid] = (s, last[4], last)
         self._rows = rows
 
     def _row(self, sample: NodeWindowSample, alpha: float) -> Dict[float, float]:
@@ -380,7 +415,7 @@ class CapGovernor:
         entry = self._rows.get(sample.node_id)
         if entry is None or entry[0] is not sample:
             alpha = solve_busy_alpha(sample, self._model.base_power, self._watts)
-            entry = (sample, self._row(sample, alpha))
+            entry = (sample, self._row(sample, alpha), None)
             self._rows[sample.node_id] = entry
         return entry[1][point.frequency]
 
@@ -415,29 +450,46 @@ class CapGovernor:
                 # pin and empty allocation are exactly what is wanted.
                 policy = UniformCapPolicy()
         gate = self._gate_actuator
-        plan = policy.plan(
-            PlanContext(
-                samples=tuple(samples),
-                target_watts=target,
-                table=self._table,
-                floor=self._floor,
-                ceiling=self._ceiling,
-                predict=self._predict,
-                base_power=self._model.base_power,
-                gated_draw_watts=self._model.gated_power,
-                wake_cost_watts=self._wake_cost_watts,
-                gated=gated,
-                waking=(
-                    frozenset(gate.waking) if gate is not None else frozenset()
-                ),
-                core_allocation={
-                    node.node_id: node.cpu.core_allocation
-                    for node in self.cluster.nodes
-                    if node.cpu.powered
-                },
-                protected=getattr(policy, "protected", frozenset()),
+        waking = frozenset(gate.waking) if gate is not None else frozenset()
+        core_allocation = {
+            node.node_id: node.cpu.core_allocation
+            for node in self.cluster.nodes
+            if node.cpu.powered
+        }
+        protected = getattr(policy, "protected", frozenset())
+        # The plan key: the context's own fields, then each sample's
+        # carried inputs and row.  A stand-in or carried-forward sample
+        # has none, and the stale fallback is not the governor's policy.
+        key = None
+        if policy is self.policy and self._plans_from_key:
+            key = [target, gated, waking, core_allocation, protected]
+            for s in samples:
+                entry = self._rows.get(s.node_id)
+                if entry is None or entry[0] is not s or entry[2] is None:
+                    key = None
+                    break
+                key.append(entry[2])
+        if key is not None and key == self._planned[0]:
+            plan = self._planned[1]  # a steady window: same inputs, same plan
+        else:
+            plan = policy.plan(
+                PlanContext(
+                    samples=tuple(samples),
+                    target_watts=target,
+                    table=self._table,
+                    floor=self._floor,
+                    ceiling=self._ceiling,
+                    predict=self._predict,
+                    base_power=self._model.base_power,
+                    gated_draw_watts=self._model.gated_power,
+                    wake_cost_watts=self._wake_cost_watts,
+                    gated=gated,
+                    waking=waking,
+                    core_allocation=core_allocation,
+                    protected=protected,
+                )
             )
-        )
+            self._planned = (key, plan)
         if carved:
             # Forced ceilings are actuated after the allocated ones; the
             # prediction covers the carved draw, while feasibility stays

@@ -163,7 +163,8 @@ class SlackRedistributionPolicy(CapPolicy):
     per-node power caps, done here directly in frequency space.  When
     the measured intensities are too uniform to tell anyone apart
     (:attr:`_BALANCE_THRESHOLD`), the policy defers to the uniform
-    allocation, which is optimal for a balanced bulk-synchronous job.
+    allocation, which is optimal for a balanced bulk-synchronous job; a
+    window with no sample (every node dark) gets the uniform answer too.
 
     Parameters
     ----------
@@ -214,19 +215,22 @@ class SlackRedistributionPolicy(CapPolicy):
                 "SlackRedistributionPolicy needs an intensity metric; "
                 "the CapGovernor wires one in automatically"
             )
-        lo = table.index_of(floor.frequency)
-        hi = table.index_of(ceiling.frequency)
         by_id = {s.node_id: s for s in samples}
-        idx = {s.node_id: hi for s in samples}
-        watts = {s.node_id: predict(s, table[hi]) for s in samples}
         intensity = {nid: self._intensity_of(s) for nid, s in by_id.items()}
-        total = sum(watts.values())
-
-        spread = max(intensity.values()) - min(intensity.values())
-        if spread < self._BALANCE_THRESHOLD:
+        if (
+            not intensity
+            or max(intensity.values()) - min(intensity.values())
+            < self._BALANCE_THRESHOLD
+        ):
+            # Nothing to tell apart (or no node to allocate at all).
             return UniformCapPolicy().allocate(
                 samples, target_watts, table, floor, ceiling, predict
             )
+        lo = table.index_of(floor.frequency)
+        hi = table.index_of(ceiling.frequency)
+        idx = {s.node_id: hi for s in samples}
+        watts = {s.node_id: predict(s, table[hi]) for s in samples}
+        total = sum(watts.values())
 
         def overrun(nid: int, point: OperatingPoint) -> float:
             """Predicted fraction by which the node overshoots the barrier.

@@ -23,7 +23,11 @@ version of a fast path in ``repro``:
   returns early for a ceiling that is in place and reached;
 * :class:`TelemetryBusyWalk` takes a ``ProcStatSample`` snapshot per node
   per window and calls ``utilization_since``, where ``ClusterTelemetry``
-  reads position-indexed counters.
+  reads position-indexed counters;
+* :class:`ReplanWalk` is a ``CapGovernor`` that evaluates every
+  prediction from the telemetry model and calls ``policy.plan`` every
+  window, where the governor carries an unchanged node's row and an
+  unchanged window's plan.
 
 :func:`using_walks` installs the first two in place of the bulk paths,
 so a whole experiment can run on the walks and be compared with the
@@ -40,6 +44,12 @@ from typing import Any, Iterator, Mapping
 from repro.hardware.activity import BUSY_STATES, CpuActivity
 from repro.hardware.cpu import _CYCLE_EPSILON, SimCPU
 from repro.hardware.network import NetworkFabric
+from repro.powercap.governor import CapGovernor
+from repro.powercap.telemetry import (
+    compute_intensity,
+    demand_power,
+    predict_node_power,
+)
 from repro.util.validation import check_nonnegative
 
 
@@ -286,3 +296,31 @@ class TelemetryBusyWalk:
                 fractions[node.node_id] = busy
         self.window_start = now
         return fractions
+
+
+class ReplanWalk(CapGovernor):
+    """The cap governor with nothing carried between windows.
+
+    Every prediction is ``max(predict_node_power, demand_power)`` under
+    the demand marks folded so far, evaluated on each call (no rows),
+    and every reallocating window asks the policy for a fresh plan.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._plans_from_key = False  # every window plans afresh
+
+    def _observe_demand(self, samples):
+        decay = self.config.demand_decay
+        for s in samples:
+            measured = compute_intensity(self._model, self._table, s)
+            previous = self._demand.get(s.node_id, 1.0)
+            self._demand[s.node_id] = max(measured, decay * previous)
+
+    def _predict(self, sample, point):
+        demand = self._demand_of(sample.node_id)
+        return max(
+            predict_node_power(self._model, self._table, sample, point),
+            demand_power(self._model, self._table, demand, point),
+        )
+

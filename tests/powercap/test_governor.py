@@ -12,8 +12,12 @@ import pytest
 
 from repro.analysis.runner import run_measured
 from repro.dvs.strategy import DynamicStrategy, StaticStrategy
+from repro.faults import FaultInjector, FaultPlan, TelemetryDropout
+from repro.hardware import PENTIUM_M_1400
+from repro.hardware.cluster import Cluster
 from repro.powercap import (
     CapGovernorConfig,
+    ElasticPolicy,
     PowerBudget,
     PowerCapStrategy,
     SlackRedistributionPolicy,
@@ -198,3 +202,61 @@ class TestOneModelPerCluster:
             one_run.point.energy,
             one_run.point.delay,
         )
+
+
+class TestEveryNodeDark:
+    """A fair-weather governor whose every node goes telemetry-dark in
+    the same window allocates nothing that window, whatever the policy
+    (redistribution used to raise on the empty window)."""
+
+    WORKLOAD = SyntheticMix(
+        1.0, 0.0, 0.0, iteration_seconds=0.5, iterations=2, n_ranks=4
+    )
+    DARK = (0.4, 0.3)  # (at, duration): six 0.05 s windows
+
+    def dark_run(self, policy):
+        def factory():
+            cluster = Cluster.from_spec(ClusterSpec.homogeneous(4))
+            at, duration = self.DARK
+            plan = FaultPlan(
+                tuple(
+                    TelemetryDropout(node_id=nid, at=at, duration=duration)
+                    for nid in range(4)
+                )
+            )
+            FaultInjector(cluster, plan).install()
+            return cluster
+
+        strategy = PowerCapStrategy(
+            PowerBudget(cluster_watts=100.0),
+            policy=policy,
+            config=CapGovernorConfig(interval=0.05),
+        )
+        run_measured(self.WORKLOAD, strategy, cluster_factory=factory)
+        return strategy.governor
+
+    @pytest.mark.parametrize(
+        "policy",
+        [UniformCapPolicy, SlackRedistributionPolicy, ElasticPolicy],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_a_blind_window_allocates_nothing(self, policy):
+        governor = self.dark_run(policy())
+        at, duration = self.DARK
+        blind = [
+            w
+            for w in governor.windows
+            if w.t0 >= at + 1e-9 and w.t1 <= at + duration - 1e-9
+        ]
+        assert blind, "no window fell inside the blackout"
+        for window in blind:
+            assert window.frequencies == {}
+            assert window.predicted_watts == 0.0
+            assert window.feasible
+
+    def test_redistribution_allocates_an_empty_window_as_uniform(self):
+        table = PENTIUM_M_1400
+        for target in (10.0, 0.0, -1.0):
+            args = ([], target, table, table.slowest, table.fastest, None)
+            policy = SlackRedistributionPolicy(intensity_of=lambda s: 1.0)
+            assert policy.allocate(*args) == UniformCapPolicy().allocate(*args)
