@@ -26,7 +26,6 @@ from repro.hardware.series import ClusterSeries
 from repro.hardware.spec import ClusterSpec
 from repro.hardware.timeline import shared_series
 from repro.sim.engine import Engine
-from repro.sim.trace import NullRecorder, TraceRecorder
 
 __all__ = ["Cluster"]
 
@@ -47,7 +46,7 @@ class Cluster:
     has received exactly the operations the node would have, so the
     clone holds the node's exact state.  A twin's run is a contiguous
     range of ids, so :meth:`members` is in node-id order and a twin's
-    trace records come out where the nodes' own would; materialising a
+    ``obs`` records come out where the nodes' own would; materialising a
     node in the middle of a run splits the run between two twins.
     """
 
@@ -57,12 +56,10 @@ class Cluster:
         twins: List[Node],
         fabric: NetworkFabric,
         calibration: Calibration,
-        trace: TraceRecorder,
     ):
         self.engine = engine
         self.fabric = fabric
         self.calibration = calibration
-        self.trace = trace
         #: the first group's ladder
         self.table: DVFSTable = twins[0].table
         self.n_nodes: int = twins[-1].stands_for.stop
@@ -81,7 +78,6 @@ class Cluster:
         spec: ClusterSpec,
         *,
         calibration: Optional[Calibration] = None,
-        trace: Optional[TraceRecorder] = None,
         engine: Optional[Engine] = None,
     ) -> "Cluster":
         """Construct the cluster a :class:`ClusterSpec` describes.
@@ -95,7 +91,6 @@ class Cluster:
         """
         cal = calibration or DEFAULT_CALIBRATION
         eng = engine if engine is not None else make_engine()
-        tracer = trace if trace is not None else NullRecorder()
 
         twins: List[Node] = []
         first = 0
@@ -109,7 +104,6 @@ class Cluster:
                 power_model=group_cal.node_power_model(ladder),
                 memory=group_cal.memory,
                 spin_block_threshold=group_cal.spin_block_threshold,
-                trace=tracer,
                 spin_counts_busy=group_cal.procstat_spin_is_busy,
                 cycles_per_work=group.core.cycles_per_work,
             )
@@ -121,7 +115,7 @@ class Cluster:
             first,
             spec.network if spec.network is not None else cal.network,
         )
-        cluster = cls(eng, twins, fabric, cal, tracer)
+        cluster = cls(eng, twins, fabric, cal)
         fabric.add_activity_listener(_nic_listener(fabric, cluster))
         return cluster
 

@@ -17,7 +17,6 @@ from repro.hardware.power import NodePowerModel
 from repro.hardware.procstat import ProcStat
 from repro.hardware.timeline import PowerTimeline
 from repro.sim.engine import Engine
-from repro.sim.trace import NullRecorder, TraceRecorder
 from repro.util.copying import shallow_copy
 
 __all__ = ["Node", "NodeFaultState"]
@@ -56,14 +55,13 @@ class Node:
         power_model: NodePowerModel,
         memory: MemoryHierarchy,
         spin_block_threshold: float = 0.005,
-        trace: Optional[TraceRecorder] = None,
         spin_counts_busy: bool = True,
         cycles_per_work: float = 1.0,
     ):
         self.engine = engine
         self.node_id = node_id
-        #: the ids whose state this node carries and whose trace records
-        #: it emits: its own, or a cluster twin's run of untouched ids
+        #: the ids whose state this node carries: its own, or a cluster
+        #: twin's run of untouched ids
         self.stands_for: Sequence[int] = (node_id,)
         if power_model.cpu.table.points != table.points:
             raise ValueError("the power model is built on another DVFS ladder")
@@ -72,7 +70,6 @@ class Node:
         #: the power model's watts per ladder position (see CpuPowerModel.rows)
         self._rows = power_model.cpu.rows
         self.memory = memory
-        self.trace = trace if trace is not None else NullRecorder()
 
         self.procstat = ProcStat(spin_counts_busy=spin_counts_busy)
         self.cpu = SimCPU(
@@ -124,18 +121,7 @@ class Node:
         )
 
     def _update_power(self) -> None:
-        watts = self._current_power()
-        self.timeline._set_power(self.engine.now, watts)
-        if self.trace.active:
-            fields = dict(
-                watts=round(watts, 6),
-                state=str(self.cpu.state),
-                mhz=self.cpu.frequency / 1e6,
-            )
-            for node_id in self.stands_for:
-                self.trace.record(
-                    self.engine.now, "node.power", node=node_id, **fields
-                )
+        self.timeline._set_power(self.engine.now, self._current_power())
 
     def finalize(self) -> None:
         """Close open accounting segments at the end of a run."""
@@ -144,10 +130,10 @@ class Node:
     def clone(self, node_id: int) -> "Node":
         """A node in this node's exact state, as ``node_id``.
 
-        The clone shares the models (ladder, power model, memory, trace
-        sink) and copies the mutable state: the CPU's point, state,
-        segment start and counters, the ``/proc/stat`` totals, the power
-        timeline and the fault switches.
+        The clone shares the models (ladder, power model, memory) and
+        copies the mutable state: the CPU's point, state, segment start
+        and counters, the ``/proc/stat`` totals, the power timeline and
+        the fault switches.
         """
         node = shallow_copy(self)
         node.node_id = node_id

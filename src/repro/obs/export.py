@@ -1,8 +1,6 @@
 """Trace exporters: Chrome trace-event JSON (Perfetto) and JSONL.
 
-Chrome trace-event mapping (the same dialect
-:mod:`repro.analysis.traceviz` emits for power timelines, so both loads
-into the same Perfetto UI):
+Chrome trace-event mapping (loads into the Perfetto UI):
 
 * spans     → complete events (``ph: "X"``) with µs ``ts``/``dur``;
 * counters  → counter events (``ph: "C"``);

@@ -285,10 +285,15 @@ class CapGovernor:
         self._planned: tuple = (None, None)
         # Wire the demand-tracked slack metric into every layer of the
         # policy (an elastic policy, then its DVFS allocator) that wants
-        # one and was not given its own.
+        # one and was not given its own.  A layer an earlier governor
+        # wired (a reused policy) reads this governor's marks instead of
+        # that finished run's.
         layer = self.policy
         while layer is not None:
-            if getattr(layer, "_intensity_of", False) is None:
+            metric = getattr(layer, "_intensity_of", False)
+            if metric is None or (
+                getattr(metric, "__func__", None) is CapGovernor._sample_demand
+            ):
                 layer._intensity_of = self._sample_demand
             layer = getattr(layer, "inner", None)
         #: whether a window's plan may be reused (see :meth:`_keyed`)

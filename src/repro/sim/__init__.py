@@ -3,7 +3,7 @@
 A small, dependency-free process-interaction DES core: an :class:`Engine`
 owning simulated time, one-shot :class:`Event` objects, generator-based
 :class:`Process` objects, composite wait conditions, counted resources and
-message stores, plus structured tracing.
+message stores.
 
 Everything in ``repro`` that "takes time" — CPU work, DRAM stalls, network
 transfers, daemon polling, battery refresh — is expressed as events against
@@ -22,7 +22,6 @@ from repro.sim.errors import Interrupt, SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import FilterStore, Request, Resource, Store
-from repro.sim.trace import NullRecorder, TraceRecord, TraceRecorder
 
 
 def engine_mode() -> str:
@@ -47,9 +46,6 @@ __all__ = [
     "Request",
     "Store",
     "FilterStore",
-    "TraceRecord",
-    "TraceRecorder",
-    "NullRecorder",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
     "PRIORITY_LOW",

@@ -5,7 +5,8 @@ stands for its group's untouched nodes.  The oracle is the same run on a
 cluster whose every node exists before ``prepare`` (``cluster.nodes``
 read up front, so no twin stands for anything): energy, delay, every
 node's power timeline, ``/proc/stat`` totals and clock, every governor's
-decision log, and every trace record must come out bit for bit the same.
+decision log, every ``obs`` record and every power counter must come out
+bit for bit the same.
 """
 
 import runpy
@@ -18,8 +19,8 @@ from repro.dvs.cpuspeed import CpuspeedConfig
 from repro.dvs.ondemand import OndemandConfig, OndemandStrategy
 from repro.dvs.strategy import CpuspeedStrategy, DynamicStrategy, StaticStrategy
 from repro.hardware.cluster import Cluster
+from repro.obs.export import power_counter_records
 from repro.obs.tracer import Tracer, tracing
-from repro.sim.trace import TraceRecorder
 from repro.workloads.nas_ft import NasFT
 
 from tests.hardware.test_spec_equivalence import SPEC_1024
@@ -43,9 +44,9 @@ STRATEGIES = {
 }
 
 
-def _run(strategy, eager, setup=None, trace=None):
+def _run(strategy, eager, setup=None):
     def factory():
-        cluster = Cluster.from_spec(SPEC_1024, trace=trace)
+        cluster = Cluster.from_spec(SPEC_1024)
         if eager:
             cluster.nodes
         if setup is not None:
@@ -117,20 +118,25 @@ def test_a_node_touched_mid_run_splits_its_twin_exactly():
 
 def _traced(strategy, eager):
     tracer = Tracer(capacity=1 << 20)
-    recorder = TraceRecorder()
     with tracing(tracer):
-        _run(strategy, eager, setup=_crash_idle_node, trace=recorder)
+        run = _run(strategy, eager, setup=_crash_idle_node)
     assert tracer.dropped == 0
-    return list(recorder), tracer.instants, tracer.counters, tracer.spans
+    return (
+        power_counter_records(run.cluster),
+        tracer.instants,
+        tracer.counters,
+        tracer.spans,
+    )
 
 
 @pytest.mark.parametrize("strategy", ["cpuspeed", "stat"])
 def test_traced_lazy_run_emits_the_eager_records(strategy):
     lazy = _traced(strategy, eager=False)
     eager = _traced(strategy, eager=True)
-    records, instants = lazy[0], lazy[1]
-    # every node, idle ones included, shows up in both sinks
-    assert {r.fields["node"] for r in records} == set(range(1024))
+    power, instants = lazy[0], lazy[1]
+    # every node, idle ones included, has a power track; every idle one
+    # a DVS transition
+    assert {r.track for r in power} == set(range(1024))
     assert {i.track for i in instants if i.name == "transition"} >= set(
         range(RANKS, 1024)
     )

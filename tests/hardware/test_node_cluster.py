@@ -9,7 +9,7 @@ from repro.hardware.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hardware.cluster import Cluster
 from repro.hardware.spec import ClusterSpec
 from repro.hardware.dvfs import PENTIUM_M_1400
-from repro.sim import TraceRecorder
+from repro.obs.export import power_counter_records
 from repro.util.units import MIB, MHZ
 
 
@@ -98,8 +98,7 @@ def test_frequency_change_reflected_in_power():
 
 
 def test_trace_records_power_changes():
-    trace = TraceRecorder(categories=["node.power"])
-    cluster = Cluster.from_spec(ClusterSpec.homogeneous(1), trace=trace)
+    cluster = Cluster.from_spec(ClusterSpec.homogeneous(1))
     eng = cluster.engine
     node = cluster.nodes[0]
 
@@ -108,7 +107,15 @@ def test_trace_records_power_changes():
 
     p = eng.process(prog())
     eng.run(until=p)
-    assert len(trace.select("node.power")) >= 2  # active + back to idle
+    power = power_counter_records(cluster)
+    assert len(power) >= 2  # active + back to idle
+    assert power[0].value > power[-1].value
+    assert len(node.timeline.segments()) == len(power)
+
+
+def test_from_spec_takes_no_trace_sink():
+    with pytest.raises(TypeError):
+        Cluster.from_spec(ClusterSpec.homogeneous(1), trace=object())
 
 
 def test_calibration_overrides():

@@ -166,6 +166,40 @@ class TestComposition:
             strategy.governor.start(run.cluster.engine)
 
 
+class TestReusedStrategy:
+    """A strategy run a second time plans as a fresh one: each governor
+    ranks nodes by its own demand marks, not a finished run's."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [SlackRedistributionPolicy, ElasticPolicy],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_second_run_matches_a_fresh_strategy(self, policy):
+        workload = ImbalancedMix(n_ranks=8)
+        budget = PowerBudget(150.0)
+        reused = PowerCapStrategy(budget, policy=policy())
+        run_measured(workload, reused)
+        second = run_measured(workload, reused)
+        fresh = PowerCapStrategy(budget, policy=policy())
+        first = run_measured(workload, fresh)
+        assert second.point.energy == first.point.energy
+        assert second.point.delay == first.point.delay
+        assert reused.governor.windows == fresh.governor.windows
+        assert reused.governor._plans_from_key is True
+
+    def test_a_metric_the_caller_passed_survives(self):
+        def metric(sample):
+            return 1.0
+
+        policy = ElasticPolicy(intensity_of=metric)
+        strategy = PowerCapStrategy(PowerBudget(150.0), policy=policy)
+        for _ in range(2):
+            run_measured(ImbalancedMix(n_ranks=8), strategy)
+            assert policy._intensity_of is metric
+            assert policy.inner._intensity_of is metric
+
+
 class TestOneModelPerCluster:
     """The governor predicts every node on one ladder and power model."""
 
