@@ -43,7 +43,7 @@ DEFAULT_CATEGORIES = ("mpi.",)
 
 
 @dataclass(frozen=True)
-class AttributionRow:
+class AttributionRow(ReportBase):
     """One (rank, phase) cell of the attribution table."""
 
     rank: int
@@ -55,25 +55,6 @@ class AttributionRow:
     @property
     def average_power_w(self) -> float:
         return self.energy_j / self.time_s if self.time_s > 0 else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "phase": self.phase,
-            "time_s": self.time_s,
-            "energy_j": self.energy_j,
-            "occurrences": self.occurrences,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AttributionRow":
-        return cls(
-            rank=int(data["rank"]),
-            phase=str(data["phase"]),
-            time_s=float(data["time_s"]),
-            energy_j=float(data["energy_j"]),
-            occurrences=int(data["occurrences"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -106,29 +87,6 @@ class AttributionReport(ReportBase):
             t, e = out.get(row.phase, (0.0, 0.0))
             out[row.phase] = (t + row.time_s, e + row.energy_j)
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "t0": self.t0,
-            "t1": self.t1,
-            "total_energy_j": self.total_energy_j,
-            "categories": list(self.categories),
-            "rows": [row.to_dict() for row in self.rows],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AttributionReport":
-        return cls(
-            label=str(data["label"]),
-            t0=float(data["t0"]),
-            t1=float(data["t1"]),
-            total_energy_j=float(data["total_energy_j"]),
-            rows=tuple(
-                AttributionRow.from_dict(row) for row in data["rows"]
-            ),
-            categories=tuple(str(c) for c in data["categories"]),
-        )
 
     def summary_lines(self) -> List[str]:
         lines = [

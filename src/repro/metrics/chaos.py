@@ -19,7 +19,7 @@ governor and demonstrably non-zero for the fair-weather baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.metrics.ed2p import DELTA_HPC, weighted_ed2p
 from repro.metrics.protocol import ReportBase
@@ -62,45 +62,6 @@ class ChaosReport(ReportBase):
     def ed2p(self, delta: float = DELTA_HPC) -> float:
         """Weighted ED²P of the faulted run (lower is better)."""
         return weighted_ed2p(self.energy_j, self.delay_s, delta)
-
-    # -- cache round-trip ----------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-able form (stored as run-cache ``meta``)."""
-        return {
-            "label": self.label,
-            "cap_watts": self.cap_watts,
-            "tolerance": self.tolerance,
-            "energy_j": self.energy_j,
-            "delay_s": self.delay_s,
-            "total_windows": self.total_windows,
-            "violation_windows": self.violation_windows,
-            "excused_violations": self.excused_violations,
-            "post_recovery_violations": self.post_recovery_violations,
-            "worst_recovery_latency_s": self.worst_recovery_latency_s,
-            "n_transitions": self.n_transitions,
-            "repair_events": self.repair_events,
-            "invariant_violations": self.invariant_violations,
-            "allowed_recovery_s": self.allowed_recovery_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosReport":
-        return cls(
-            label=str(data["label"]),
-            cap_watts=float(data["cap_watts"]),
-            tolerance=float(data["tolerance"]),
-            energy_j=float(data["energy_j"]),
-            delay_s=float(data["delay_s"]),
-            total_windows=int(data["total_windows"]),
-            violation_windows=int(data["violation_windows"]),
-            excused_violations=int(data["excused_violations"]),
-            post_recovery_violations=int(data["post_recovery_violations"]),
-            worst_recovery_latency_s=float(data["worst_recovery_latency_s"]),
-            n_transitions=int(data["n_transitions"]),
-            repair_events=int(data["repair_events"]),
-            invariant_violations=int(data["invariant_violations"]),
-            allowed_recovery_s=float(data["allowed_recovery_s"]),
-        )
 
     def summary_lines(self) -> List[str]:
         verdict = (

@@ -73,7 +73,7 @@ def weighted_ed2p(energy: float, delay: float, delta: float = DELTA_ED2P) -> flo
 
 
 @dataclass(frozen=True)
-class Ed2pRow:
+class Ed2pRow(ReportBase):
     """One operating point scored under one δ."""
 
     label: str
@@ -81,25 +81,6 @@ class Ed2pRow:
     energy_j: float
     delay_s: float
     weighted: float  #: ``weighted_ed2p(energy, delay, delta)``
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "frequency": self.frequency,
-            "energy_j": self.energy_j,
-            "delay_s": self.delay_s,
-            "weighted": self.weighted,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Ed2pRow":
-        return cls(
-            label=str(data["label"]),
-            frequency=float(data["frequency"]),
-            energy_j=float(data["energy_j"]),
-            delay_s=float(data["delay_s"]),
-            weighted=float(data["weighted"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -116,21 +97,6 @@ class Ed2pReport(ReportBase):
         if not self.rows:
             raise ValueError("empty Ed2pReport has no best point")
         return min(self.rows, key=lambda row: row.weighted)
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "delta": self.delta,
-            "rows": [row.to_dict() for row in self.rows],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Ed2pReport":
-        return cls(
-            label=str(data["label"]),
-            delta=float(data["delta"]),
-            rows=tuple(Ed2pRow.from_dict(row) for row in data["rows"]),
-        )
 
     def summary_lines(self) -> List[str]:
         lines = [f"{self.label}: weighted ED²P at δ={self.delta:g}"]

@@ -52,7 +52,7 @@ def best_knob(
 
 
 @dataclass(frozen=True)
-class KnobCell:
+class KnobCell(ReportBase):
     """One (load, budget-depth) cell of the knob map."""
 
     base_rate_rps: float  #: the diurnal workload's base arrival rate
@@ -66,42 +66,7 @@ class KnobCell:
     elastic_escalation: str
     best_knob: str  #: cheapest knob that met the budget, or "none"
     feasible: bool  #: some policy met the budget
-    elastic_p99_s: Optional[float]  #: elastic policy's end-to-end p99
-
-    def to_dict(self) -> dict:
-        return {
-            "base_rate_rps": self.base_rate_rps,
-            "budget_frac": self.budget_frac,
-            "budget_watts": self.budget_watts,
-            "policy_watts": dict(self.policy_watts),
-            "policy_met": dict(self.policy_met),
-            "elastic_escalation": self.elastic_escalation,
-            "best_knob": self.best_knob,
-            "feasible": self.feasible,
-            "elastic_p99_s": self.elastic_p99_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KnobCell":
-        return cls(
-            base_rate_rps=float(data["base_rate_rps"]),
-            budget_frac=float(data["budget_frac"]),
-            budget_watts=float(data["budget_watts"]),
-            policy_watts={
-                str(k): float(v) for k, v in data["policy_watts"].items()
-            },
-            policy_met={
-                str(k): bool(v) for k, v in data["policy_met"].items()
-            },
-            elastic_escalation=str(data["elastic_escalation"]),
-            best_knob=str(data["best_knob"]),
-            feasible=bool(data["feasible"]),
-            elastic_p99_s=(
-                None
-                if data.get("elastic_p99_s") is None
-                else float(data["elastic_p99_s"])
-            ),
-        )
+    elastic_p99_s: Optional[float] = None  #: elastic policy's end-to-end p99
 
 
 @dataclass(frozen=True)
@@ -137,26 +102,6 @@ class KnobMapReport(ReportBase):
                 return c
         raise KeyError(
             f"no cell at rate={base_rate_rps}, frac={budget_frac}"
-        )
-
-    # -- cache round-trip ----------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "workload": self.workload,
-            "static_watts": dict(self.static_watts),
-            "cells": [c.to_dict() for c in self.cells],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KnobMapReport":
-        return cls(
-            label=str(data["label"]),
-            workload=str(data["workload"]),
-            static_watts={
-                str(k): float(v) for k, v in data["static_watts"].items()
-            },
-            cells=tuple(KnobCell.from_dict(c) for c in data["cells"]),
         )
 
     def summary_lines(self) -> List[str]:

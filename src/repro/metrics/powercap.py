@@ -48,38 +48,6 @@ class PowerCapReport(ReportBase):
         """Weighted ED²P of the capped run (lower is better)."""
         return weighted_ed2p(self.energy_j, self.delay_s, delta)
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "cap_watts": self.cap_watts,
-            "tolerance": self.tolerance,
-            "energy_j": self.energy_j,
-            "delay_s": self.delay_s,
-            "achieved_avg_watts": self.achieved_avg_watts,
-            "peak_window_watts": self.peak_window_watts,
-            "violation_windows": self.violation_windows,
-            "total_windows": self.total_windows,
-            "slowdown_vs_uncapped": self.slowdown_vs_uncapped,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PowerCapReport":
-        slowdown = data.get("slowdown_vs_uncapped")
-        return cls(
-            label=str(data["label"]),
-            cap_watts=float(data["cap_watts"]),
-            tolerance=float(data["tolerance"]),
-            energy_j=float(data["energy_j"]),
-            delay_s=float(data["delay_s"]),
-            achieved_avg_watts=float(data["achieved_avg_watts"]),
-            peak_window_watts=float(data["peak_window_watts"]),
-            violation_windows=int(data["violation_windows"]),
-            total_windows=int(data["total_windows"]),
-            slowdown_vs_uncapped=(
-                None if slowdown is None else float(slowdown)
-            ),
-        )
-
     def summary_lines(self) -> List[str]:
         verdict = "compliant" if self.compliant else (
             f"{self.violation_windows}/{self.total_windows} windows over cap"

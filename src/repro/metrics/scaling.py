@@ -27,7 +27,7 @@ __all__ = ["GenerationVerdict", "ScalingReport", "build_scaling_report"]
 
 
 @dataclass(frozen=True)
-class GenerationVerdict:
+class GenerationVerdict(ReportBase):
     """The paper's comparison re-judged on one technology generation.
 
     Energies/delays are normalized to the generation's fastest static
@@ -71,41 +71,16 @@ class GenerationVerdict:
         return self.dvs_beats_cpuspeed_energy and self.dvs_beats_cpuspeed_ed2p
 
     def to_dict(self) -> dict:
+        # The verdicts ride along for readers of the stored form;
+        # from_dict ignores them and recomputes from the fields.
         return {
-            "tech": self.tech,
-            "nm": self.nm,
-            "projection": self.projection,
-            "rungs": self.rungs,
-            "slowest_mhz": self.slowest_mhz,
-            "fastest_mhz": self.fastest_mhz,
-            "dyn_label": self.dyn_label,
-            "dyn_energy": self.dyn_energy,
-            "dyn_delay": self.dyn_delay,
+            **super().to_dict(),
             "dyn_ed2p": self.dyn_ed2p,
-            "cpuspeed_energy": self.cpuspeed_energy,
-            "cpuspeed_delay": self.cpuspeed_delay,
             "cpuspeed_ed2p": self.cpuspeed_ed2p,
             "beats_energy": self.dvs_beats_cpuspeed_energy,
             "beats_ed2p": self.dvs_beats_cpuspeed_ed2p,
             "holds": self.holds,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenerationVerdict":
-        # derived keys (dyn_ed2p, beats_*, holds) are recomputed, not read
-        return cls(
-            tech=str(data["tech"]),
-            nm=int(data["nm"]),
-            projection=str(data["projection"]),
-            rungs=int(data["rungs"]),
-            slowest_mhz=float(data["slowest_mhz"]),
-            fastest_mhz=float(data["fastest_mhz"]),
-            dyn_label=str(data["dyn_label"]),
-            dyn_energy=float(data["dyn_energy"]),
-            dyn_delay=float(data["dyn_delay"]),
-            cpuspeed_energy=float(data["cpuspeed_energy"]),
-            cpuspeed_delay=float(data["cpuspeed_delay"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -131,22 +106,8 @@ class ScalingReport(ReportBase):
         )
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "workload": self.workload,
-            "holds_everywhere": self.holds_everywhere,
-            "verdicts": [v.to_dict() for v in self.verdicts],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScalingReport":
-        return cls(
-            label=str(data["label"]),
-            workload=str(data["workload"]),
-            verdicts=tuple(
-                GenerationVerdict.from_dict(v) for v in data["verdicts"]
-            ),
-        )
+        # the headline verdict rides along, as in GenerationVerdict
+        return {**super().to_dict(), "holds_everywhere": self.holds_everywhere}
 
     def summary_lines(self) -> List[str]:
         lines = [

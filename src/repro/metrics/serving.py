@@ -88,7 +88,7 @@ def attribute_request_energy(
 
 
 @dataclass(frozen=True)
-class TierBreakdown:
+class TierBreakdown(ReportBase):
     """One tier's latency contribution across every span it served."""
 
     tier: str
@@ -98,32 +98,6 @@ class TierBreakdown:
     p50_s: Optional[float]  #: residence (wait + service) percentiles
     p95_s: Optional[float]
     p99_s: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "tier": self.tier,
-            "served": self.served,
-            "mean_wait_s": self.mean_wait_s,
-            "mean_service_s": self.mean_service_s,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TierBreakdown":
-        def opt(value) -> Optional[float]:
-            return None if value is None else float(value)
-
-        return cls(
-            tier=str(data["tier"]),
-            served=int(data["served"]),
-            mean_wait_s=float(data["mean_wait_s"]),
-            mean_service_s=float(data["mean_service_s"]),
-            p50_s=opt(data["p50_s"]),
-            p95_s=opt(data["p95_s"]),
-            p99_s=opt(data["p99_s"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -144,7 +118,7 @@ class ServingReport(ReportBase):
     request_energy_j: float  #: Σ per-request attributed service energy
     unattributed_energy_j: float  #: energy_j − request_energy_j (idle, base)
     energy_per_request_j: Optional[float]  #: energy_j / completed
-    tiers: Tuple[TierBreakdown, ...]
+    tiers: Tuple[TierBreakdown, ...] = ()
     #: governor feasibility ledger, populated when the policy embeds a
     #: :class:`~repro.powercap.governor.CapGovernor` (elastic serving):
     #: windows whose plan met the target / windows closed.  ``None``
@@ -179,69 +153,6 @@ class ServingReport(ReportBase):
             and self.timed_out == 0
             and self.p99_s is not None
             and self.p99_s <= p99_slo_s
-        )
-
-    # -- cache round-trip ----------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n_requests": self.n_requests,
-            "completed": self.completed,
-            "dropped": self.dropped,
-            "timed_out": self.timed_out,
-            "duration_s": self.duration_s,
-            "throughput_rps": self.throughput_rps,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-            "energy_j": self.energy_j,
-            "request_energy_j": self.request_energy_j,
-            "unattributed_energy_j": self.unattributed_energy_j,
-            "energy_per_request_j": self.energy_per_request_j,
-            "tiers": [tier.to_dict() for tier in self.tiers],
-            "cap_feasible_windows": self.cap_feasible_windows,
-            "cap_total_windows": self.cap_total_windows,
-            "cap_escalation": self.cap_escalation,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingReport":
-        def opt(value) -> Optional[float]:
-            return None if value is None else float(value)
-
-        return cls(
-            label=str(data["label"]),
-            n_requests=int(data["n_requests"]),
-            completed=int(data["completed"]),
-            dropped=int(data["dropped"]),
-            timed_out=int(data["timed_out"]),
-            duration_s=float(data["duration_s"]),
-            throughput_rps=float(data["throughput_rps"]),
-            p50_s=opt(data["p50_s"]),
-            p95_s=opt(data["p95_s"]),
-            p99_s=opt(data["p99_s"]),
-            energy_j=float(data["energy_j"]),
-            request_energy_j=float(data["request_energy_j"]),
-            unattributed_energy_j=float(data["unattributed_energy_j"]),
-            energy_per_request_j=opt(data["energy_per_request_j"]),
-            tiers=tuple(
-                TierBreakdown.from_dict(t) for t in data.get("tiers", [])
-            ),
-            cap_feasible_windows=(
-                None
-                if data.get("cap_feasible_windows") is None
-                else int(data["cap_feasible_windows"])
-            ),
-            cap_total_windows=(
-                None
-                if data.get("cap_total_windows") is None
-                else int(data["cap_total_windows"])
-            ),
-            cap_escalation=(
-                None
-                if data.get("cap_escalation") is None
-                else str(data["cap_escalation"])
-            ),
         )
 
     def summary_lines(self) -> List[str]:

@@ -146,21 +146,6 @@ class Session:
             retry=self.retry,
         )
 
-    def run_serving(self, tasks):
-        """Run serving tasks under this session's options.
-
-        ``tasks`` is one :class:`~repro.serving.sweep.ServingTask` or a
-        sequence of them; a single task returns its
-        :class:`~repro.serving.sweep.ServingOutcome`, a sequence returns
-        the outcome list (input order).  Caching, parallelism, and
-        tracing follow the session exactly like :meth:`sweep`.
-        """
-        from repro.serving.sweep import ServingTask
-
-        if isinstance(tasks, ServingTask):
-            return self.sweep([tasks])[0]
-        return self.sweep(tasks)
-
     # -- experiments ---------------------------------------------------
     def experiment(self, experiment_id: str, **kwargs):
         """:func:`~repro.experiments.registry.run_experiment` under this

@@ -85,8 +85,8 @@ class TestNeutrality:
 class TestChromeExportRoundTrip:
     def test_session_export_trace_round_trips_request_spans(self, tmp_path):
         session = Session(tracer=Tracer())
-        outcome = session.run_serving(
-            ServingTask(WORKLOAD, "tierdvs", interval=0.2)
+        [outcome] = session.sweep(
+            [ServingTask(WORKLOAD, "tierdvs", interval=0.2)]
         )
         path = tmp_path / "serving.trace.json"
         n_written = session.export_trace(path)
@@ -107,9 +107,9 @@ class TestChromeExportRoundTrip:
         assert any(s.cat == "sweep.task" for s in data.spans)
 
     def test_report_unchanged_by_session_tracing(self):
-        untraced = Session().run_serving(ServingTask(WORKLOAD, "static"))
-        traced = Session(tracer=Tracer()).run_serving(
-            ServingTask(WORKLOAD, "static")
+        [untraced] = Session().sweep([ServingTask(WORKLOAD, "static")])
+        [traced] = Session(tracer=Tracer()).sweep(
+            [ServingTask(WORKLOAD, "static")]
         )
         assert traced.report == untraced.report
         assert traced.point == untraced.point

@@ -144,15 +144,15 @@ class TestSweep:
 class TestSessionIntegration:
     def test_single_task_returns_its_outcome(self):
         session = Session()
-        outcome = session.run_serving(ServingTask(WORKLOAD, "static"))
+        [outcome] = session.sweep([ServingTask(WORKLOAD, "static")])
         assert outcome.point.label == "static"
         assert outcome.report.completed > 0
 
     def test_session_cache_is_shared_with_the_sweep(self, tmp_path):
         cache = RunCache(tmp_path / "cache")
         session = Session(use_cache=cache)
-        first = session.run_serving(tasks_under_test())
+        first = session.sweep(tasks_under_test())
         hits_before = cache.stats.hits
-        second = session.run_serving(tasks_under_test())
+        second = session.sweep(tasks_under_test())
         assert cache.stats.hits > hits_before
         assert [o.report for o in second] == [o.report for o in first]
