@@ -10,10 +10,9 @@ contend in every (rate, fraction) cell:
 * ``elastic`` — the full multi-knob control plane (DVFS → core
   allocation → node gating);
 * ``elastic[dvfs]`` (slack-redistribution inner) and
-  ``elastic[dvfs]/uniform`` — the same governor restricted to the DVFS
-  knob: the degenerate policies, bit-identical to the legacy
-  :mod:`repro.powercap` allocators;
-* ``powercap`` — the serving path's uniform-ceiling baseline.
+  ``elastic[dvfs]/uniform`` (a uniform frequency ceiling) — the same
+  governor restricted to the DVFS knob: the degenerate policies,
+  bit-identical to the legacy :mod:`repro.powercap` allocators.
 
 The claim (after Krzywda et al., PAPERS.md): the winning knob flips
 with budget depth.  Shallow cuts go to pure DVFS; mid cuts are only met
@@ -123,7 +122,6 @@ def run(
                         knobs=("dvfs",),
                         allocator="uniform",
                     ),
-                    ServingTask(workload, "powercap", budget_watts=budget),
                 ]
             )
         outcomes = context_sweep(tasks)
@@ -202,7 +200,7 @@ def run(
         title=(
             "knob map: diurnal two-tier serving, budgets as fractions of "
             "static-max draw; pure-DVFS contenders are the degenerate "
-            "elastic policies plus the uniform-ceiling powercap baseline"
+            "elastic policies (slack redistribution and a uniform ceiling)"
         ),
     )
     for line in report.summary_lines():

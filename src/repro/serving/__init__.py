@@ -21,7 +21,6 @@ from repro.serving.arrivals import (
 from repro.serving.elastic import ELASTIC_ALLOCATORS, ElasticServingPolicy
 from repro.serving.policy import (
     CpuspeedServingPolicy,
-    PowerCapServingPolicy,
     ServingPolicy,
     StaticServingPolicy,
     TierDvsPolicy,
@@ -51,7 +50,6 @@ __all__ = [
     "ServingPolicy",
     "StaticServingPolicy",
     "CpuspeedServingPolicy",
-    "PowerCapServingPolicy",
     "TierDvsPolicy",
     "ELASTIC_ALLOCATORS",
     "ElasticServingPolicy",

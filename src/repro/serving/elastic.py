@@ -3,10 +3,12 @@
 :class:`ElasticServingPolicy` embeds a full
 :class:`~repro.powercap.governor.CapGovernor` running an
 :class:`~repro.powercap.elastic.ElasticPolicy` inside the serving
-``prepare → start → teardown`` protocol.  Where
-:class:`~repro.serving.policy.PowerCapServingPolicy` enforces a budget
-with one uniform DVFS ceiling, the elastic policy escalates through the
-whole knob hierarchy: DVFS first, then powered-core fractions, then
+``prepare → start → teardown`` protocol.  It is the serving path's
+one power-cap controller: every window's cap is planned from the
+governor's prediction, not stepped after a window has measured over
+budget.  With ``knobs=("dvfs",)`` and ``allocator="uniform"`` it is a
+uniform frequency ceiling; with every knob it escalates through the
+whole hierarchy: DVFS first, then powered-core fractions, then
 whole-node gating — which is what lets it hold budgets *below the DVFS
 floor* of the cluster (``n × (base + slowest-rung)`` watts), the regime
 the knob-map experiment labels infeasible for every pure-DVFS policy.

@@ -1,6 +1,9 @@
 """Per-tier DVS policies for the serving path.
 
-Four policies, matching the comparison the serving experiment runs:
+Three policies, matching the comparison the serving experiment runs
+(its power-capped row is
+:class:`~repro.serving.elastic.ElasticServingPolicy`, which plans each
+window's cap through the :class:`~repro.powercap.governor.CapGovernor`):
 
 * :class:`StaticServingPolicy` — every node pinned at one P-state (the
   ladder's fastest by default: the "static-max" baseline the SLO is
@@ -10,9 +13,6 @@ Four policies, matching the comparison the serving experiment runs:
   bursty load it scales down during lulls and needs a full interval of
   overload to ramp back up — the utilisation-blind failure mode the
   serving experiment exposes;
-* :class:`PowerCapServingPolicy` — a cluster power budget enforced by a
-  uniform frequency ceiling (latency-blind: it slows the critical tier
-  as readily as an idle one);
 * :class:`TierDvsPolicy` — the PowerTracer-style controller: per
   control window it measures every tier's mean residence (queue wait +
   service) from the runner's live samples, pins the *critical* tier
@@ -28,7 +28,6 @@ governor writing ``scaling_setspeed``.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dvs.cpufreq import CpuFreq
@@ -39,7 +38,6 @@ from repro.util.validation import check_positive
 
 __all__ = [
     "CpuspeedServingPolicy",
-    "PowerCapServingPolicy",
     "ServingPolicy",
     "StaticServingPolicy",
     "TierDvsPolicy",
@@ -124,68 +122,6 @@ class CpuspeedServingPolicy(ServingPolicy):
     def teardown(self) -> None:
         for daemon in self.daemons:
             daemon.stop()
-
-
-class PowerCapServingPolicy(ServingPolicy):
-    """A cluster power budget via a uniform frequency ceiling.
-
-    Each control window it measures average cluster power; over budget
-    steps every tier down one P-state, comfortably under (below
-    ``step_up_fraction`` of the budget) steps back up.  Latency-blind by
-    design — the baseline showing why capping is not an SLO policy.
-    """
-
-    def __init__(
-        self,
-        budget_watts: float,
-        interval: float = 0.25,
-        step_up_fraction: float = 0.85,
-    ):
-        check_positive("budget_watts", budget_watts)
-        check_positive("interval", interval)
-        self.budget_watts = budget_watts
-        self.interval = interval
-        self.step_up_fraction = step_up_fraction
-        self.name = f"powercap@{budget_watts:.0f}W"
-        #: decision log: (time, ceiling frequency Hz, measured watts)
-        self.decisions: List[Tuple[float, float, float]] = []
-        self._stopped = False
-
-    def start(self, engine) -> None:
-        engine.process(self._loop(engine), name="powercap-serving")
-
-    def teardown(self) -> None:
-        self._stopped = True
-
-    def _loop(self, engine):
-        freqs = self.cluster.table.frequencies  # slowest first
-        ceiling = len(freqs) - 1
-        # Closed-loop consumer: the watts read here feed back into the
-        # ceiling, so each window integrates through per-node cursors —
-        # bit-reproducible increments, independent of the trace before
-        # the window (same rationale as powercap.telemetry).
-        meters = [
-            node.timeline.cursor(engine.now) for node in self.cluster.nodes
-        ]
-        last = engine.now
-        while not self._stopped:
-            yield engine.timeout(self.interval)
-            if self._stopped:
-                return
-            now = engine.now
-            joules = math.fsum(meter.advance(now) for meter in meters)
-            avg = joules / (now - last) if now > last else 0.0
-            last = now
-            if avg > self.budget_watts and ceiling > 0:
-                ceiling -= 1
-            elif avg < self.step_up_fraction * self.budget_watts and (
-                ceiling < len(freqs) - 1
-            ):
-                ceiling += 1
-            for tier in self.tiers:
-                if self._tier_freq[tier.index] != freqs[ceiling]:
-                    self.set_tier_speed(tier, freqs[ceiling])
-            self.decisions.append((now, freqs[ceiling], avg))
 
 
 class TierDvsPolicy(ServingPolicy):

@@ -36,7 +36,6 @@ from repro.metrics.serving import ServingReport, build_serving_report
 from repro.serving.elastic import ELASTIC_ALLOCATORS, ElasticServingPolicy
 from repro.serving.policy import (
     CpuspeedServingPolicy,
-    PowerCapServingPolicy,
     ServingPolicy,
     StaticServingPolicy,
     TierDvsPolicy,
@@ -54,7 +53,7 @@ __all__ = [
 ]
 
 #: Policy recipes a :class:`ServingTask` can name.
-SERVING_POLICIES = ("static", "cpuspeed", "powercap", "tierdvs", "elastic")
+SERVING_POLICIES = ("static", "cpuspeed", "tierdvs", "elastic")
 
 
 @dataclass(frozen=True)
@@ -70,11 +69,11 @@ class ServingTask(ReportCodec):
     """One serving run (picklable, content-hashable).
 
     ``frequency`` applies to ``"static"`` (``None`` = ladder fastest);
-    ``budget_watts`` is required for ``"powercap"`` and ``"elastic"``;
-    ``interval`` and ``safety`` tune the control loops of
-    ``"powercap"``/``"tierdvs"``/``"elastic"``; ``knobs`` and
-    ``allocator`` select the elastic policy's knob set (``None`` = all
-    three) and inner DVFS allocator.
+    ``budget_watts`` is required for ``"elastic"`` and rejected for
+    every other recipe; ``interval`` and ``safety`` tune the control
+    loops of ``"tierdvs"``/``"elastic"``; ``knobs`` and ``allocator``
+    select the elastic policy's knob set (``None`` = all three) and
+    inner DVFS allocator.
     """
 
     workload: ServingWorkload
@@ -93,10 +92,10 @@ class ServingTask(ReportCodec):
 
     def __post_init__(self) -> None:
         check_in("policy", self.policy, SERVING_POLICIES)
-        if self.policy in ("powercap", "elastic") and self.budget_watts is None:
+        if self.policy == "elastic" and self.budget_watts is None:
             raise ValueError(
-                f"{self.policy} task needs budget_watts "
-                f"(ServingTask(workload, {self.policy!r}, budget_watts=...))"
+                "elastic task needs budget_watts "
+                "(ServingTask(workload, 'elastic', budget_watts=...))"
             )
         if self.budget_watts is not None:
             check_positive("budget_watts", self.budget_watts)
@@ -105,19 +104,15 @@ class ServingTask(ReportCodec):
         check_positive("interval", self.interval)
         check_positive("safety", self.safety)
         check_in("allocator", self.allocator, ELASTIC_ALLOCATORS)
-        if self.knobs is not None and self.policy != "elastic":
-            raise ValueError("knobs only applies to the 'elastic' policy")
+        for name in ("knobs", "budget_watts"):
+            if getattr(self, name) is not None and self.policy != "elastic":
+                raise ValueError(f"{name} only applies to the 'elastic' policy")
 
     def build_policy(self) -> ServingPolicy:
         if self.policy == "static":
             return StaticServingPolicy(self.frequency)
         if self.policy == "cpuspeed":
             return CpuspeedServingPolicy()
-        if self.policy == "powercap":
-            assert self.budget_watts is not None
-            return PowerCapServingPolicy(
-                self.budget_watts, interval=self.interval
-            )
         if self.policy == "elastic":
             assert self.budget_watts is not None
             kwargs = {} if self.knobs is None else {"knobs": self.knobs}
@@ -133,8 +128,6 @@ class ServingTask(ReportCodec):
     def label(self) -> str:
         if self.policy == "static" and self.frequency is not None:
             return f"static@{self.frequency / 1e6:.0f}MHz"
-        if self.policy == "powercap":
-            return f"powercap@{self.budget_watts:.0f}W"
         if self.policy == "elastic":
             # Delegate so sweep tables and the policy's own decision
             # logs agree on the label, knob subset included.

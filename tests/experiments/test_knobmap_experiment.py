@@ -17,6 +17,16 @@ PARAMS = dict(
 )
 
 
+#: Each cell at PARAMS as the table prints it, recorded when the map
+#: still ran a fourth, reactive uniform-ceiling contender: (rate, frac)
+#: → (elastic W, best DVFS W, escalation, best knob, feasible).
+CELLS = {
+    ("30", "0.9"): ("36.0", "37.8", "cores", "dvfs", "yes"),
+    ("30", "0.6"): ("25.1", "37.8", "gate", "gate", "yes"),
+    ("30", "0.35"): ("23.2", "37.8", "gate", "none", "NO"),
+}
+
+
 @pytest.fixture(scope="module")
 def result():
     return run_experiment("knobmap", **PARAMS)
@@ -46,6 +56,14 @@ class TestAcceptanceClaims:
 
     def test_the_winning_knob_varies(self, result):
         assert claims(result)["the winning knob varies across the map"] == 1.0
+
+    def test_cell_verdicts_are_pinned(self, result):
+        rows = result.tables["knobmap"].splitlines()[3:]
+        cells = {}
+        for row in rows:
+            rate, frac, _, *verdict = [c.strip() for c in row.split("|")]
+            cells[(rate, frac)] = tuple(verdict)
+        assert cells == CELLS
 
     def test_table_and_notes_render(self, result):
         rendered = result.render()

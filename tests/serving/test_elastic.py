@@ -105,7 +105,7 @@ class TestSweepIntegration:
     def test_knobs_require_the_elastic_recipe(self):
         with pytest.raises(ValueError, match="knobs"):
             ServingTask(
-                WORKLOAD, "powercap", budget_watts=26.0, knobs=("dvfs",)
+                WORKLOAD, "tierdvs", budget_watts=26.0, knobs=("dvfs",)
             )
 
     def test_elastic_requires_a_budget(self):

@@ -1,4 +1,4 @@
-"""Serving policies: static pinning, per-tier DVS, capping, cpuspeed."""
+"""Serving policies: static pinning, per-tier DVS, cpuspeed."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.hardware.spec import ClusterSpec
 from repro.serving.arrivals import MMPPArrivals, PoissonArrivals
 from repro.serving.policy import (
     CpuspeedServingPolicy,
-    PowerCapServingPolicy,
     StaticServingPolicy,
     TierDvsPolicy,
 )
@@ -105,32 +104,6 @@ class TestTierDvs:
             TierDvsPolicy(safety=-1.0)
         with pytest.raises(ValueError):
             TierDvsPolicy(queue_low=-1)
-
-
-class TestPowerCap:
-    def test_cap_cuts_power_against_static_max(self):
-        static = run_serving(workload())
-        budget = 0.75 * static.energy_j / static.duration_s
-        policy = PowerCapServingPolicy(budget, interval=0.2)
-        capped = run_serving(workload(), policy)
-        assert policy.decisions
-        assert capped.energy_j < static.energy_j
-        # Settled behaviour: the last windows run at/below the budget.
-        tail = policy.decisions[len(policy.decisions) // 2 :]
-        assert min(watts for _, _, watts in tail) <= budget
-
-    def test_ceiling_is_uniform_across_tiers(self):
-        static = run_serving(workload())
-        budget = 0.75 * static.energy_j / static.duration_s
-        policy = PowerCapServingPolicy(budget, interval=0.2)
-        run_serving(workload(), policy)
-        assert len({policy.tier_frequency(t) for t in policy.tiers}) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerCapServingPolicy(0.0)
-        with pytest.raises(ValueError):
-            PowerCapServingPolicy(50.0, interval=-1.0)
 
 
 class TestCpuspeed:

@@ -56,8 +56,8 @@ class TestTaskKey:
                 ServingTask(WORKLOAD, "static"),
                 ServingTask(WORKLOAD, "static", frequency=600e6),
                 ServingTask(WORKLOAD, "cpuspeed"),
-                ServingTask(WORKLOAD, "powercap", budget_watts=50.0),
-                ServingTask(WORKLOAD, "powercap", budget_watts=60.0),
+                ServingTask(WORKLOAD, "elastic", budget_watts=50.0),
+                ServingTask(WORKLOAD, "elastic", budget_watts=60.0),
                 ServingTask(WORKLOAD, "tierdvs", interval=0.5),
                 ServingTask(WORKLOAD, "tierdvs", safety=2.0),
                 ServingTask(seeded, "tierdvs"),
@@ -77,19 +77,24 @@ class TestTaskKey:
     def test_invalid_tasks_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             ServingTask(WORKLOAD, "ondemand")
-        with pytest.raises(ValueError, match="budget_watts"):
+        with pytest.raises(ValueError, match="policy"):
             ServingTask(WORKLOAD, "powercap")
         with pytest.raises(ValueError, match="interval"):
             ServingTask(WORKLOAD, "tierdvs", interval=0.0)
+
+    def test_budget_only_applies_to_the_elastic_recipe(self):
+        for policy in ("static", "cpuspeed", "tierdvs"):
+            with pytest.raises(ValueError, match="budget_watts"):
+                ServingTask(WORKLOAD, policy, budget_watts=50.0)
+        with pytest.raises(ValueError, match="policy"):
+            ServingTask(WORKLOAD, "powercap", budget_watts=50.0)
 
     def test_build_policy_covers_every_recipe(self):
         for policy in SERVING_POLICIES:
             task = ServingTask(
                 WORKLOAD,
                 policy,
-                budget_watts=(
-                    50.0 if policy in ("powercap", "elastic") else None
-                ),
+                budget_watts=50.0 if policy == "elastic" else None,
             )
             built = task.build_policy()
             assert policy in type(built).__name__.lower().replace(
