@@ -1,6 +1,15 @@
-"""Extension: the bulk model paths' speedup over the per-event walks.
+"""Extension: the engine's dispatch cost, and the bulk model paths'
+speedup over the per-event walks.
 
-Two cases, each running the *same* simulation on the walks in
+``dispatch`` drives the bare engine with no model layer on top: 50
+processes each waiting on 2000 timeouts, then 50 processes racing a
+timeout against a shared tick with ``any_of`` (the loser is cancelled,
+as in the CPU model's ``run_cycles`` race).  It pins every
+``EngineStats`` count exactly and reports µs per dispatch in
+``extra_info``; it asserts no speed ratio, since a wall-clock bound on a
+small shared host is mostly noise.
+
+The other two cases each run the *same* simulation on the walks in
 ``tests/oracles.py`` (a timeout-vs-frequency race per ``run_cycles``
 round, one link hold per network chunk) and on the production bulk
 paths (one armed completion per quantum, one hold per uncontended
@@ -18,7 +27,7 @@ message), and asserting the walk/bulk wall-clock ratio:
   differ by parts in 1e4 where a crash meets contended transfers (see
   docs/ENGINE.md), so energy is checked at 1e-3.
 
-Both cases assert **≥ 10×**.  ``REPRO_FULL_SCALE=1`` grows chaos to
+Both walk-vs-bulk cases assert **≥ 10×**.  ``REPRO_FULL_SCALE=1`` grows chaos to
 class C on 16 ranks; the default keeps the walk leg to a few seconds.
 """
 
@@ -34,11 +43,99 @@ from repro.faults.spec import FaultPlan
 from repro.faults.sweep import ChaosTask, run_chaos_sweep
 from repro.hardware.calibration import DEFAULT_CALIBRATION
 from repro.hardware.reliability import ReliabilityModel
+from repro.sim import Engine
 from repro.workloads.nas_ft import NasFT
 from tests.oracles import using_walks
 
 KIB = 1024
 MIN_SPEEDUP = 10.0
+N_PROCS = 50
+N_TIMEOUTS = 2000
+N_TICKS = 400
+TICK_S = 1e-3
+#: EngineStats (dispatched, frontiers, cancelled) of the two programs.
+#: The chains dispatch one row per process start, per timeout and per
+#: process exit.  Any change to the dispatch order moves these.
+CHAIN_COUNTS = (N_PROCS * (N_TIMEOUTS + 2), 12295, 0)
+RACE_COUNTS = (41700, 10400, 19202)
+
+
+def _timeout_chains(eng):
+    """N_PROCS processes, each waiting on N_TIMEOUTS timeouts in turn."""
+
+    def chain(delay):
+        for _ in range(N_TIMEOUTS):
+            yield eng.timeout(delay)
+
+    for i in range(N_PROCS):
+        eng.process(chain(TICK_S * (1 + i % 7)))
+
+
+def _any_of_race(eng):
+    """N_PROCS processes race a timeout against a shared tick.
+
+    A ticker succeeds a fresh tick event every ``TICK_S`` for N_TICKS
+    ticks.  Racer *i* waits on ``any_of([timeout, tick])`` with a timeout
+    between 0.5 and 1.5 ticks long, so about half the races go to the
+    timeout and half to the tick; a losing timeout is cancelled.
+    """
+    tick = [eng.event()]
+
+    def ticker():
+        for _ in range(N_TICKS):
+            yield eng.timeout(TICK_S)
+            fired, tick[0] = tick[0], eng.event()
+            fired.succeed()
+
+    def racer(delay):
+        while eng.now < N_TICKS * TICK_S:
+            timer = eng.timeout(delay)
+            yield eng.any_of([timer, tick[0]])
+            if not timer.processed:
+                eng.cancel(timer)
+
+    eng.process(ticker())
+    for i in range(N_PROCS):
+        eng.process(racer(TICK_S * (0.5 + i / N_PROCS)))
+
+
+def _dispatch(program):
+    eng = Engine()
+    program(eng)
+    t0 = time.perf_counter()
+    eng.run()
+    elapsed = time.perf_counter() - t0
+    stats = eng.stats
+    return {
+        "counts": (stats.dispatched, stats.frontiers, stats.cancelled),
+        "us_per_dispatch": elapsed / stats.dispatched * 1e6,
+        "run_s": elapsed,
+    }
+
+
+def bench_extension_engine_dispatch(benchmark):
+    out = run_once(
+        benchmark,
+        lambda: {
+            "timeouts": _dispatch(_timeout_chains),
+            "any_of": _dispatch(_any_of_race),
+        },
+    )
+    assert out["timeouts"]["counts"] == CHAIN_COUNTS
+    assert out["any_of"]["counts"] == RACE_COUNTS
+    benchmark.extra_info["engine"] = {
+        case: {
+            "dispatched": result["counts"][0],
+            "us_per_dispatch": round(result["us_per_dispatch"], 3),
+            "run_s": round(result["run_s"], 4),
+        }
+        for case, result in out.items()
+    }
+    for case, result in out.items():
+        print(
+            f"\n{case}: {result['counts'][0]} dispatches in "
+            f"{result['run_s']:.3f}s -> {result['us_per_dispatch']:.2f} us each"
+        )
 
 
 def _timed(fn):

@@ -7,6 +7,11 @@ kernel objects (:class:`~repro.sim.events.Event`,
 through it.
 
 Events dispatch in ``(time, priority, insertion-seq)`` order.
+:meth:`Engine.run` is the one dispatch loop: one heap pop and one
+callback loop per event.  :meth:`Event.succeed`, :meth:`Event.fail` and
+:class:`Timeout` push their own heap rows; :meth:`Engine.schedule` and
+:meth:`Engine.schedule_at` push rows for callers that pick a delay,
+instant or priority.
 :meth:`Engine.cancel` revokes a queued event lazily: it flags the event,
 whose row stays in the heap and is dropped when it reaches the head, so
 cancelling is O(1) and a cancelled event never decides the next dispatch
@@ -20,12 +25,21 @@ Time is a ``float`` in **seconds**; the hardware layer converts everything
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from typing import Iterable, List, Optional, Tuple
 
 from repro.sim.errors import SimulationError, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import (
+    _INF,
+    PRIORITY_LOW,
+    PRIORITY_NORMAL,
+    PRIORITY_URGENT,
+    AllOf,
+    AnyOf,
+    Event,
+    Timeout,
+)
 from repro.sim.process import Process, ProcessGenerator
 
 __all__ = [
@@ -35,15 +49,6 @@ __all__ = [
     "PRIORITY_NORMAL",
     "PRIORITY_LOW",
 ]
-
-#: Scheduling priorities: ties in time are broken first by priority, then by
-#: insertion order.  Urgent is used for event-triggering bookkeeping so that
-#: e.g. a resource release at time *t* is observed by requests at time *t*.
-PRIORITY_URGENT = 0
-PRIORITY_NORMAL = 1
-PRIORITY_LOW = 2
-
-_INF = float("inf")
 
 
 class EngineStats:
@@ -109,7 +114,7 @@ class Engine:
                 f"cannot schedule into the past or with a non-finite "
                 f"delay (delay={delay})"
             )
-        heapq.heappush(
+        heappush(
             self._queue, (self._now + delay, priority, next(self._eid), event)
         )
 
@@ -131,7 +136,7 @@ class Engine:
                 f"cannot schedule at {when!r} (now={self._now}, "
                 f"non-finite and past instants are rejected)"
             )
-        heapq.heappush(self._queue, (when, priority, next(self._eid), event))
+        heappush(self._queue, (when, priority, next(self._eid), event))
 
     def timeout_at(self, when: float, value: object = None) -> Event:
         """An event that fires at absolute time ``when`` (cancellable)."""
@@ -163,7 +168,7 @@ class Engine:
         # determines the next dispatch time (run(until=t) must not
         # overshoot on one).
         while self._dead and queue[0][3]._cancelled:
-            heapq.heappop(queue)
+            heappop(queue)
             self._dead -= 1
         return queue[0][0] if queue else _INF
 
@@ -171,27 +176,6 @@ class Engine:
     def pending(self) -> int:
         """Number of live (scheduled, uncancelled) events."""
         return len(self._queue) - self._dead
-
-    def step(self) -> None:
-        """Process exactly one live event (advancing the clock to it)."""
-        queue = self._queue
-        while queue:
-            when, _prio, _eid, event = heapq.heappop(queue)
-            if event._cancelled:
-                self._dead -= 1
-                continue
-            stats = self.stats
-            stats.dispatched += 1
-            if when != self._now:
-                self._now = when
-                stats.frontiers += 1
-            callbacks, event.callbacks = event.callbacks, None
-            if callbacks is None:  # pragma: no cover - defensive
-                raise SimulationError(f"{event!r} processed twice")
-            for callback in callbacks:
-                callback(event)
-            return
-        raise SimulationError("step() on an empty event queue")
 
     def run(self, until: object = None) -> object:
         """Run the simulation.
@@ -229,20 +213,37 @@ class Engine:
             raise SimulationError(f"invalid until argument: {until!r}")
 
         limit = _INF if stop_at is None else stop_at
+        queue = self._queue
+        stats = self.stats
         self._running = True
         try:
-            while True:
-                when = self.peek()
-                if when == _INF or when > limit:
+            # The one dispatch loop: drop a cancelled head row, stop at the
+            # first live row past ``limit``, else pop it and run its
+            # callbacks.
+            while queue:
+                when, _prio, _eid, event = queue[0]
+                if event._cancelled:
+                    heappop(queue)
+                    self._dead -= 1
+                    continue
+                if when > limit:
                     break
-                try:
-                    self.step()
-                except StopSimulation as stop:
-                    event = stop.value
-                    assert isinstance(event, Event)
-                    if not event._ok:
-                        raise event._value  # type: ignore[misc]
-                    return event._value
+                heappop(queue)
+                stats.dispatched += 1
+                if when != self._now:
+                    self._now = when
+                    stats.frontiers += 1
+                callbacks, event.callbacks = event.callbacks, None
+                if callbacks is None:  # pragma: no cover - defensive
+                    raise SimulationError(f"{event!r} processed twice")
+                for callback in callbacks:
+                    callback(event)
+        except StopSimulation as stop:
+            event = stop.value
+            assert isinstance(event, Event)
+            if not event._ok:
+                raise event._value  # type: ignore[misc]
+            return event._value
         finally:
             self._running = False
 

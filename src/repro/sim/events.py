@@ -10,6 +10,7 @@ work-completion timeout against a frequency-change notification.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 from repro.sim.errors import SimulationError
@@ -17,7 +18,26 @@ from repro.sim.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.engine import Engine
 
-__all__ = ["PENDING", "Event", "Timeout", "Condition", "AnyOf", "AllOf"]
+__all__ = [
+    "PENDING",
+    "PRIORITY_URGENT",
+    "PRIORITY_NORMAL",
+    "PRIORITY_LOW",
+    "Event",
+    "Timeout",
+    "Condition",
+    "AnyOf",
+    "AllOf",
+]
+
+#: Scheduling priorities: ties in time are broken first by priority, then by
+#: insertion order.  Urgent is used for event-triggering bookkeeping so that
+#: e.g. a resource release at time *t* is observed by requests at time *t*.
+PRIORITY_URGENT = 0
+PRIORITY_NORMAL = 1
+PRIORITY_LOW = 2
+
+_INF = float("inf")
 
 
 class _Pending:
@@ -44,6 +64,9 @@ class Event:
     engine processes the event; it is set to ``None`` afterwards, which is
     how waiters detect that they missed the event and must resume
     immediately instead of registering a callback.
+
+    Triggering pushes the event's own heap row, due now at
+    ``PRIORITY_NORMAL``, straight onto the engine's queue.
     """
 
     __slots__ = ("engine", "callbacks", "_value", "_ok", "_cancelled")
@@ -88,11 +111,14 @@ class Event:
     # ------------------------------------------------------------------
     def succeed(self, value: object = None) -> "Event":
         """Trigger the event successfully and schedule its callbacks."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.engine.schedule(self)
+        engine = self.engine
+        heappush(
+            engine._queue, (engine._now, PRIORITY_NORMAL, next(engine._eid), self)
+        )
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -100,7 +126,7 @@ class Event:
 
         Waiting processes will have ``exception`` thrown into them.
         """
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError(
@@ -108,7 +134,10 @@ class Event:
             )
         self._ok = False
         self._value = exception
-        self.engine.schedule(self)
+        engine = self.engine
+        heappush(
+            engine._queue, (engine._now, PRIORITY_NORMAL, next(engine._eid), self)
+        )
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -135,15 +164,21 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: object = None):
-        if not 0.0 <= delay < float("inf"):
+        if not 0.0 <= delay < _INF:
             # Same guard as Engine.schedule: a NaN delay slips past a plain
             # `delay < 0` check and corrupts heap ordering.
             raise SimulationError(f"non-finite or negative timeout delay {delay!r}")
-        super().__init__(engine)
-        self.delay = float(delay)
-        self._ok = True
+        # Event.__init__ inlined: a timeout is the most frequent event.
+        self.engine = engine
+        self.callbacks = []
         self._value = value
-        engine.schedule(self, delay=delay)
+        self._ok = True
+        self._cancelled = False
+        self.delay = float(delay)
+        heappush(
+            engine._queue,
+            (engine._now + delay, PRIORITY_NORMAL, next(engine._eid), self),
+        )
 
 
 class Condition(Event):
@@ -154,6 +189,8 @@ class Condition(Event):
     which branch of an :class:`AnyOf` fired.
 
     A failure of any constituent fails the condition immediately.
+    ``count_needed`` (default: all of them) is capped at the number of
+    events, so a condition over no events succeeds at once.
     """
 
     __slots__ = ("_events", "_count_needed", "_num_ok")
@@ -171,7 +208,9 @@ class Condition(Event):
                 raise SimulationError(
                     "all events of a condition must belong to the same engine"
                 )
-        n = len(self._events) if count_needed is None else count_needed
+        n = len(self._events)
+        if count_needed is not None:
+            n = min(count_needed, n)
         self._count_needed = n
         self._num_ok = 0
 
@@ -187,7 +226,7 @@ class Condition(Event):
                 ev.callbacks.append(self._check)
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
         if not event._ok:
             self.fail(event._value)  # type: ignore[arg-type]
@@ -209,8 +248,7 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def __init__(self, engine: "Engine", events: Iterable[Event]):
-        events = list(events)
-        super().__init__(engine, events, count_needed=min(1, len(events)))
+        super().__init__(engine, events, count_needed=1)
 
 
 class AllOf(Condition):

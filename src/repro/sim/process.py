@@ -37,7 +37,7 @@ class Process(Event):
         Optional human-readable name used in traces and error messages.
     """
 
-    __slots__ = ("generator", "name", "_target", "_resume_event", "_trace_t0")
+    __slots__ = ("generator", "name", "_target", "_trace_t0")
 
     def __init__(
         self,
@@ -104,15 +104,11 @@ class Process(Event):
                 self._target.callbacks.remove(self._resume)
             except ValueError:  # pragma: no cover - defensive
                 pass
-        self._target = None
-        self._step(event)
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
-        self._target = None
-        self._step(event)
-
-    def _step(self, event: Event) -> None:
         """Advance the generator by one yield, driven by ``event``."""
+        self._target = None
         engine = self.engine
         engine._active_process = self
         try:

@@ -14,12 +14,14 @@ non-finite delay guard (a ``NaN`` delay used to corrupt the heap
 silently), and the ``Engine.run`` edge cases around ``until``.
 """
 
+import heapq
 import math
 from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim import engine as sim_engine, events as sim_events
 from repro.sim import (
     PRIORITY_LOW,
     PRIORITY_NORMAL,
@@ -151,11 +153,6 @@ def test_simultaneous_events_fire_in_insertion_order():
     assert order == list("abcd")
 
 
-def test_step_on_empty_queue_raises():
-    with pytest.raises(SimulationError):
-        Engine().step()
-
-
 def test_peek_reports_next_event_time():
     eng = Engine()
     eng.timeout(7.0)
@@ -212,53 +209,103 @@ def test_nonstrict_mode_records_failure_on_process():
 # the sorted-rows reference
 # ---------------------------------------------------------------------------
 class SortedRows:
-    """Records every row an engine queues and checks each dispatch.
+    """Watches every row an engine pushes onto its heap and checks each
+    dispatch.
 
-    Wraps the engine's ``schedule``/``schedule_at``/``cancel``/``step``
-    on the instance.  Before each step the expected event is the minimum
-    of the live rows by ``(time, priority, seq)``; after it, that event
-    must be processed at exactly its row's time.
+    Patches the ``heappush``/``heappop`` names that ``repro.sim.engine``
+    and ``repro.sim.events`` use, so it sees the rows ``schedule``,
+    ``schedule_at``, ``succeed``/``fail`` and ``Timeout`` push alike.  It
+    keys each row by its own ``(time, priority, seq)``: the time and
+    priority the caller of ``schedule``/``schedule_at`` asked for, or, for
+    a trigger, now (plus a timeout's delay) at ``PRIORITY_NORMAL``.  A pop
+    of a live row is a dispatch: its event must be the minimum of the live
+    rows, and it must be processed at exactly its row's time.  A pop of a
+    cancelled row must be one ``cancel`` revoked.  Use as a context
+    manager around the run.
     """
 
     def __init__(self, eng):
+        self.eng = eng
         self.live = {}  # event -> (when, priority, seq)
         self.log = []  # (when, priority, seq) per dispatch, in order
-        self.cancelled = 0
-        seq = count()
-        schedule, schedule_at = eng.schedule, eng.schedule_at
-        cancel, step = eng.cancel, eng.step
+        self.revoked = []  # events cancel() revoked
+        self._seq = count()
+        self._asked = None  # (when, priority) while schedule* pushes
+        schedule, schedule_at, cancel = eng.schedule, eng.schedule_at, eng.cancel
 
         def checked_schedule(event, delay=0.0, priority=PRIORITY_NORMAL):
-            schedule(event, delay, priority)
-            self.live[event] = (eng.now + delay, priority, next(seq))
+            self._asked = (eng.now + delay, priority)
+            try:
+                schedule(event, delay, priority)
+            finally:
+                self._asked = None
 
         def checked_schedule_at(event, when, priority=PRIORITY_NORMAL):
-            schedule_at(event, when, priority)
-            self.live[event] = (when, priority, next(seq))
+            self._asked = (when, priority)
+            try:
+                schedule_at(event, when, priority)
+            finally:
+                self._asked = None
 
         def checked_cancel(event):
             done = cancel(event)
             if done:
                 del self.live[event]
-                self.cancelled += 1
+                self.revoked.append(event)
             return done
 
-        def checked_step():
-            want = min(self.live, key=self.live.get)
-            row = self.live.pop(want)
-            try:
-                step()
-            finally:
-                assert want.processed and eng.now == row[0]
-                self.log.append(row)
-
         eng.schedule, eng.schedule_at = checked_schedule, checked_schedule_at
-        eng.cancel, eng.step = checked_cancel, checked_step
+        eng.cancel = checked_cancel
+
+    def _push(self, queue, row):
+        heapq.heappush(queue, row)
+        if queue is not self.eng._queue:
+            return
+        event = row[3]
+        if self._asked is not None:
+            when, priority = self._asked
+        else:
+            when = self.eng.now + getattr(event, "delay", 0.0)
+            priority = PRIORITY_NORMAL
+        assert row[:2] == (when, priority) and event not in self.live
+        self.live[event] = (when, priority, next(self._seq))
+
+    def _pop(self, queue):
+        row = heapq.heappop(queue)
+        if queue is not self.eng._queue:
+            return row
+        event = row[3]
+        if event._cancelled:
+            assert event in self.revoked and event not in self.live
+            return row
+        want = min(self.live, key=self.live.get)
+        assert event is want
+        key = self.live.pop(want)
+        self.log.append(key)
+        eng = self.eng
+
+        def dispatched(ev):
+            assert ev.processed and eng.now == key[0]
+
+        # First in line, so a callback that raises cannot skip the check.
+        event.callbacks.insert(0, dispatched)
+        return row
+
+    def __enter__(self):
+        self._patch = pytest.MonkeyPatch()
+        for module in (sim_engine, sim_events):
+            self._patch.setattr(module, "heappush", self._push)
+        self._patch.setattr(sim_engine, "heappop", self._pop)
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.undo()
 
     def check_stats(self, eng):
         assert eng.stats.dispatched == len(self.log)
-        assert eng.stats.cancelled == self.cancelled
+        assert eng.stats.cancelled == len(self.revoked)
         assert eng.pending == len(self.live)
+        assert not any(event.processed for event in self.revoked)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +347,6 @@ def _bare_event(eng, value):
 def _execute(program, until=None):
     """Run the interpreted program on a checked engine."""
     eng = Engine()
-    rows = SortedRows(eng)
     shared = [eng.event() for _ in range(3)]
     decoys = []
 
@@ -328,9 +374,10 @@ def _execute(program, until=None):
                 eng.cancel(decoys[s_idx % len(decoys)])
                 yield eng.timeout(delay)
 
-    for pid, ops in enumerate(program):
-        eng.process(body(pid, ops), name=f"p{pid}")
-    eng.run(until=until)
+    with SortedRows(eng) as rows:
+        for pid, ops in enumerate(program):
+            eng.process(body(pid, ops), name=f"p{pid}")
+        eng.run(until=until)
     rows.check_stats(eng)
     return eng, rows
 
@@ -369,14 +416,14 @@ def test_bulk_scheduling_through_flushes_and_merges(batch):
     """Hundreds of schedules, some cancelled before the run: dispatch
     order must be the live rows sorted by (time, priority, seq)."""
     eng = Engine()
-    rows = SortedRows(eng)
-    for d_idx, p_idx, cancelled in batch:
-        ev = _bare_event(eng, None)
-        eng.schedule(ev, _DELAYS[d_idx], _PRIOS[p_idx])
-        if cancelled:
-            eng.cancel(ev)
-    want = sorted(rows.live.values())
-    eng.run()
+    with SortedRows(eng) as rows:
+        for d_idx, p_idx, cancelled in batch:
+            ev = _bare_event(eng, None)
+            eng.schedule(ev, _DELAYS[d_idx], _PRIOS[p_idx])
+            if cancelled:
+                eng.cancel(ev)
+        want = sorted(rows.live.values())
+        eng.run()
     assert rows.log == want
     rows.check_stats(eng)
 
@@ -599,12 +646,6 @@ class TestRunEdgeCases:
         orphan = eng.event()
         with pytest.raises(SimulationError, match="never triggering"):
             eng.run(until=orphan)
-
-
-def test_step_on_empty_queue_names_the_queue():
-    eng = Engine()
-    with pytest.raises(SimulationError, match="empty event queue"):
-        eng.step()
 
 
 def test_peek_on_empty_queue_is_inf():
