@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 from repro.hardware.cpu import SimCPU
 from repro.hardware.dvfs import DVFSTable
 from repro.hardware.memory import MemoryHierarchy
-from repro.hardware.power import NodePowerModel
+from repro.hardware.power import NodePowerModel, _row_watts
 from repro.hardware.procstat import ProcStat
 from repro.hardware.timeline import PowerTimeline
 from repro.sim.engine import Engine
@@ -82,8 +82,12 @@ class Node:
         )
         self._nic_active = False
         self.faults = NodeFaultState()
+        cpu = self.cpu
         self.timeline = PowerTimeline(
-            start_time=engine.now, initial_power=self._current_power()
+            engine.now,
+            power_model.power(
+                cpu.operating_point, cpu.state, cpu.utilization, False, cpu.floor
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -103,25 +107,27 @@ class Node:
         """Whether the node's monitoring agent is reporting samples."""
         return self.cpu.powered and not self.faults.telemetry_dark
 
-    def _current_power(self) -> float:
-        # Runs on every CPU flip, so it reads the CPU's validated fields
-        # directly and its ladder position's power row.
-        cpu = self.cpu
-        if not cpu._powered:
-            # Suspended (orderly power-gate) keeps the platform's wake
-            # state alive; a crash draws nothing at all.
-            return self.power_model.gated_power if cpu._suspended else 0.0
-        return self.power_model.row_power(
-            self._rows[cpu._index],
-            cpu._state,
-            cpu._utilization,
-            self._nic_active,
-            cpu._floor,
-            cpu._core_scale,
-        )
-
     def _update_power(self) -> None:
-        self.timeline._set_power(self.engine.now, self._current_power())
+        """Write the node's draw now to its timeline.  Runs after every
+        CPU flip, so it reads the CPU's validated fields directly."""
+        cpu = self.cpu
+        model = self.power_model
+        if cpu._powered:
+            watts = _row_watts(
+                model.base_power,
+                self._rows[cpu._index],
+                cpu._state,
+                cpu._utilization,
+                cpu._floor,
+                cpu._core_scale,
+                model.nic_active_power if self._nic_active else 0.0,
+            )
+        elif cpu._suspended:
+            # An orderly power-gate keeps the platform's wake state alive.
+            watts = model.gated_power
+        else:
+            watts = 0.0  # a crash draws nothing at all
+        self.timeline._set_power(self.engine._now, watts)
 
     def finalize(self) -> None:
         """Close open accounting segments at the end of a run."""

@@ -69,18 +69,26 @@ class ActivityFactors:
         return ActivityFactors, (dict(self.factors),)
 
 
-def _cpu_watts(
+def _row_watts(
+    base: float,
     row: Tuple[float, ...],
     state: CpuActivity,
     utilization: float,
     floor: CpuActivity,
     core_fraction: float,
+    extra: float,
 ) -> float:
-    """CPU watts blended from one ladder row of :attr:`CpuPowerModel.rows`."""
+    """The watts formula: ``base``, plus the CPU watts blended from one
+    ladder row of :attr:`CpuPowerModel.rows`, plus ``extra``.
+
+    Every power reading goes through it: the CPU model's (``base`` and
+    ``extra`` 0.0, which leave the CPU term bitwise as it is), the node
+    model's (base and NIC watts) and a node's per-flip write.
+    """
     watts = utilization * row[state.index] + (1.0 - utilization) * row[floor.index]
     if core_fraction != 1.0:
         watts = core_fraction * watts
-    return watts
+    return base + watts + extra
 
 
 class CpuPowerModel:
@@ -150,7 +158,7 @@ class CpuPowerModel:
         """
         check_fraction("utilization", utilization)
         row = self.rows[self._table.position(point)]
-        return _cpu_watts(row, state, utilization, floor, 1.0)
+        return _row_watts(0.0, row, state, utilization, floor, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -202,27 +210,15 @@ class NodePowerModel:
         """
         check_fraction("utilization", utilization)
         row = self.cpu.rows[self.cpu.table.position(point)]
-        return self.row_power(
-            row, state, utilization, nic_active, floor, core_fraction
+        return _row_watts(
+            self.base_power,
+            row,
+            state,
+            utilization,
+            floor,
+            core_fraction,
+            self.nic_active_power if nic_active else 0.0,
         )
-
-    def row_power(
-        self,
-        row: Tuple[float, ...],
-        state: CpuActivity,
-        utilization: float,
-        nic_active: bool,
-        floor: CpuActivity,
-        core_fraction: float,
-    ) -> float:
-        """:meth:`power` on a row of ``cpu.rows``, without validation
-        (the node's per-flip path: its CPU validated every input)."""
-        total = self.base_power + _cpu_watts(
-            row, state, utilization, floor, core_fraction
-        )
-        if nic_active:
-            total += self.nic_active_power
-        return total
 
     def breakdown(
         self,
@@ -242,6 +238,6 @@ class NodePowerModel:
         row = self.cpu.rows[self.cpu.table.position(point)]
         return {
             "base": self.base_power,
-            "cpu": _cpu_watts(row, state, utilization, floor, core_fraction),
+            "cpu": _row_watts(0.0, row, state, utilization, floor, core_fraction, 0.0),
             "nic": self.nic_active_power if nic_active else 0.0,
         }

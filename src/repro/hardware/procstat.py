@@ -90,17 +90,6 @@ class ProcStat:
         """
         check_nonnegative("duration", duration)
         check_fraction("utilization", utilization)
-        self._charge(duration, state, utilization, floor)
-
-    def _charge(
-        self,
-        duration: float,
-        state: CpuActivity,
-        utilization: float,
-        floor: CpuActivity,
-    ) -> None:
-        """:meth:`account` without validation (the CPU's segment close:
-        it validated the state when it was set)."""
         row = self._busy_row
         busy_frac = utilization * row[state.index] + (1.0 - utilization) * row[
             floor.index

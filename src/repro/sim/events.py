@@ -140,6 +140,35 @@ class Event:
         )
         return self
 
+    def _succeed_in_dispatch(self, value: object = None) -> None:
+        """:meth:`succeed`, running the callbacks at once when that keeps
+        the dispatch order.
+
+        Precondition: the engine is dispatching a row at ``now`` and the
+        caller is the last callback of that row's event.
+
+        :meth:`succeed` would push ``(now, PRIORITY_NORMAL, fresh seq)``.
+        When the head row is later than ``(now, PRIORITY_NORMAL)``, that
+        row is the very next dispatch, so its callbacks run here instead,
+        counted in ``stats.dispatched`` like any dispatch (the clock does
+        not move, so never a frontier).  Otherwise the row is pushed.
+        """
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} has already been triggered")
+        engine = self.engine
+        queue = engine._queue
+        if queue:
+            head = queue[0]
+            if head[0] == engine._now and head[1] <= PRIORITY_NORMAL:
+                self.succeed(value)
+                return
+        self._ok = True
+        self._value = value
+        engine.stats.dispatched += 1
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:  # type: ignore[union-attr]
+            callback(self)
+
     def trigger(self, event: "Event") -> None:
         """Mirror the outcome of another (triggered) event onto this one."""
         if event._value is PENDING:

@@ -421,6 +421,10 @@ class Communicator:
                 yield engine.any_of(
                     [event, fabric.activity_changed(nid), deadline]
                 )
+                if not deadline.processed:
+                    # The message or link activity won the race: revoke
+                    # the deadline rather than dispatch a dead check.
+                    engine.cancel(deadline)
                 if event.processed or fabric.traffic_active(nid):
                     continue
                 if not deadline.processed:
