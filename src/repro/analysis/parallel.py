@@ -82,6 +82,7 @@ from repro.exec.retry import (
 )
 from repro.hardware.calibration import Calibration
 from repro.hardware.spec import ClusterSpec
+from repro.metrics.protocol import ReportProtocol
 from repro.metrics.records import EnergyDelayPoint
 from repro.obs.tracer import Tracer, tracing
 from repro.workloads.base import Workload
@@ -89,6 +90,7 @@ from repro.workloads.base import Workload
 __all__ = [
     "STRATEGY_KINDS",
     "ReportCodec",
+    "ReportOutcome",
     "SweepError",
     "SweepEvent",
     "SweepTask",
@@ -205,8 +207,17 @@ class Task(Protocol):
     def store(self, cache, key: str, outcome: object) -> None: ...
 
 
+@dataclass(frozen=True)
+class ReportOutcome:
+    """What a report-carrying task (chaos, serving) produces: its point
+    plus its report."""
+
+    point: EnergyDelayPoint
+    report: ReportProtocol
+
+
 class ReportCodec:
-    """The cache codec of a task whose outcome is a point plus a report.
+    """The cache codec of a task whose outcome is a :class:`ReportOutcome`.
 
     The point is the record's point; the report and the task's
     ``workload`` name ride in its meta, tagged with ``meta_kind``.  A
@@ -216,8 +227,6 @@ class ReportCodec:
     """
 
     meta_kind: ClassVar[str]
-    #: built as ``outcome_type(point=..., report=...)``
-    outcome_type: ClassVar[type]
     report_type: ClassVar[type]  #: decoded with ``report_type.from_dict``
 
     def load(self, cache, key: str) -> Optional[object]:
@@ -231,7 +240,7 @@ class ReportCodec:
             report = self.report_type.from_dict(meta["report"])
         except (KeyError, TypeError, ValueError):
             return None  # poisoned meta: fall through to re-simulation
-        return self.outcome_type(point=point, report=report)
+        return ReportOutcome(point=point, report=report)
 
     def store(self, cache, key: str, outcome) -> None:
         cache.put(
@@ -367,9 +376,8 @@ def run_sweep(
 
     Returns each task's outcome: an
     :class:`~repro.metrics.records.EnergyDelayPoint` for a
-    :class:`SweepTask`, a :class:`~repro.faults.sweep.ChaosOutcome` for a
-    :class:`~repro.faults.sweep.ChaosTask`, a
-    :class:`~repro.serving.sweep.ServingOutcome` for a
+    :class:`SweepTask`, a :class:`ReportOutcome` for a
+    :class:`~repro.faults.sweep.ChaosTask` or a
     :class:`~repro.serving.sweep.ServingTask`.
 
     Parameters (keyword-only):

@@ -29,33 +29,8 @@ re-run returns *bit-identical* points to the cold run — asserted in
 ``tests/cache/test_sweep_cache.py`` along with the ≥10× speedup.
 """
 
-from repro.cache.context import (
-    SweepContext,
-    active_context,
-    default_cache_dir,
-    resolve_cache,
-    sweep_context,
-)
-from repro.cache.keys import (
-    CACHE_FORMAT,
-    canonical_encode,
-    canonical_json,
-    simulator_salt,
-    task_key,
-)
-from repro.cache.store import CacheStats, RunCache
+from repro.cache.context import sweep_context
+from repro.cache.keys import task_key
+from repro.cache.store import RunCache
 
-__all__ = [
-    "CACHE_FORMAT",
-    "CacheStats",
-    "RunCache",
-    "SweepContext",
-    "active_context",
-    "canonical_encode",
-    "canonical_json",
-    "default_cache_dir",
-    "resolve_cache",
-    "simulator_salt",
-    "sweep_context",
-    "task_key",
-]
+__all__ = ["RunCache", "sweep_context", "task_key"]

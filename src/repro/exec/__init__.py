@@ -9,42 +9,6 @@ timeouts per task, and worker death is contained instead of cascading.
 See ``docs/BACKENDS.md`` for the selection and tuning guide.
 """
 
-from repro.exec.backends import (
-    BACKENDS,
-    ExecBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    TaskFailure,
-    TaskUnit,
-    resolve_backend,
-)
-from repro.exec.mpi import MpiBackend, load_mpi, mpi_available
-from repro.exec.retry import (
-    DEFAULT_RETRY,
-    NO_RETRY,
-    AttemptRecord,
-    RetryPolicy,
-    SweepTimeoutError,
-    WorkerLostError,
-    call_with_timeout,
-)
+from repro.exec.backends import ProcessPoolBackend
 
-__all__ = [
-    "AttemptRecord",
-    "BACKENDS",
-    "DEFAULT_RETRY",
-    "ExecBackend",
-    "MpiBackend",
-    "NO_RETRY",
-    "ProcessPoolBackend",
-    "RetryPolicy",
-    "SerialBackend",
-    "SweepTimeoutError",
-    "TaskFailure",
-    "TaskUnit",
-    "WorkerLostError",
-    "call_with_timeout",
-    "load_mpi",
-    "mpi_available",
-    "resolve_backend",
-]
+__all__ = ["ProcessPoolBackend"]

@@ -1,13 +1,6 @@
 """Experiment drivers: one module per paper table/figure, a registry, and
 the ``repro-experiment`` CLI."""
 
-from repro.experiments.paper_targets import PAPER_TARGETS, target
-from repro.experiments.registry import EXPERIMENTS, list_experiments, run_experiment
+from repro.experiments.registry import run_experiment
 
-__all__ = [
-    "PAPER_TARGETS",
-    "target",
-    "EXPERIMENTS",
-    "list_experiments",
-    "run_experiment",
-]
+__all__ = ["run_experiment"]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.parallel import ReportOutcome
 from repro.analysis.records import ExperimentResult
 from repro.analysis.report import format_table
 from repro.analysis.runner import run_measured
@@ -38,7 +39,7 @@ from repro.faults.spec import (
     acceleration_for,
 )
 from repro.experiments.common import context_sweep
-from repro.faults.sweep import ChaosOutcome, ChaosTask
+from repro.faults.sweep import ChaosTask
 from repro.hardware.reliability import ReliabilityModel
 from repro.metrics.chaos import ChaosReport
 from repro.workloads.synthetic import SyntheticMix
@@ -186,7 +187,7 @@ def run(
         workload, budget_watts, all_plans, interval, allowed_recovery
     )
     outcomes = context_sweep(tasks)
-    by_task: Dict[Tuple[int, str], ChaosOutcome] = {}
+    by_task: Dict[Tuple[int, str], ReportOutcome] = {}
     for task, outcome in zip(tasks, outcomes):
         mode = next(
             m

@@ -20,24 +20,17 @@ from repro.faults.injector import FaultInjector
 from repro.faults.spec import (
     DvfsStuck,
     FaultPlan,
-    FaultSpec,
     LinkDegraded,
     NodeCrash,
     TelemetryDropout,
     TelemetryNoise,
     acceleration_for,
 )
-from repro.faults.sweep import (
-    ChaosOutcome,
-    ChaosTask,
-    chaos_task_key,
-    run_chaos_sweep,
-)
+from repro.faults.sweep import ChaosTask, chaos_task_key, run_chaos_sweep
 
 __all__ = [
     "FaultInjector",
     "FaultPlan",
-    "FaultSpec",
     "NodeCrash",
     "DvfsStuck",
     "TelemetryDropout",
@@ -45,7 +38,6 @@ __all__ = [
     "LinkDegraded",
     "acceleration_for",
     "ChaosTask",
-    "ChaosOutcome",
     "chaos_task_key",
     "run_chaos_sweep",
 ]

@@ -23,18 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.parallel import (
-    ReportCodec,
-    SweepError,  # noqa: F401 - re-exported for callers catching sweep failures
-    run_sweep,
-)
+from repro.analysis.parallel import ReportCodec, ReportOutcome, run_sweep
 from repro.analysis.runner import run_measured
 from repro.cache.keys import tagged_task_key
 from repro.hardware.calibration import Calibration
 from repro.hardware.cluster import Cluster
 from repro.hardware.spec import ClusterSpec
 from repro.metrics.chaos import ChaosReport, build_chaos_report
-from repro.metrics.records import EnergyDelayPoint
 from repro.powercap import (
     CapGovernorConfig,
     PowerBudget,
@@ -51,7 +46,6 @@ from repro.faults.spec import FaultPlan
 
 __all__ = [
     "CHAOS_POLICIES",
-    "ChaosOutcome",
     "ChaosTask",
     "chaos_task_key",
     "run_chaos_sweep",
@@ -59,14 +53,6 @@ __all__ = [
 
 #: Allocation policies a :class:`ChaosTask` can name.
 CHAOS_POLICIES = ("uniform", "redist")
-
-
-@dataclass(frozen=True)
-class ChaosOutcome:
-    """What one chaos run produces: its point plus its chaos score."""
-
-    point: EnergyDelayPoint
-    report: ChaosReport
 
 
 @dataclass(frozen=True)
@@ -90,7 +76,6 @@ class ChaosTask(ReportCodec):
     calibration: Optional[Calibration] = None
 
     meta_kind = "chaos-report"
-    outcome_type = ChaosOutcome
     report_type = ChaosReport
 
     def __post_init__(self) -> None:
@@ -124,7 +109,7 @@ class ChaosTask(ReportCodec):
     def key(self) -> str:
         return chaos_task_key(self)
 
-    def run(self) -> ChaosOutcome:
+    def run(self) -> ReportOutcome:
         """One faulted run on a fresh cluster, scored."""
         strategy = self.build_strategy()
 
@@ -150,7 +135,7 @@ class ChaosTask(ReportCodec):
             repair_events=len(governor.repair_log),
             invariant_violations=governor.monitor.count,
         )
-        return ChaosOutcome(point=run.point, report=report)
+        return ReportOutcome(point=run.point, report=report)
 
 
 def chaos_task_key(task: ChaosTask, salt: Optional[str] = None) -> str:

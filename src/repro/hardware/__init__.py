@@ -8,92 +8,15 @@ a memory-hierarchy timing model, and a chunked store-and-forward Ethernet
 fabric with per-link contention.
 """
 
-from repro.hardware.activity import BUSY_STATES, CpuActivity, is_busy_for_procstat
-from repro.hardware.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hardware.cluster import Cluster
-from repro.hardware.cpu import SimCPU
-from repro.hardware.dvfs import (
-    DVFSTable,
-    OperatingPoint,
-    PENTIUM_M_1400,
-    alpha_power_frequency,
-)
-from repro.hardware.memory import AccessCost, MemoryHierarchy, PENTIUM_M_MEMORY
-from repro.hardware.network import NetworkConfig, NetworkFabric
-from repro.hardware.node import Node
-from repro.hardware.power import (
-    ActivityFactors,
-    CpuPowerModel,
-    DEFAULT_FACTORS,
-    NodePowerModel,
-)
-from repro.hardware.procstat import ProcStat, ProcStatSample
-from repro.hardware.reliability import (
-    ReliabilityModel,
-    StrategyReliability,
-    compare_reliability,
-)
-from repro.hardware.scaling import (
-    CORE_IO,
-    CORE_KINDS,
-    CORE_O3,
-    CoreKind,
-    PROJECTIONS,
-    TECH_BASE,
-    TECH_NODES,
-    TECH_SIZES_NM,
-    TechNode,
-    scaled_calibration,
-    scaled_table,
-    tech_node,
-)
-from repro.hardware.series import ClusterSeries, PowerSeries
-from repro.hardware.spec import ClusterSpec, NodeSpec
-from repro.hardware.timeline import EnergyCursor, PowerTimeline
+from repro.hardware.dvfs import PENTIUM_M_1400
+from repro.hardware.reliability import ReliabilityModel, compare_reliability
+from repro.hardware.spec import ClusterSpec
 
 __all__ = [
-    "CpuActivity",
-    "BUSY_STATES",
-    "is_busy_for_procstat",
-    "OperatingPoint",
-    "DVFSTable",
     "PENTIUM_M_1400",
-    "alpha_power_frequency",
-    "ActivityFactors",
-    "CpuPowerModel",
-    "NodePowerModel",
-    "DEFAULT_FACTORS",
-    "PowerTimeline",
-    "PowerSeries",
-    "ClusterSeries",
-    "EnergyCursor",
-    "ProcStat",
-    "ProcStatSample",
-    "SimCPU",
-    "AccessCost",
-    "MemoryHierarchy",
-    "PENTIUM_M_MEMORY",
-    "NetworkConfig",
-    "NetworkFabric",
-    "Node",
     "Cluster",
-    "Calibration",
-    "DEFAULT_CALIBRATION",
     "ReliabilityModel",
-    "StrategyReliability",
     "compare_reliability",
-    "CoreKind",
-    "CORE_O3",
-    "CORE_IO",
-    "CORE_KINDS",
-    "TechNode",
-    "TECH_BASE",
-    "TECH_NODES",
-    "TECH_SIZES_NM",
-    "PROJECTIONS",
-    "tech_node",
-    "scaled_table",
-    "scaled_calibration",
-    "NodeSpec",
     "ClusterSpec",
 ]

@@ -236,12 +236,18 @@ class ClusterSeries:
             # in node-id order, so the sum is the per-node fold exactly.
             distinct = {id(s): s for s in self._per_node.values()}
             start = max(s.start_time for s in distinct.values())
-            times = np.unique(
+            times = np.sort(
                 np.concatenate(
                     [np.array([start])]
                     + [s.times[s.times >= start] for s in distinct.values()]
                 )
             )
+            # np.unique's sort-and-mask dedupe, without its first-call
+            # import of numpy.ma (the times are finite, so no NaN rule).
+            keep = np.empty(times.shape, dtype=bool)
+            keep[0] = True
+            np.not_equal(times[1:], times[:-1], out=keep[1:])
+            times = times[keep]
             levels = {key: s.sample(times) for key, s in distinct.items()}
             watts = np.zeros_like(times)
             for series in self._per_node.values():

@@ -98,9 +98,6 @@ class PowerTimeline:
         self._frozen = (self._version, view)
         return view
 
-    #: alias — the record-phase/frozen-phase naming used by the docs
-    frozen = series
-
     def copy(self) -> "PowerTimeline":
         """An independent timeline with the same trace, version and
         frozen view."""

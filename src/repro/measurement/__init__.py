@@ -6,36 +6,7 @@ and refresh rates, plus the coordination session and the multi-node data
 filtering/alignment helpers the paper's tool suite provided.
 """
 
-from repro.measurement.acpi import BatteryReading, SmartBattery
-from repro.measurement.alignment import (
-    aggregate_power,
-    align_profiles,
-    detect_outlier_runs,
-    step_resample,
-    trim_to_interval,
-)
-from repro.measurement.baytech import BaytechOutlet, BaytechUnit, OutletSample
-from repro.measurement.powerpack import ClusterMeasurement, PowerPackSession
-from repro.measurement.profiles import (
-    PowerProfile,
-    cluster_power_profile,
-    profile_summary,
-)
+from repro.measurement.powerpack import PowerPackSession
+from repro.measurement.profiles import cluster_power_profile, profile_summary
 
-__all__ = [
-    "SmartBattery",
-    "BatteryReading",
-    "BaytechOutlet",
-    "BaytechUnit",
-    "OutletSample",
-    "PowerPackSession",
-    "ClusterMeasurement",
-    "step_resample",
-    "align_profiles",
-    "aggregate_power",
-    "detect_outlier_runs",
-    "trim_to_interval",
-    "PowerProfile",
-    "cluster_power_profile",
-    "profile_summary",
-]
+__all__ = ["PowerPackSession", "cluster_power_profile", "profile_summary"]

@@ -3,39 +3,17 @@ ED²P, the user-weighted ED²P generalisation, best-operating-point
 selection, and the iso-efficiency trade-off curves of Figure 2."""
 
 from repro.metrics.ed2p import (
-    DELTA_ED2P,
     DELTA_ENERGY,
     DELTA_HPC,
     DELTA_PERFORMANCE,
-    Ed2pReport,
-    Ed2pRow,
-    build_ed2p_report,
-    check_delta,
     ed2p,
     weighted_ed2p,
 )
-from repro.metrics.attribution import (
-    AttributionReport,
-    AttributionRow,
-    build_attribution_report,
-)
-from repro.metrics.chaos import ChaosReport, build_chaos_report
 from repro.metrics.knobmap import KnobCell, KnobMapReport, best_knob
 from repro.metrics.powercap import PowerCapReport, build_cap_report
-from repro.metrics.protocol import ReportBase, ReportProtocol
+from repro.metrics.protocol import ReportProtocol
 from repro.metrics.records import EnergyDelayPoint, normalize_points
-from repro.metrics.scaling import (
-    GenerationVerdict,
-    ScalingReport,
-    build_scaling_report,
-)
-from repro.metrics.selection import BestPoint, best_operating_point, select_paper_rows
-from repro.metrics.serving import (
-    ServingReport,
-    TierBreakdown,
-    build_serving_report,
-    latency_percentile,
-)
+from repro.metrics.selection import best_operating_point, select_paper_rows
 from repro.metrics.tradeoff import (
     iso_efficiency_energy_fraction,
     required_energy_savings,
@@ -45,36 +23,17 @@ from repro.metrics.tradeoff import (
 __all__ = [
     "ed2p",
     "weighted_ed2p",
-    "check_delta",
     "DELTA_ENERGY",
-    "DELTA_ED2P",
     "DELTA_HPC",
     "DELTA_PERFORMANCE",
-    "Ed2pReport",
-    "Ed2pRow",
-    "build_ed2p_report",
     "EnergyDelayPoint",
     "PowerCapReport",
     "build_cap_report",
-    "ChaosReport",
-    "build_chaos_report",
     "KnobCell",
     "KnobMapReport",
     "best_knob",
-    "ServingReport",
-    "TierBreakdown",
-    "build_serving_report",
-    "latency_percentile",
-    "AttributionReport",
-    "AttributionRow",
-    "build_attribution_report",
-    "GenerationVerdict",
-    "ScalingReport",
-    "build_scaling_report",
-    "ReportBase",
     "ReportProtocol",
     "normalize_points",
-    "BestPoint",
     "best_operating_point",
     "select_paper_rows",
     "iso_efficiency_energy_fraction",

@@ -15,47 +15,3 @@ Disabled tracing is the default and costs one global read plus one
 attribute check per hook — every instrumentation site guards with
 ``if tracer.enabled:`` and touches nothing else.
 """
-
-from repro.obs.tracer import (
-    NULL_TRACER,
-    SIM_CLOCK,
-    WALL_CLOCK,
-    CounterRecord,
-    InstantRecord,
-    SpanRecord,
-    Tracer,
-    active_tracer,
-    set_active_tracer,
-    tracing,
-)
-from repro.obs.export import (
-    TraceData,
-    chrome_trace_events,
-    export_chrome_trace,
-    export_jsonl,
-    load_trace_file,
-    to_chrome_trace,
-    to_jsonl,
-    validate_chrome_trace,
-)
-
-__all__ = [
-    "NULL_TRACER",
-    "SIM_CLOCK",
-    "WALL_CLOCK",
-    "CounterRecord",
-    "InstantRecord",
-    "SpanRecord",
-    "Tracer",
-    "active_tracer",
-    "set_active_tracer",
-    "tracing",
-    "TraceData",
-    "chrome_trace_events",
-    "export_chrome_trace",
-    "export_jsonl",
-    "load_trace_file",
-    "to_chrome_trace",
-    "to_jsonl",
-    "validate_chrome_trace",
-]

@@ -23,7 +23,6 @@ strategies and the measurement pipeline).
 """
 
 from repro.powercap.actions import (
-    Action,
     GateNode,
     GovernorPlan,
     SetCoreAllocation,
@@ -40,12 +39,10 @@ from repro.powercap.actuators import (
 )
 from repro.powercap.budget import PowerBudget
 from repro.powercap.elastic import ELASTIC_KNOBS, ElasticPolicy
-from repro.powercap.governor import CapGovernor, CapGovernorConfig, GovernorWindow
-from repro.powercap.monitor import InvariantMonitor, InvariantViolation
-from repro.powercap.resilience import RepairEvent, ResilienceConfig
+from repro.powercap.governor import CapGovernor, CapGovernorConfig
+from repro.powercap.monitor import InvariantMonitor
+from repro.powercap.resilience import ResilienceConfig
 from repro.powercap.policy import (
-    CapAllocation,
-    CapPolicy,
     PlanContext,
     SlackRedistributionPolicy,
     UniformCapPolicy,
@@ -60,7 +57,6 @@ from repro.powercap.telemetry import (
 )
 
 __all__ = [
-    "Action",
     "Actuator",
     "CoreAllocationActuator",
     "DvfsActuator",
@@ -78,13 +74,8 @@ __all__ = [
     "PowerBudget",
     "CapGovernor",
     "CapGovernorConfig",
-    "GovernorWindow",
     "InvariantMonitor",
-    "InvariantViolation",
-    "RepairEvent",
     "ResilienceConfig",
-    "CapAllocation",
-    "CapPolicy",
     "UniformCapPolicy",
     "SlackRedistributionPolicy",
     "PowerCapStrategy",

@@ -17,19 +17,3 @@ Combine with ``mpi4py`` to run the paper's methodology on a live
 cluster; every class is dependency-injected/parameterised so the logic is
 fully testable without hardware.
 """
-
-from repro.realhw.daemon import RealCpuspeedDaemon
-from repro.realhw.procstat import USER_HZ, parse_proc_stat, read_proc_stat
-from repro.realhw.rapl import RaplError, RaplMeter
-from repro.realhw.sysfs_cpufreq import CpufreqError, SysfsCpuFreq
-
-__all__ = [
-    "SysfsCpuFreq",
-    "CpufreqError",
-    "parse_proc_stat",
-    "read_proc_stat",
-    "USER_HZ",
-    "RaplMeter",
-    "RaplError",
-    "RealCpuspeedDaemon",
-]

@@ -13,49 +13,18 @@ request critical path.  :mod:`repro.serving.sweep` gives serving runs
 the same cached, resumable sweep contract as chaos sweeps.
 """
 
-from repro.serving.arrivals import (
-    DiurnalArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-)
+from repro.serving.arrivals import DiurnalArrivals
 from repro.serving.elastic import ELASTIC_ALLOCATORS, ElasticServingPolicy
-from repro.serving.policy import (
-    CpuspeedServingPolicy,
-    ServingPolicy,
-    StaticServingPolicy,
-    TierDvsPolicy,
-)
-from repro.serving.records import RequestRecord, TierSpan
-from repro.serving.runner import ServingRun, run_serving
-from repro.serving.spec import RequestSpec, ServingWorkload, TierSpec
-from repro.serving.sweep import (
-    SERVING_POLICIES,
-    ServingOutcome,
-    ServingTask,
-    run_serving_sweep,
-    serving_task_key,
-)
+from repro.serving.runner import run_serving
+from repro.serving.spec import ServingWorkload, TierSpec
+from repro.serving.sweep import ServingTask
 
 __all__ = [
-    "PoissonArrivals",
-    "MMPPArrivals",
     "DiurnalArrivals",
-    "TierSpan",
-    "RequestRecord",
-    "RequestSpec",
     "TierSpec",
     "ServingWorkload",
-    "ServingRun",
     "run_serving",
-    "ServingPolicy",
-    "StaticServingPolicy",
-    "CpuspeedServingPolicy",
-    "TierDvsPolicy",
     "ELASTIC_ALLOCATORS",
     "ElasticServingPolicy",
-    "SERVING_POLICIES",
     "ServingTask",
-    "ServingOutcome",
-    "serving_task_key",
-    "run_serving_sweep",
 ]

@@ -24,11 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.analysis.parallel import (
-    ReportCodec,
-    SweepError,  # noqa: F401 - re-exported for callers catching sweep failures
-    run_sweep,
-)
+from repro.analysis.parallel import ReportCodec, ReportOutcome, run_sweep
 from repro.cache.keys import tagged_task_key
 from repro.hardware.calibration import Calibration
 from repro.metrics.records import EnergyDelayPoint
@@ -46,7 +42,6 @@ from repro.util.validation import check_in, check_positive
 
 __all__ = [
     "SERVING_POLICIES",
-    "ServingOutcome",
     "ServingTask",
     "run_serving_sweep",
     "serving_task_key",
@@ -54,14 +49,6 @@ __all__ = [
 
 #: Policy recipes a :class:`ServingTask` can name.
 SERVING_POLICIES = ("static", "cpuspeed", "tierdvs", "elastic")
-
-
-@dataclass(frozen=True)
-class ServingOutcome:
-    """What one serving run produces: its point plus its report."""
-
-    point: EnergyDelayPoint
-    report: ServingReport
 
 
 @dataclass(frozen=True)
@@ -87,7 +74,6 @@ class ServingTask(ReportCodec):
     allocator: str = "redist"
 
     meta_kind = "serving-report"
-    outcome_type = ServingOutcome
     report_type = ServingReport
 
     def __post_init__(self) -> None:
@@ -137,7 +123,7 @@ class ServingTask(ReportCodec):
     def key(self) -> str:
         return serving_task_key(self)
 
-    def run(self) -> ServingOutcome:
+    def run(self) -> ReportOutcome:
         """One serving run on a fresh cluster, scored."""
         run = run_serving(
             self.workload, self.build_policy(), calibration=self.calibration
@@ -149,7 +135,7 @@ class ServingTask(ReportCodec):
             delay=run.duration_s,
             frequency=self.frequency,
         )
-        return ServingOutcome(point=point, report=report)
+        return ReportOutcome(point=point, report=report)
 
 
 def serving_task_key(task: ServingTask, salt: Optional[str] = None) -> str:

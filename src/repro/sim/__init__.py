@@ -13,15 +13,13 @@ while still modelling asynchronous behaviour such as governor preemption.
 
 from repro.sim.engine import (
     Engine,
-    EngineStats,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
 )
-from repro.sim.errors import Interrupt, SimulationError, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
-from repro.sim.process import Process
-from repro.sim.resources import FilterStore, Request, Resource, Store
+from repro.sim.errors import Interrupt, SimulationError
+from repro.sim.events import AllOf, AnyOf, Event
+from repro.sim.resources import FilterStore, Resource, Store
 
 
 def engine_mode() -> str:
@@ -31,19 +29,13 @@ def engine_mode() -> str:
 
 __all__ = [
     "Engine",
-    "EngineStats",
     "engine_mode",
     "Event",
-    "Timeout",
-    "Condition",
     "AnyOf",
     "AllOf",
-    "Process",
     "Interrupt",
     "SimulationError",
-    "StopSimulation",
     "Resource",
-    "Request",
     "Store",
     "FilterStore",
     "PRIORITY_URGENT",

@@ -6,42 +6,7 @@ that makes communication look *busy* to ``/proc/stat`` — the substrate
 the paper's DVS study runs on.
 """
 
-from repro.simmpi.collectives import (
-    allgather,
-    allreduce,
-    alltoall,
-    barrier,
-    bcast,
-    gather,
-    reduce,
-    scatter,
-)
-from repro.simmpi.communicator import COLLECTIVE_TAG_BASE, Communicator
-from repro.simmpi.datatypes import VectorType
 from repro.simmpi.launcher import SpmdResult, run_spmd
-from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Status, payload_nbytes
-from repro.simmpi.request import Request
-from repro.simmpi.world import World
+from repro.simmpi.message import ANY_SOURCE, ANY_TAG, payload_nbytes
 
-__all__ = [
-    "World",
-    "Communicator",
-    "Request",
-    "Message",
-    "Status",
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "payload_nbytes",
-    "VectorType",
-    "COLLECTIVE_TAG_BASE",
-    "SpmdResult",
-    "run_spmd",
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "gather",
-    "scatter",
-    "allgather",
-    "alltoall",
-]
+__all__ = ["ANY_SOURCE", "ANY_TAG", "payload_nbytes", "SpmdResult", "run_spmd"]

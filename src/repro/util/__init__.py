@@ -1,39 +1,1 @@
 """Shared utilities: unit helpers and argument validation."""
-
-from repro.util.units import (
-    GHZ,
-    GIB,
-    KIB,
-    MHZ,
-    MIB,
-    JOULES_PER_MWH,
-    mhz,
-    mibps,
-    pretty_bytes,
-    pretty_freq,
-    pretty_time,
-)
-from repro.util.validation import (
-    check_fraction,
-    check_in,
-    check_positive,
-    check_nonnegative,
-)
-
-__all__ = [
-    "MHZ",
-    "GHZ",
-    "KIB",
-    "MIB",
-    "GIB",
-    "JOULES_PER_MWH",
-    "mhz",
-    "mibps",
-    "pretty_bytes",
-    "pretty_freq",
-    "pretty_time",
-    "check_fraction",
-    "check_in",
-    "check_positive",
-    "check_nonnegative",
-]

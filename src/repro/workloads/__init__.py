@@ -6,57 +6,21 @@ matrix transpose (5×3 grid, steps 1-3), SPEC-like sequential kernels
 (memory-/L2-/register-/communication-bound).
 """
 
-from repro.workloads.base import Workload, execute_cost
-from repro.workloads.imbalanced import ImbalancedMix
-from repro.workloads.micro import (
-    L2BoundMicro,
-    MemoryBoundMicro,
-    RegisterMicro,
-    RoundtripMicro,
-)
-from repro.workloads.nas_cg import CG_CLASSES, CGClass, NasCG, laplacian_2d, verify_cg
-from repro.workloads.nas_ep import EP_CLASSES, EPClass, NasEP, verify_ep
-from repro.workloads.nas_ft import (
-    FT_CLASSES,
-    FTClass,
-    NasFT,
-    verify_distributed_fft,
-)
-from repro.workloads.nas_mg import NasMG, verify_mg
-from repro.workloads.spec_like import MgridLike, SequentialKernel, SwimLike
-from repro.workloads.stencil import HaloStencil, verify_stencil
+from repro.workloads.nas_cg import NasCG
+from repro.workloads.nas_ep import NasEP
+from repro.workloads.nas_ft import NasFT, verify_distributed_fft
+from repro.workloads.nas_mg import NasMG
+from repro.workloads.stencil import HaloStencil
 from repro.workloads.synthetic import SyntheticMix
-from repro.workloads.transpose import ParallelTranspose, verify_transpose
+from repro.workloads.transpose import ParallelTranspose
 
 __all__ = [
-    "Workload",
-    "execute_cost",
     "NasFT",
-    "FTClass",
-    "FT_CLASSES",
     "verify_distributed_fft",
     "NasEP",
-    "EPClass",
-    "EP_CLASSES",
-    "verify_ep",
     "NasCG",
-    "CGClass",
-    "CG_CLASSES",
-    "laplacian_2d",
-    "verify_cg",
     "NasMG",
-    "verify_mg",
     "HaloStencil",
-    "verify_stencil",
     "SyntheticMix",
-    "ImbalancedMix",
     "ParallelTranspose",
-    "verify_transpose",
-    "SequentialKernel",
-    "MgridLike",
-    "SwimLike",
-    "MemoryBoundMicro",
-    "L2BoundMicro",
-    "RegisterMicro",
-    "RoundtripMicro",
 ]

@@ -16,15 +16,16 @@ numerics through the simulated MPI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.dvs.controller import DvsController
 from repro.hardware.memory import AccessCost
 from repro.workloads.base import Workload, WorkGen, execute_cost
+
+if TYPE_CHECKING:  # pragma: no cover - static analysis only
+    import scipy.sparse as sp
 
 __all__ = ["CGClass", "CG_CLASSES", "NasCG", "verify_cg"]
 
@@ -52,6 +53,8 @@ CG_CLASSES: Dict[str, CGClass] = {
 
 def laplacian_2d(grid: int) -> sp.csr_matrix:
     """The 2-D five-point Laplacian on a ``grid × grid`` mesh (SPD)."""
+    import scipy.sparse as sp  # only the verification path needs scipy
+
     main = 4.0 * np.ones(grid * grid)
     side = -1.0 * np.ones(grid * grid - 1)
     side[np.arange(1, grid * grid) % grid == 0] = 0.0  # row boundaries
@@ -188,6 +191,8 @@ class NasCG(Workload):
 
 def verify_cg(workload: NasCG, returns: List[dict]) -> None:
     """Distributed CG must converge toward scipy's solution."""
+    import scipy.sparse.linalg as spla
+
     if not workload.verify:
         raise ValueError("verification requires verify=True mode")
     full = laplacian_2d(workload.grid)
