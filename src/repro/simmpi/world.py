@@ -21,6 +21,7 @@ from repro.hardware.cluster import Cluster
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 from repro.sim.resources import FilterStore
+from repro.simmpi.communicator import Communicator
 from repro.simmpi.message import Message
 
 __all__ = ["World"]
@@ -57,10 +58,8 @@ class World:
         self.message_count += 1
         return next(self._seq)
 
-    def comm(self, rank: int):
-        """The per-rank communicator view (lazy import avoids a cycle)."""
-        from repro.simmpi.communicator import Communicator
-
+    def comm(self, rank: int) -> Communicator:
+        """The per-rank communicator view."""
         return Communicator(self, rank)
 
     # ------------------------------------------------------------------
