@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.util.records import record
 from repro.util.units import KIB, MIB
 from repro.util.validation import check_positive
 
 __all__ = ["AccessCost", "MemoryHierarchy", "PENTIUM_M_MEMORY"]
 
 
-@dataclass(frozen=True)
+@record
 class AccessCost:
     """Cost decomposition of a block of memory work.
 

@@ -14,7 +14,6 @@ a process that alternates between short syscalls and halts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.hardware.activity import CpuActivity
 from repro.util.validation import check_fraction, check_nonnegative
@@ -96,12 +95,6 @@ class ProcStat:
         ]
         self._busy += duration * busy_frac
         self._idle += duration * (1.0 - busy_frac)
-
-    def counters(self) -> Tuple[float, float]:
-        """The cumulative ``(busy, idle)`` seconds, without building a
-        :class:`ProcStatSample` (the cap governor reads every node per
-        window)."""
-        return self._busy, self._idle
 
     def snapshot(self) -> ProcStatSample:
         """Current cumulative counters (what reading /proc/stat returns)."""

@@ -259,14 +259,24 @@ class EnergyCursor:
         property closed-loop consumers (the power-cap governor's
         telemetry) rely on for reproducible control trajectories.  The
         running total since the cursor's start is :attr:`joules`.
+
+        When the timeline's last change is at or before the cursor, the
+        window is one segment and the increment is that segment's watts
+        times the window's length: the walk's single term, which it adds
+        to ``0.0``, so the same float.
         """
-        if upto < self._t:
+        t = self._t
+        if upto < t:
             raise ValueError(
-                f"cursor cannot move backwards (at {self._t}, asked {upto})"
+                f"cursor cannot move backwards (at {t}, asked {upto})"
             )
-        if upto == self._t:
+        if upto == t:
             return 0.0
-        step = self._timeline._energy_walk(self._t, upto)
+        timeline = self._timeline
+        if timeline._times[-1] <= t:
+            step = timeline._watts[-1] * (upto - t)
+        else:
+            step = timeline._energy_walk(t, upto)
         self._joules += step
         self._t = upto
         return step

@@ -30,8 +30,9 @@ pre-refactor direct-call path (asserted in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+
+from repro.util.records import record
 
 if TYPE_CHECKING:
     from repro.powercap.policy import CapAllocation
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class SetFreqCeiling:
     """Move one node's frequency ceiling (and drive the clock to it).
 
@@ -64,7 +65,7 @@ class SetFreqCeiling:
     drive_down: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class GateNode:
     """Power-gate one node: orderly drain to platform suspend power.
 
@@ -78,7 +79,7 @@ class GateNode:
     node_id: int
 
 
-@dataclass(frozen=True)
+@record
 class WakeNode:
     """Wake a gated node after the actuator's boot-latency penalty.
 
@@ -91,7 +92,7 @@ class WakeNode:
     boot_frequency: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@record
 class SetCoreAllocation:
     """Set the powered-core fraction of one node (the vertical knob).
 
@@ -109,7 +110,7 @@ class SetCoreAllocation:
 Action = Union[SetFreqCeiling, GateNode, WakeNode, SetCoreAllocation]
 
 
-@dataclass(frozen=True)
+@record
 class GovernorPlan:
     """One control window's decision: ordered actions + the prediction.
 

@@ -42,6 +42,7 @@ from repro.obs.tracer import active_tracer
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 from repro.sim.process import Process
+from repro.util.records import record
 from repro.util.validation import check_fraction, check_positive
 
 from repro.powercap.actions import GovernorPlan, SetFreqCeiling
@@ -100,7 +101,7 @@ class CapGovernorConfig:
         check_fraction("demand_decay", self.demand_decay)
 
 
-@dataclass(frozen=True)
+@record
 class GovernorWindow:
     """One closed control window, for compliance reporting."""
 

@@ -23,10 +23,10 @@ recovery latency from this record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.powercap.budget import PowerBudget
+from repro.util.records import record
 
 __all__ = ["InvariantViolation", "InvariantMonitor"]
 
@@ -34,7 +34,7 @@ __all__ = ["InvariantViolation", "InvariantMonitor"]
 _EPSILON = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class InvariantViolation:
     """One recorded invariant breach (a fact, not an exception)."""
 

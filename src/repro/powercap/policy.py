@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Sequence, Tuple
 
 from repro.hardware.dvfs import DVFSTable, OperatingPoint
+from repro.util.records import record
 
 from repro.powercap.actions import GovernorPlan
 from repro.powercap.telemetry import NodeWindowSample
@@ -44,7 +45,7 @@ __all__ = [
 PowerPredictor = Callable[[NodeWindowSample, OperatingPoint], float]
 
 
-@dataclass(frozen=True)
+@record
 class CapAllocation:
     """One window's decision: node id → frequency (Hz)."""
 

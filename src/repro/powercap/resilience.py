@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.util.records import record
 from repro.util.validation import check_positive
 
 __all__ = ["ResilienceConfig", "RepairEvent"]
@@ -58,7 +59,7 @@ class ResilienceConfig:
         check_positive("backoff_base_windows", self.backoff_base_windows)
 
 
-@dataclass(frozen=True)
+@record
 class RepairEvent:
     """One defensive action taken by the hardened governor."""
 

@@ -20,7 +20,6 @@ self-calibrating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, NoReturn
 
 from repro.hardware.activity import CpuActivity
@@ -30,6 +29,7 @@ from repro.hardware.node import Node
 from repro.hardware.power import NodePowerModel
 from repro.hardware.procstat import busy_share
 from repro.hardware.timeline import EnergyCursor
+from repro.util.records import record
 
 __all__ = [
     "NodeWindowSample",
@@ -46,7 +46,7 @@ __all__ = [
 _MIN_BUSY_FOR_INFERENCE = 0.02
 
 
-@dataclass(frozen=True)
+@record
 class NodeWindowSample:
     """One node's telemetry over one governor window."""
 
@@ -89,9 +89,9 @@ class ClusterTelemetry:
         self._prev_busy: List[float] = []
         self._prev_total: List[float] = []
         for node in self._nodes:
-            busy, idle = node.procstat.counters()
-            self._prev_busy.append(busy)
-            self._prev_total.append(busy + idle)
+            snapshot = node.procstat.snapshot()
+            self._prev_busy.append(snapshot.busy)
+            self._prev_total.append(snapshot.total)
         # Live per-node integrators.  The governor is a *closed-loop*
         # consumer: the watts it reads feed back into frequency
         # decisions, so the window integral must be reproducible
@@ -125,6 +125,11 @@ class ClusterTelemetry:
         collector leaves — and consumers must cope with missing node
         ids.  A node with an active power-noise fault reports a
         perturbed ``avg_watts``.
+
+        The window is one pass per node that closes the CPU's
+        accounting segment and reads the ``/proc/stat`` counters, the
+        power and fault switches and the clock from the hardware's own
+        fields, not through their accessors.
         """
         now = self.cluster.engine.now
         t0 = self._prev_time
@@ -138,9 +143,11 @@ class ClusterTelemetry:
         for i, node in enumerate(self._nodes):
             # Close the open accounting segment before reading the
             # counters, as the cpuspeed daemon must.
-            node.cpu.finalize()
-            busy, idle = node.procstat.counters()
-            total = busy + idle
+            cpu = node.cpu
+            cpu._close_segment()
+            stat = cpu.procstat
+            busy = stat._busy
+            total = busy + stat._idle
             busy_fraction = busy_share(busy - prev_busy[i], total - prev_total[i])
             prev_busy[i] = busy
             prev_total[i] = total
@@ -148,16 +155,17 @@ class ClusterTelemetry:
             # must stay aligned for when visibility returns).
             joules = meters[i].advance(now)
             joules_by_position.append(joules)
-            if not node.telemetry_visible:
+            faults = node.faults
+            if not cpu._powered or faults.telemetry_dark:
                 continue
             avg_watts = joules / duration
-            noise = node.faults.power_noise
+            noise = faults.power_noise
             if noise is not None:
                 avg_watts = noise(avg_watts, now)
             samples.append(
                 NodeWindowSample(
                     node.node_id, t0, now, avg_watts, busy_fraction,
-                    node.cpu.frequency,
+                    cpu._point.frequency,
                 )
             )
         self.window_joules = dict(zip(self._ids, joules_by_position))

@@ -11,8 +11,9 @@ plain records whether or not a tracer was active.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
+
+from repro.util.records import record
 
 __all__ = ["REQUEST_STATUSES", "RequestRecord", "TierSpan"]
 
@@ -20,7 +21,7 @@ __all__ = ["REQUEST_STATUSES", "RequestRecord", "TierSpan"]
 REQUEST_STATUSES = ("ok", "dropped", "timeout")
 
 
-@dataclass(frozen=True)
+@record
 class TierSpan:
     """One request's residence in one tier: queue wait plus service.
 
@@ -49,7 +50,7 @@ class TierSpan:
         return self.finished_s - self.enqueued_s
 
 
-@dataclass(frozen=True)
+@record
 class RequestRecord:
     """One request's terminal record.
 

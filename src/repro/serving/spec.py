@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.serving.arrivals import PoissonArrivals
+from repro.util.records import record
 from repro.util.validation import check_in, check_positive
 
 __all__ = ["SERVICE_DISTRIBUTIONS", "RequestSpec", "ServingWorkload", "TierSpec"]
@@ -63,7 +64,7 @@ class TierSpec:
         check_in("distribution", self.distribution, SERVICE_DISTRIBUTIONS)
 
 
-@dataclass(frozen=True)
+@record
 class RequestSpec:
     """One pre-sampled request: arrival instant + per-tier demands."""
 

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.sim.events import Event
+from repro.util.records import record
 
 __all__ = [
     "ANY_SOURCE",
@@ -61,7 +62,7 @@ def payload_nbytes(payload: object) -> int:
     return 64
 
 
-@dataclass(frozen=True)
+@record
 class Status:
     """Receive status, mirroring ``MPI_Status``."""
 

@@ -1,1 +1,1 @@
-"""Shared utilities: unit helpers and argument validation."""
+"""Shared utilities: unit helpers, argument validation and frozen records."""

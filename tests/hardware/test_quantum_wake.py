@@ -129,7 +129,7 @@ def _run(program):
     outputs = (
         log,
         [node.timeline.segments() for node in nodes],
-        [node.procstat.counters() for node in nodes],
+        [node.procstat.snapshot() for node in nodes],
     )
     return outputs, bool(retimed)
 

@@ -158,6 +158,42 @@ def test_cursor_increments_are_bit_identical_to_window_walks(changes, ticks):
     assert cursor.time == t
 
 
+_STEP = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=3.0))
+
+
+@given(
+    program=st.lists(
+        st.one_of(
+            st.tuples(st.just("advance"), _STEP),
+            # A change at the cursor's time (step 0.0) or after it, or
+            # right after the trace's last change, behind the cursor.
+            st.tuples(st.just("at-cursor"), _STEP, _WATTS),
+            st.tuples(st.just("at-end"), _STEP, _WATTS),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@settings(max_examples=300)
+def test_live_cursor_increments_are_bit_identical_to_window_walks(program):
+    """The governor's case: changes are appended between advances, so
+    the trace's last change is often at or before the cursor (the
+    single-segment increment), and sometimes after it (a walk)."""
+    tl = PowerTimeline(start_time=0.0, initial_power=12.5)
+    cursor = tl.cursor(0.0)
+    for op in program:
+        if op[0] == "advance":
+            t0 = cursor.time
+            t1 = t0 + op[1]
+            assert cursor.advance(t1) == tl._energy_walk(t0, t1)
+        else:
+            _, step, watts = op
+            anchor = tl.last_change
+            if op[0] == "at-cursor":
+                anchor = max(anchor, cursor.time)
+            tl.set_power(anchor + step, watts)
+
+
 def test_cursor_cannot_move_backwards():
     tl = PowerTimeline(initial_power=10.0)
     cursor = tl.cursor(0.0)
