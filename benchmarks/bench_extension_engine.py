@@ -7,13 +7,18 @@ timeout against a shared tick with ``any_of`` (the loser is cancelled,
 as in the CPU model's ``run_cycles`` race).  It pins every
 ``EngineStats`` count exactly and reports µs per dispatch in
 ``extra_info``; it asserts no speed ratio, since a wall-clock bound on a
-small shared host is mostly noise.
+small shared host is mostly noise.  Each program runs with the cycle
+collector off and must leave **no** object to ``gc.collect()``: a fired
+condition unsubscribes from the events it raced and a cancelled event
+drops its callbacks, so the whole event graph dies by reference counting.
 
 The other two cases each run the *same* simulation on the walks in
 ``tests/oracles.py`` (a timeout-vs-frequency race per ``run_cycles``
 round, one link hold per network chunk) and on the production bulk
 paths (one armed completion per quantum, one hold per uncontended
-message), and asserting the walk/bulk wall-clock ratio:
+message), and asserting the walk/bulk wall-clock ratio.  A full
+collection runs before each arm, so the collector never lands the
+garbage of one arm (or of an earlier case) inside the other's timing:
 
 * ``ft_c`` — NAS FT class C on 16 ranks under cpuspeed daemons.  The
   hot path is pure event churn (per-chunk network events, per-slice
@@ -31,6 +36,7 @@ Both walk-vs-bulk cases assert **≥ 10×**.  ``REPRO_FULL_SCALE=1`` grows chaos
 class C on 16 ranks; the default keeps the walk leg to a few seconds.
 """
 
+import gc
 import time
 from dataclasses import replace
 
@@ -100,14 +106,22 @@ def _any_of_race(eng):
 
 
 def _dispatch(program):
-    eng = Engine()
-    program(eng)
-    t0 = time.perf_counter()
-    eng.run()
-    elapsed = time.perf_counter() - t0
-    stats = eng.stats
+    gc.collect()
+    gc.disable()
+    try:
+        eng = Engine()
+        program(eng)
+        t0 = time.perf_counter()
+        eng.run()
+        elapsed = time.perf_counter() - t0
+        stats = eng.stats
+        del eng
+        garbage = gc.collect()
+    finally:
+        gc.enable()
     return {
         "counts": (stats.dispatched, stats.frontiers, stats.cancelled),
+        "garbage": garbage,
         "us_per_dispatch": elapsed / stats.dispatched * 1e6,
         "run_s": elapsed,
     }
@@ -123,6 +137,8 @@ def bench_extension_engine_dispatch(benchmark):
     )
     assert out["timeouts"]["counts"] == CHAIN_COUNTS
     assert out["any_of"]["counts"] == RACE_COUNTS
+    for case, result in out.items():
+        assert result["garbage"] == 0, (case, result["garbage"])
     benchmark.extra_info["engine"] = {
         case: {
             "dispatched": result["counts"][0],
@@ -139,13 +155,15 @@ def bench_extension_engine_dispatch(benchmark):
 
 
 def _timed(fn):
+    gc.collect()
     t0 = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - t0
 
 
 def _both_paths(fn):
-    """Time ``fn()`` on the walks, then on the bulk paths."""
+    """Time ``fn()`` on the walks, then on the bulk paths, each arm
+    after a full collection."""
     with using_walks():
         walk, t_walk = _timed(fn)
     bulk, t_bulk = _timed(fn)

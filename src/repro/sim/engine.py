@@ -12,10 +12,10 @@ callback loop per event.  :meth:`Event.succeed`, :meth:`Event.fail` and
 :class:`Timeout` push their own heap rows; :meth:`Engine.schedule` and
 :meth:`Engine.schedule_at` push rows for callers that pick a delay,
 instant or priority.
-:meth:`Engine.cancel` revokes a queued event lazily: it flags the event,
-whose row stays in the heap and is dropped when it reaches the head, so
-cancelling is O(1) and a cancelled event never decides the next dispatch
-time.  The hardware layer's bulk paths are built on it (a
+:meth:`Engine.cancel` revokes a queued event lazily: it flags the event
+and drops its callbacks, and its row stays in the heap until it reaches
+the head, so cancelling is O(1) and a cancelled event never decides the
+next dispatch time.  The hardware layer's bulk paths are built on it (a
 ``run_cycles`` quantum re-armed on a frequency change, a link hold
 preempted by contention).
 
@@ -150,13 +150,15 @@ class Engine:
         """Revoke a scheduled-but-unprocessed event in O(1).
 
         Returns ``True`` when the event was live and is now cancelled.
-        The event object stays *triggered* (it carries its value) but its
-        callbacks will never run and it never becomes ``processed``.
+        The event object stays *triggered* (it carries its value) but it
+        never becomes ``processed``: its callbacks are dropped at once,
+        so nothing it would have woken is kept alive by its heap row.
         Only events currently in the queue may be cancelled.
         """
         if event.callbacks is None or not event.triggered or event._cancelled:
             return False
         event._cancelled = True
+        event.callbacks.clear()
         self._dead += 1
         self.stats.cancelled += 1
         return True

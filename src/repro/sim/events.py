@@ -220,6 +220,10 @@ class Condition(Event):
     A failure of any constituent fails the condition immediately.
     ``count_needed`` (default: all of them) is capped at the number of
     events, so a condition over no events succeeds at once.
+
+    Once it succeeds or fails, the condition removes its check from every
+    constituent still pending, so no event it raced keeps it (or its
+    waiter) alive.
     """
 
     __slots__ = ("_events", "_count_needed", "_num_ok")
@@ -230,13 +234,14 @@ class Condition(Event):
         events: Iterable[Event],
         count_needed: Optional[int] = None,
     ):
-        super().__init__(engine)
+        # Event.__init__ inlined: the MPI progress loop builds one
+        # condition per wait.
+        self.engine = engine
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._cancelled = False
         self._events: List[Event] = list(events)
-        for ev in self._events:
-            if ev.engine is not engine:
-                raise SimulationError(
-                    "all events of a condition must belong to the same engine"
-                )
         n = len(self._events)
         if count_needed is not None:
             n = min(count_needed, n)
@@ -245,24 +250,47 @@ class Condition(Event):
 
         if n == 0:
             self.succeed({})
-            return
 
+        # Validate and subscribe in one pass.  Once the condition has
+        # triggered (on no events needed, or on an already-processed
+        # one), only validate the rest.
+        check = self._check
         for ev in self._events:
+            if ev.engine is not engine:
+                self._unsubscribe()
+                raise SimulationError(
+                    "all events of a condition must belong to the same engine"
+                )
+            if self._value is not PENDING:
+                continue
             if ev.callbacks is None:
                 # Already processed: account for it right away.
-                self._check(ev)
+                check(ev)
             else:
-                ev.callbacks.append(self._check)
+                ev.callbacks.append(check)
 
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
             return
-        if not event._ok:
-            self.fail(event._value)  # type: ignore[arg-type]
-            return
-        self._num_ok += 1
-        if self._num_ok >= self._count_needed:
+        if event._ok:
+            self._num_ok += 1
+            if self._num_ok < self._count_needed:
+                return
             self.succeed(self._collect())
+        else:
+            self.fail(event._value)  # type: ignore[arg-type]
+        self._unsubscribe()
+
+    def _unsubscribe(self) -> None:
+        """Remove this condition's check from every pending constituent."""
+        check = self._check
+        for ev in self._events:
+            callbacks = ev.callbacks
+            if callbacks is not None:
+                try:
+                    callbacks.remove(check)
+                except ValueError:
+                    pass  # never subscribed, or dropped by Engine.cancel
 
     def _collect(self) -> dict:
         # Only *processed* events count as having occurred: a Timeout carries

@@ -84,7 +84,8 @@ class Message:
     eager: bool = True
     #: receiver fires this to authorise a rendezvous transfer
     cts: Optional[Event] = None
-    #: fired when the payload has fully arrived at the receiver
+    #: fired (with ``None``) when the payload has fully arrived at the
+    #: receiver
     data_done: Optional[Event] = None
     send_time: float = field(default=0.0)
 

@@ -96,7 +96,7 @@ class World:
             msg.source, msg.dest, msg.nbytes, max_rate=max_rate
         )
         assert msg.data_done is not None
-        msg.data_done.succeed(msg)
+        msg.data_done.succeed(None)
 
     def _rendezvous_progress(
         self, msg: Message, completion: Event, max_rate: float | None
@@ -106,5 +106,5 @@ class World:
         yield from self.fabric.transfer(
             msg.source, msg.dest, msg.nbytes, max_rate=max_rate
         )
-        msg.data_done.succeed(msg)
+        msg.data_done.succeed(None)
         completion.succeed(None)

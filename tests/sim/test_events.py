@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Engine, SimulationError
+from repro.sim.events import Condition
 
 
 @pytest.fixture
@@ -208,3 +209,76 @@ def test_trigger_mirrors_success_and_failure(eng):
     with pytest.raises(SimulationError):
         eng.event().trigger(eng.event())
     eng.run()  # drain scheduled events to keep the engine clean
+
+
+# ----------------------------------------------------------------------
+# subscriptions: a fired condition and a cancelled event hold no callback
+# ----------------------------------------------------------------------
+def _subscribed(cond, ev):
+    return ev.callbacks is not None and cond._check in ev.callbacks
+
+
+def test_fired_any_of_leaves_no_check_on_pending_events(eng):
+    fast, slow, never = eng.timeout(1.0), eng.timeout(5.0), eng.event()
+    cond = eng.any_of([fast, slow, never])
+    assert _subscribed(cond, slow) and _subscribed(cond, never)
+    eng.run(until=cond)
+    assert cond.processed and not slow.processed
+    assert not _subscribed(cond, slow) and not _subscribed(cond, never)
+    assert slow.callbacks == [] and never.callbacks == []
+
+
+def test_failed_all_of_leaves_no_check_on_pending_events(eng):
+    bad, pending = eng.event(), eng.timeout(10.0)
+    cond = eng.all_of([bad, pending])
+    bad.fail(RuntimeError("dead"))
+    with pytest.raises(RuntimeError):
+        eng.run(until=cond)
+    assert not _subscribed(cond, pending)
+    assert pending.callbacks == []
+
+
+def test_any_of_over_one_event_twice_unsubscribes_both(eng):
+    ev, other = eng.event(), eng.event()
+    cond = eng.any_of([other, other, ev])
+    assert other.callbacks.count(cond._check) == 2
+    ev.succeed("x")
+    eng.run()
+    assert cond.value == {ev: "x"}
+    assert other.callbacks == []
+
+
+def test_condition_over_processed_event_subscribes_to_nothing_else(eng):
+    before, done, after = eng.event(), eng.event(), eng.event()
+    done.succeed("pre")
+    eng.run()
+    cond = eng.any_of([before, done, after])
+    assert cond.triggered
+    assert before.callbacks == [] and after.callbacks == []
+    assert eng.run(until=cond) == {done: "pre"}
+
+
+def test_foreign_event_leaves_no_check_behind(eng):
+    mine = eng.event()
+    with pytest.raises(SimulationError):
+        AnyOf(eng, [mine, Engine().event()])
+    assert mine.callbacks == []
+
+
+def test_cancelled_event_drops_its_callbacks(eng):
+    timer = eng.timeout(1.0)
+    timer.callbacks.append(lambda e: pytest.fail("cancelled event ran"))
+    cond = eng.any_of([timer, eng.event()])
+    assert eng.cancel(timer)
+    assert timer.callbacks == [] and timer.processed is False
+    with pytest.raises(SimulationError):
+        eng.run(until=timer)
+    assert not cond.triggered
+
+
+def test_condition_needing_no_event_still_validates_and_subscribes_nothing(eng):
+    mine = eng.event()
+    cond = Condition(eng, [mine], count_needed=0)
+    assert cond.triggered and mine.callbacks == []
+    with pytest.raises(SimulationError):
+        Condition(eng, [mine, Engine().event()], count_needed=0)
