@@ -19,10 +19,8 @@ execution is what lets one control loop drive three knobs:
   clock.
 * :class:`CoreAllocationActuator` — powered-core fractions.
 
-``default_actuators`` builds the standard set for a cluster; passing a
-custom list to :class:`~repro.powercap.governor.CapGovernor` swaps in
-alternative hardware bindings (the tests use this to record applied
-actions).
+``default_actuators`` builds the set every
+:class:`~repro.powercap.governor.CapGovernor` routes its plans through.
 """
 
 from __future__ import annotations
@@ -241,12 +239,11 @@ def default_actuators(
     cluster: Cluster,
     cpufreqs: Dict[int, CappedCpuFreq],
     pending_target: Dict[int, float],
-    wake_latency_s: float = 0.5,
 ) -> List[Actuator]:
     """The standard actuator set: DVFS + node gating + core allocation."""
     return [
         DvfsActuator(cpufreqs, pending_target),
-        NodeGateActuator(cluster, wake_latency_s=wake_latency_s),
+        NodeGateActuator(cluster),
         CoreAllocationActuator(cluster),
     ]
 

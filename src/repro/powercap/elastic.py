@@ -39,7 +39,7 @@ pure function of its :class:`PlanContext`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.hardware.dvfs import OperatingPoint
 
@@ -96,7 +96,6 @@ class ElasticPolicy:
         self,
         knobs: Sequence[str] = ELASTIC_KNOBS,
         inner: Optional[CapPolicy] = None,
-        intensity_of: Optional[Callable[[NodeWindowSample], float]] = None,
         wake_fraction: float = 0.7,
         boot_frequency: Optional[float] = None,
     ):
@@ -113,14 +112,6 @@ class ElasticPolicy:
                 f"wake_fraction must be in (0, 1], got {wake_fraction}"
             )
         self.inner = inner if inner is not None else SlackRedistributionPolicy()
-        self._intensity_of = intensity_of
-        if (
-            isinstance(self.inner, SlackRedistributionPolicy)
-            and self.inner._intensity_of is None
-            and intensity_of is not None
-        ):
-            # Standalone use (no governor to wire the metric): share ours.
-            self.inner._intensity_of = intensity_of
         self.wake_fraction = wake_fraction
         self.boot_frequency = boot_frequency
         #: set before planning by the embedding layer (e.g. the serving
@@ -128,17 +119,10 @@ class ElasticPolicy:
         self.protected: FrozenSet[int] = frozenset()
 
     # ------------------------------------------------------------------
-    def _intensity(self, sample: NodeWindowSample) -> float:
-        if self._intensity_of is None:
-            raise RuntimeError(
-                "ElasticPolicy needs an intensity metric; the CapGovernor "
-                "wires one in automatically"
-            )
-        return self._intensity_of(sample)
-
     def plan(self, ctx: PlanContext) -> GovernorPlan:
         """One window's decision (deterministic, stateless)."""
         samples: List[NodeWindowSample] = list(ctx.samples)
+        intensity = ctx.intensity
         planned_cores: Dict[int, float] = {
             s.node_id: ctx.core_allocation.get(s.node_id, 1.0)
             for s in samples
@@ -178,6 +162,7 @@ class ElasticPolicy:
                 ctx.floor,
                 ctx.ceiling,
                 scaled_predict,
+                intensity,
             )
 
         allocation = allocate()
@@ -195,7 +180,7 @@ class ElasticPolicy:
                     break
                 victim = min(
                     shrinkable,
-                    key=lambda s: (self._intensity(s), s.node_id),
+                    key=lambda s: (intensity(s), s.node_id),
                 )
                 current = planned_cores[victim.node_id]
                 below = [f for f in steps if f < current]
@@ -212,7 +197,7 @@ class ElasticPolicy:
             if gateable and len(samples) > 1:
                 victim = min(
                     gateable,
-                    key=lambda s: (self._intensity(s), s.node_id),
+                    key=lambda s: (intensity(s), s.node_id),
                 )
                 gate_action = GateNode(node_id=victim.node_id)
                 planned_cores.pop(victim.node_id, None)

@@ -32,7 +32,7 @@ initial violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Generator, List, Optional, Tuple, Union
 
 from repro.dvs.capped import CappedCpuFreq
 from repro.hardware.activity import CpuActivity
@@ -45,13 +45,8 @@ from repro.sim.process import Process
 from repro.util.records import record
 from repro.util.validation import check_fraction, check_positive
 
-from repro.powercap.actions import GovernorPlan, SetFreqCeiling
-from repro.powercap.actuators import (
-    Actuator,
-    NodeGateActuator,
-    default_actuators,
-    dispatch_plan,
-)
+from repro.powercap.actions import GateNode, GovernorPlan, SetFreqCeiling
+from repro.powercap.actuators import Actuator, default_actuators, dispatch_plan
 from repro.powercap.budget import PowerBudget
 from repro.powercap.elastic import ElasticPolicy
 from repro.powercap.monitor import InvariantMonitor
@@ -141,6 +136,14 @@ def _prediction_model(node: Node) -> tuple:
     )
 
 
+def _keyed(policy) -> bool:
+    """Whether ``policy``'s plan is a function of the governor's plan key:
+    a built-in stateless policy, or an elastic one over such a policy."""
+    if type(policy) is ElasticPolicy:
+        return _keyed(policy.inner)
+    return type(policy) in (SlackRedistributionPolicy, UniformCapPolicy)
+
+
 def _check_one_model(cluster: Cluster) -> None:
     """Reject a cluster whose nodes differ in ladder or power model.
 
@@ -205,11 +208,7 @@ class CapGovernor:
         budget: PowerBudget,
         policy: Optional[Union[CapPolicy, ElasticPolicy]] = None,
         config: Optional[CapGovernorConfig] = None,
-        cpufreqs: Optional[Dict[int, CappedCpuFreq]] = None,
         resilience: Optional[ResilienceConfig] = None,
-        monitor: Optional[InvariantMonitor] = None,
-        actuators: Optional[Sequence[Actuator]] = None,
-        wake_latency_s: float = 0.5,
     ):
         self.cluster = cluster
         self.budget = budget
@@ -231,8 +230,10 @@ class CapGovernor:
         #: re-apply, rejoin containment)
         self.resilience = resilience
         #: always-on assertion layer recording invariant breaches
-        self.monitor = monitor if monitor is not None else InvariantMonitor(budget)
-        self.cpufreqs = cpufreqs or {
+        self.monitor = InvariantMonitor(budget)
+        #: per-node capped frequency setters; a composing DVS strategy
+        #: drives its nodes through these (see PowerCapStrategy.prepare)
+        self.cpufreqs: Dict[int, CappedCpuFreq] = {
             node.node_id: CappedCpuFreq(node, cluster.calibration)
             for node in cluster.nodes
         }
@@ -240,24 +241,15 @@ class CapGovernor:
         # reference with the DVFS actuator, which records every ceiling
         # it installs; the hardened path checks telemetry against it.
         self._pending_target: Dict[int, float] = {}
-        if actuators is None:
-            actuators = default_actuators(
-                cluster,
-                self.cpufreqs,
-                self._pending_target,
-                wake_latency_s=wake_latency_s,
-            )
         #: the control plane's hands, one per action kind it can execute
-        self.actuators: List[Actuator] = list(actuators)
+        self.actuators: List[Actuator] = default_actuators(
+            cluster, self.cpufreqs, self._pending_target
+        )
         self._routes: Dict[type, Actuator] = {
             kind: actuator
             for actuator in self.actuators
             for kind in actuator.kinds
         }
-        self._gate_actuator: Optional[NodeGateActuator] = next(
-            (a for a in self.actuators if isinstance(a, NodeGateActuator)),
-            None,
-        )
         #: node ids the governor has gated and not yet seen powered again
         self._gated: set = set()
         self._model = cluster.nodes[0].power_model
@@ -284,21 +276,8 @@ class CapGovernor:
         self._carried: Dict[int, tuple] = {}
         # The last planned window's key and the policy's plan for it.
         self._planned: tuple = (None, None)
-        # Wire the demand-tracked slack metric into every layer of the
-        # policy (an elastic policy, then its DVFS allocator) that wants
-        # one and was not given its own.  A layer an earlier governor
-        # wired (a reused policy) reads this governor's marks instead of
-        # that finished run's.
-        layer = self.policy
-        while layer is not None:
-            metric = getattr(layer, "_intensity_of", False)
-            if metric is None or (
-                getattr(metric, "__func__", None) is CapGovernor._sample_demand
-            ):
-                layer._intensity_of = self._sample_demand
-            layer = getattr(layer, "inner", None)
-        #: whether a window's plan may be reused (see :meth:`_keyed`)
-        self._plans_from_key = self._keyed(self.policy)
+        #: whether a window's plan may be reused (see :func:`_keyed`)
+        self._plans_from_key = _keyed(self.policy)
         self._telemetry = ClusterTelemetry(cluster)
         self._process: Optional[Process] = None
         self._stopped = False
@@ -331,19 +310,8 @@ class CapGovernor:
         return max(self._demand.get(node_id, 1.0), self._spin)
 
     def _sample_demand(self, sample: NodeWindowSample) -> float:
-        """:meth:`_demand_of` as a policy's per-sample intensity metric."""
+        """:meth:`_demand_of` as the plan's per-sample intensity metric."""
         return self._demand_of(sample.node_id)
-
-    def _keyed(self, policy) -> bool:
-        """Whether ``policy``'s plan is a function of :meth:`_plan_window`'s
-        key: a built-in stateless policy (or an elastic one over such a
-        policy) whose intensity metric is this governor's."""
-        own = getattr(policy, "_intensity_of", None) == self._sample_demand
-        if type(policy) is ElasticPolicy:
-            return own and self._keyed(policy.inner)
-        if type(policy) is SlackRedistributionPolicy:
-            return own
-        return type(policy) is UniformCapPolicy
 
     def _observe_demand(self, samples: List[NodeWindowSample]) -> None:
         """Fold a window's measured intensities into the high-water marks
@@ -455,8 +423,7 @@ class CapGovernor:
                 # the uniform allocator's worst-case answer, all-floors
                 # pin and empty allocation are exactly what is wanted.
                 policy = UniformCapPolicy()
-        gate = self._gate_actuator
-        waking = frozenset(gate.waking) if gate is not None else frozenset()
+        waking = frozenset(self._routes[GateNode].waking)
         core_allocation = {
             node.node_id: node.cpu.core_allocation
             for node in self.cluster.nodes
@@ -486,6 +453,7 @@ class CapGovernor:
                     floor=self._floor,
                     ceiling=self._ceiling,
                     predict=self._predict,
+                    intensity=self._sample_demand,
                     base_power=self._model.base_power,
                     gated_draw_watts=self._model.gated_power,
                     wake_cost_watts=self._wake_cost_watts,

@@ -43,6 +43,8 @@ __all__ = [
 
 #: predicted node watts for (sample, candidate operating point)
 PowerPredictor = Callable[[NodeWindowSample, OperatingPoint], float]
+#: a sample's compute intensity in [0, 1]: the slack metric policies rank by
+IntensityMetric = Callable[[NodeWindowSample], float]
 
 
 @record
@@ -72,6 +74,7 @@ class PlanContext:
     floor: OperatingPoint
     ceiling: OperatingPoint
     predict: PowerPredictor  #: full-core node power at a ladder point
+    intensity: IntensityMetric  #: per-node slack metric (low = slack)
     base_power: float  #: frequency-independent node watts (for scaling)
     gated_draw_watts: float  #: suspend draw of one gated node
     #: worst-case draw of a just-woken node (fully active at the floor)
@@ -102,7 +105,7 @@ class CapPolicy:
         return GovernorPlan.from_allocation(
             self.allocate(
                 ctx.samples, target, ctx.table, ctx.floor, ctx.ceiling,
-                ctx.predict,
+                ctx.predict, ctx.intensity,
             )
         )
 
@@ -114,6 +117,7 @@ class CapPolicy:
         floor: OperatingPoint,
         ceiling: OperatingPoint,
         predict: PowerPredictor,
+        intensity: IntensityMetric,
     ) -> CapAllocation:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -131,6 +135,7 @@ class UniformCapPolicy(CapPolicy):
         floor: OperatingPoint,
         ceiling: OperatingPoint,
         predict: PowerPredictor,
+        intensity: IntensityMetric,
     ) -> CapAllocation:
         lo = table.index_of(floor.frequency)
         hi = table.index_of(ceiling.frequency)
@@ -167,12 +172,10 @@ class SlackRedistributionPolicy(CapPolicy):
     allocation, which is optimal for a balanced bulk-synchronous job; a
     window with no sample (every node dark) gets the uniform answer too.
 
-    Parameters
-    ----------
-    intensity_of:
-        Maps a sample to its compute intensity in [0, 1] (the governor
-        wires in the power-inferred metric from
-        :func:`repro.powercap.telemetry.compute_intensity`).
+    The intensity metric is an input of each call, not state of the
+    policy: the governor passes its demand-tracked high-water marks of
+    the power-inferred :func:`repro.powercap.telemetry.compute_intensity`
+    in every window's :class:`PlanContext`.
     """
 
     name = "redist"
@@ -197,11 +200,6 @@ class SlackRedistributionPolicy(CapPolicy):
     #: (pure slack) — both draw ≈0.4–0.45 of full power.
     _BALANCE_THRESHOLD = 0.1
 
-    def __init__(
-        self, intensity_of: Callable[[NodeWindowSample], float] | None = None
-    ):
-        self._intensity_of = intensity_of
-
     def allocate(
         self,
         samples: Sequence[NodeWindowSample],
@@ -210,22 +208,19 @@ class SlackRedistributionPolicy(CapPolicy):
         floor: OperatingPoint,
         ceiling: OperatingPoint,
         predict: PowerPredictor,
+        intensity: IntensityMetric,
     ) -> CapAllocation:
-        if self._intensity_of is None:
-            raise RuntimeError(
-                "SlackRedistributionPolicy needs an intensity metric; "
-                "the CapGovernor wires one in automatically"
-            )
         by_id = {s.node_id: s for s in samples}
-        intensity = {nid: self._intensity_of(s) for nid, s in by_id.items()}
+        level = {nid: intensity(s) for nid, s in by_id.items()}
         if (
-            not intensity
-            or max(intensity.values()) - min(intensity.values())
+            not level
+            or max(level.values()) - min(level.values())
             < self._BALANCE_THRESHOLD
         ):
             # Nothing to tell apart (or no node to allocate at all).
             return UniformCapPolicy().allocate(
-                samples, target_watts, table, floor, ceiling, predict
+                samples, target_watts, table, floor, ceiling, predict,
+                intensity,
             )
         lo = table.index_of(floor.frequency)
         hi = table.index_of(ceiling.frequency)
@@ -243,7 +238,7 @@ class SlackRedistributionPolicy(CapPolicy):
             (ratio ≤ 1) the node is merely converting slack into useful
             time and the critical path is untouched.
             """
-            ratio = intensity[nid] * (by_id[nid].frequency / point.frequency)
+            ratio = level[nid] * (by_id[nid].frequency / point.frequency)
             return max(0.0, ratio - 1.0)
 
         def step_score(nid: int):
@@ -260,7 +255,7 @@ class SlackRedistributionPolicy(CapPolicy):
             """
             cur, nxt = table[idx[nid]], table[idx[nid] - 1]
             freed = watts[nid] - predict(by_id[nid], nxt)
-            if intensity[nid] >= self._SATURATION:
+            if level[nid] >= self._SATURATION:
                 penalty = cur.frequency / nxt.frequency - 1.0
             else:
                 penalty = overrun(nid, nxt) - overrun(nid, cur)

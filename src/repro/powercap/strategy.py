@@ -17,9 +17,8 @@ the budget; the budget wins when they conflict.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.dvs.capped import CappedCpuFreq
 from repro.dvs.controller import DvsController
 from repro.dvs.strategy import DVSStrategy
 from repro.hardware.cluster import Cluster
@@ -103,10 +102,14 @@ class PowerCapStrategy(DVSStrategy):
 
     # ------------------------------------------------------------------
     def prepare(self, cluster: Cluster) -> None:
-        capped: Dict[int, CappedCpuFreq] = {
-            node.node_id: CappedCpuFreq(node, cluster.calibration)
-            for node in cluster.nodes
-        }
+        self.governor = CapGovernor(
+            cluster,
+            self.budget,
+            policy=self.policy,
+            config=self.config,
+            resilience=self.resilience,
+        )
+        capped = self.governor.cpufreqs
         self._cpufreqs = capped
         if self.inner is not None:
             # Route the inner strategy through the capped setters (per-
@@ -116,14 +119,6 @@ class PowerCapStrategy(DVSStrategy):
                 lambda node, calibration: capped[node.node_id]
             )
             self.inner.prepare(cluster)
-        self.governor = CapGovernor(
-            cluster,
-            self.budget,
-            policy=self.policy,
-            config=self.config,
-            cpufreqs=capped,
-            resilience=self.resilience,
-        )
         self.governor.start(cluster.engine)
 
     def teardown(self, cluster: Cluster) -> None:

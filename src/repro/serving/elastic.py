@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.dvs.capped import CappedCpuFreq
 from repro.hardware.cluster import Cluster
 from repro.powercap.budget import PowerBudget
 from repro.powercap.elastic import ELASTIC_KNOBS, ElasticPolicy
@@ -55,8 +54,9 @@ class ElasticServingPolicy(ServingPolicy):
     allocator:
         The inner DVFS allocator: ``"redist"`` (slack redistribution,
         default) or ``"uniform"``.
-    wake_latency_s:
-        Boot latency a gated node pays before rejoining.
+
+    A gated node pays the gate actuator's boot latency before rejoining
+    (:class:`~repro.powercap.actuators.NodeGateActuator`, 0.5 s).
     """
 
     def __init__(
@@ -65,7 +65,6 @@ class ElasticServingPolicy(ServingPolicy):
         knobs: Sequence[str] = ELASTIC_KNOBS,
         interval: float = 0.25,
         allocator: str = "redist",
-        wake_latency_s: float = 0.5,
     ):
         check_positive("budget_watts", budget_watts)
         check_positive("interval", interval)
@@ -74,7 +73,6 @@ class ElasticServingPolicy(ServingPolicy):
         self.knobs: Tuple[str, ...] = tuple(knobs)
         self.interval = interval
         self.allocator = allocator
-        self.wake_latency_s = wake_latency_s
         self.governor: Optional[CapGovernor] = None
         label = "elastic"
         if set(self.knobs) != set(ELASTIC_KNOBS):
@@ -99,11 +97,6 @@ class ElasticServingPolicy(ServingPolicy):
             PowerBudget(cluster_watts=self.budget_watts),
             policy=policy,
             config=CapGovernorConfig(interval=self.interval),
-            cpufreqs={
-                node.node_id: CappedCpuFreq(node, cluster.calibration)
-                for node in cluster.nodes
-            },
-            wake_latency_s=self.wake_latency_s,
         )
 
     def start(self, engine) -> None:

@@ -21,7 +21,7 @@ point goes in as the point, the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from repro.analysis.parallel import ReportCodec, ReportOutcome, run_sweep
@@ -50,17 +50,29 @@ __all__ = [
 #: Policy recipes a :class:`ServingTask` can name.
 SERVING_POLICIES = ("static", "cpuspeed", "tierdvs", "elastic")
 
+#: Recipe-specific fields and the recipes that read them.  Any other
+#: recipe rejects a non-default value: it would run the same as the
+#: default under a different cache key.
+_RECIPE_FIELDS = (
+    ("knobs", ("elastic",)),
+    ("budget_watts", ("elastic",)),
+    ("allocator", ("elastic",)),
+    ("frequency", ("static",)),
+    ("interval", ("tierdvs", "elastic")),
+    ("safety", ("tierdvs",)),
+)
+
 
 @dataclass(frozen=True)
 class ServingTask(ReportCodec):
     """One serving run (picklable, content-hashable).
 
     ``frequency`` applies to ``"static"`` (``None`` = ladder fastest);
-    ``budget_watts`` is required for ``"elastic"`` and rejected for
-    every other recipe; ``interval`` and ``safety`` tune the control
-    loops of ``"tierdvs"``/``"elastic"``; ``knobs`` and ``allocator``
-    select the elastic policy's knob set (``None`` = all three) and
-    inner DVFS allocator.
+    ``budget_watts`` is required for ``"elastic"``; ``interval`` tunes
+    the control loops of ``"tierdvs"``/``"elastic"`` and ``safety`` that
+    of ``"tierdvs"``; ``knobs`` and ``allocator`` select the elastic
+    policy's knob set (``None`` = all three) and inner DVFS allocator.
+    A recipe rejects a non-default value of a field it does not read.
     """
 
     workload: ServingWorkload
@@ -90,9 +102,14 @@ class ServingTask(ReportCodec):
         check_positive("interval", self.interval)
         check_positive("safety", self.safety)
         check_in("allocator", self.allocator, ELASTIC_ALLOCATORS)
-        for name in ("knobs", "budget_watts"):
-            if getattr(self, name) is not None and self.policy != "elastic":
-                raise ValueError(f"{name} only applies to the 'elastic' policy")
+        defaults = {f.name: f.default for f in fields(self)}
+        for name, recipes in _RECIPE_FIELDS:
+            if self.policy in recipes or getattr(self, name) == defaults[name]:
+                continue
+            raise ValueError(
+                f"{name} only applies to policy "
+                + " or ".join(repr(r) for r in recipes)
+            )
 
     def build_policy(self) -> ServingPolicy:
         if self.policy == "static":

@@ -190,6 +190,10 @@ def _predict(sample, point):
     return predict_node_power(MODEL, TABLE, sample, point)
 
 
+def _intensity(sample):
+    return compute_intensity(MODEL, TABLE, sample)
+
+
 def _context(samples, target):
     return PlanContext(
         samples=tuple(samples),
@@ -198,6 +202,7 @@ def _context(samples, target):
         floor=TABLE.slowest,
         ceiling=TABLE.fastest,
         predict=_predict,
+        intensity=_intensity,
         base_power=MODEL.base_power,
         gated_draw_watts=MODEL.gated_power,
         wake_cost_watts=demand_power(MODEL, TABLE, 1.0, TABLE.slowest),
@@ -224,14 +229,13 @@ class TestDegeneracyProperty:
         samples = [
             _sample(nid, busy, idx) for nid, (busy, idx) in enumerate(windows)
         ]
-        intensity = lambda s: compute_intensity(MODEL, TABLE, s)
-        legacy = SlackRedistributionPolicy(intensity_of=intensity).allocate(
-            samples, target, TABLE, TABLE.slowest, TABLE.fastest, _predict
+        legacy = SlackRedistributionPolicy().allocate(
+            samples, target, TABLE, TABLE.slowest, TABLE.fastest, _predict,
+            _intensity,
         )
         plan = ElasticPolicy(
             knobs=("dvfs",),
-            inner=SlackRedistributionPolicy(intensity_of=intensity),
-            intensity_of=intensity,
+            inner=SlackRedistributionPolicy(),
         ).plan(_context(samples, target))
         assert all(isinstance(a, SetFreqCeiling) for a in plan.actions)
         assert plan.frequencies == legacy.frequencies
@@ -245,12 +249,12 @@ class TestDegeneracyProperty:
             _sample(nid, busy, idx) for nid, (busy, idx) in enumerate(windows)
         ]
         legacy = UniformCapPolicy().allocate(
-            samples, target, TABLE, TABLE.slowest, TABLE.fastest, _predict
+            samples, target, TABLE, TABLE.slowest, TABLE.fastest, _predict,
+            _intensity,
         )
         plan = ElasticPolicy(
             knobs=("dvfs",),
             inner=UniformCapPolicy(),
-            intensity_of=lambda s: compute_intensity(MODEL, TABLE, s),
         ).plan(_context(samples, target))
         assert all(isinstance(a, SetFreqCeiling) for a in plan.actions)
         assert plan.frequencies == legacy.frequencies
@@ -262,7 +266,8 @@ class TestDegeneracyProperty:
         the pre-refactor loop performed."""
         samples = [_sample(nid, 1.0, len(_POINTS) - 1) for nid in range(4)]
         legacy = UniformCapPolicy().allocate(
-            samples, 80.0, TABLE, TABLE.slowest, TABLE.fastest, _predict
+            samples, 80.0, TABLE, TABLE.slowest, TABLE.fastest, _predict,
+            _intensity,
         )
         from repro.powercap import GovernorPlan
 

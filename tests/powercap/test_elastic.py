@@ -58,7 +58,7 @@ def _intensity(sample):
 
 
 def make_policy(knobs=ELASTIC_KNOBS, **kwargs):
-    return ElasticPolicy(knobs=knobs, intensity_of=_intensity, **kwargs)
+    return ElasticPolicy(knobs=knobs, **kwargs)
 
 
 def make_context(samples, target, **overrides):
@@ -69,6 +69,7 @@ def make_context(samples, target, **overrides):
         floor=TABLE.slowest,
         ceiling=TABLE.fastest,
         predict=_predict,
+        intensity=_intensity,
         base_power=MODEL.base_power,
         gated_draw_watts=MODEL.gated_power,
         wake_cost_watts=demand_power(MODEL, TABLE, 1.0, TABLE.slowest),

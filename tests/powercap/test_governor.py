@@ -188,16 +188,19 @@ class TestReusedStrategy:
         assert reused.governor.windows == fresh.governor.windows
         assert reused.governor._plans_from_key is True
 
-    def test_a_metric_the_caller_passed_survives(self):
-        def metric(sample):
-            return 1.0
-
-        policy = ElasticPolicy(intensity_of=metric)
+    @pytest.mark.parametrize(
+        "policy",
+        [SlackRedistributionPolicy, ElasticPolicy],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_a_run_leaves_no_state_on_the_policy(self, policy):
+        policy = policy()
+        layers = [policy, getattr(policy, "inner", None)]
+        before = [dict(vars(layer)) for layer in layers if layer is not None]
         strategy = PowerCapStrategy(PowerBudget(150.0), policy=policy)
-        for _ in range(2):
-            run_measured(ImbalancedMix(n_ranks=8), strategy)
-            assert policy._intensity_of is metric
-            assert policy.inner._intensity_of is metric
+        run_measured(ImbalancedMix(n_ranks=8), strategy)
+        after = [dict(vars(layer)) for layer in layers if layer is not None]
+        assert after == before
 
 
 class TestOneModelPerCluster:
@@ -291,6 +294,9 @@ class TestEveryNodeDark:
     def test_redistribution_allocates_an_empty_window_as_uniform(self):
         table = PENTIUM_M_1400
         for target in (10.0, 0.0, -1.0):
-            args = ([], target, table, table.slowest, table.fastest, None)
-            policy = SlackRedistributionPolicy(intensity_of=lambda s: 1.0)
+            args = (
+                [], target, table, table.slowest, table.fastest, None,
+                lambda s: 1.0,
+            )
+            policy = SlackRedistributionPolicy()
             assert policy.allocate(*args) == UniformCapPolicy().allocate(*args)

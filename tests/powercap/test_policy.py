@@ -32,7 +32,7 @@ def sample(node_id, busy=1.0, frequency=CEILING.frequency):
 
 
 def intensities(mapping):
-    """An intensity_of callable backed by a dict."""
+    """An intensity metric backed by a dict."""
     return lambda s: mapping[s.node_id]
 
 
@@ -41,7 +41,7 @@ class TestUniform:
         samples = [sample(0), sample(1)]
         # Totals: 20.0 at 1400, 17.1 at 1200, 14.3 at 1000.
         allocation = UniformCapPolicy().allocate(
-            samples, 15.0, TABLE, FLOOR, CEILING, predict
+            samples, 15.0, TABLE, FLOOR, CEILING, predict, None
         )
         assert allocation.feasible
         assert set(allocation.frequencies.values()) == {1000 * MHZ}
@@ -51,14 +51,15 @@ class TestUniform:
 
     def test_no_throttling_when_budget_is_loose(self):
         allocation = UniformCapPolicy().allocate(
-            [sample(0), sample(1)], 100.0, TABLE, FLOOR, CEILING, predict
+            [sample(0), sample(1)], 100.0, TABLE, FLOOR, CEILING, predict,
+            None,
         )
         assert set(allocation.frequencies.values()) == {CEILING.frequency}
 
     def test_respects_a_raised_floor(self):
         floor = TABLE.point_for(1000 * MHZ)
         allocation = UniformCapPolicy().allocate(
-            [sample(0), sample(1)], 5.0, TABLE, floor, CEILING, predict
+            [sample(0), sample(1)], 5.0, TABLE, floor, CEILING, predict, None
         )
         assert set(allocation.frequencies.values()) == {1000 * MHZ}
         assert not allocation.feasible
@@ -66,34 +67,32 @@ class TestUniform:
     def test_infeasible_budget_reports_all_floors(self):
         # Even both-at-600 draws 2 × 10 × (600/1400) = 8.57 W > 5 W.
         allocation = UniformCapPolicy().allocate(
-            [sample(0), sample(1)], 5.0, TABLE, FLOOR, CEILING, predict
+            [sample(0), sample(1)], 5.0, TABLE, FLOOR, CEILING, predict, None
         )
         assert not allocation.feasible
         assert set(allocation.frequencies.values()) == {FLOOR.frequency}
 
 
 class TestRedistribution:
-    def test_requires_a_wired_intensity_metric(self):
-        with pytest.raises(RuntimeError, match="intensity"):
-            SlackRedistributionPolicy().allocate(
-                [sample(0)], 5.0, TABLE, FLOOR, CEILING, predict
-            )
-
     def test_strips_the_slack_node_and_keeps_compute_at_ceiling(self):
-        policy = SlackRedistributionPolicy(intensities({0: 1.0, 1: 0.1}))
+        metric = intensities({0: 1.0, 1: 0.1})
+        policy = SlackRedistributionPolicy()
         # 20.0 at all-ceiling; freeing node 1 to the floor reaches 15.71.
         allocation = policy.allocate(
-            [sample(0), sample(1)], 16.0, TABLE, FLOOR, CEILING, predict
+            [sample(0), sample(1)], 16.0, TABLE, FLOOR, CEILING, predict,
+            metric,
         )
         assert allocation.feasible
         assert allocation.frequencies[0] == CEILING.frequency
         assert allocation.frequencies[1] < CEILING.frequency
 
     def test_slack_is_exhausted_before_compute_pays(self):
-        policy = SlackRedistributionPolicy(intensities({0: 1.0, 1: 0.1}))
+        metric = intensities({0: 1.0, 1: 0.1})
+        policy = SlackRedistributionPolicy()
         # 14.3 needs node 1 at the floor (20 − 5.71) and nothing more.
         allocation = policy.allocate(
-            [sample(0), sample(1)], 14.3, TABLE, FLOOR, CEILING, predict
+            [sample(0), sample(1)], 14.3, TABLE, FLOOR, CEILING, predict,
+            metric,
         )
         assert allocation.frequencies[0] == CEILING.frequency
         assert allocation.frequencies[1] == FLOOR.frequency
@@ -103,9 +102,11 @@ class TestRedistribution:
         # notches: both should drop one notch (1200) instead of one node
         # being driven two notches down (1000) while the other idles at
         # the ceiling — the balanced-workload guarantee.
-        policy = SlackRedistributionPolicy(intensities({0: 1.0, 1: 1.0}))
+        metric = intensities({0: 1.0, 1: 1.0})
+        policy = SlackRedistributionPolicy()
         allocation = policy.allocate(
-            [sample(0), sample(1)], 17.2, TABLE, FLOOR, CEILING, predict
+            [sample(0), sample(1)], 17.2, TABLE, FLOOR, CEILING, predict,
+            metric,
         )
         assert allocation.frequencies[0] == 1200 * MHZ
         assert allocation.frequencies[1] == 1200 * MHZ
@@ -115,29 +116,34 @@ class TestRedistribution:
         # worse than the uniform baseline at the same target.
         samples = [sample(i) for i in range(4)]
         uniform = UniformCapPolicy().allocate(
-            samples, 30.0, TABLE, FLOOR, CEILING, predict
+            samples, 30.0, TABLE, FLOOR, CEILING, predict, None
         )
-        policy = SlackRedistributionPolicy(intensities({i: 1.0 for i in range(4)}))
-        redist = policy.allocate(samples, 30.0, TABLE, FLOOR, CEILING, predict)
+        metric = intensities({i: 1.0 for i in range(4)})
+        policy = SlackRedistributionPolicy()
+        redist = policy.allocate(
+            samples, 30.0, TABLE, FLOOR, CEILING, predict, metric
+        )
         assert redist.predicted_watts <= 30.0
         assert sum(redist.frequencies.values()) >= sum(
             uniform.frequencies.values()
         )
 
     def test_infeasible_budget_reports_all_floors(self):
-        policy = SlackRedistributionPolicy(intensities({0: 1.0, 1: 0.1}))
+        metric = intensities({0: 1.0, 1: 0.1})
+        policy = SlackRedistributionPolicy()
         allocation = policy.allocate(
-            [sample(0), sample(1)], 5.0, TABLE, FLOOR, CEILING, predict
+            [sample(0), sample(1)], 5.0, TABLE, FLOOR, CEILING, predict,
+            metric,
         )
         assert not allocation.feasible
         assert set(allocation.frequencies.values()) == {FLOOR.frequency}
 
     def test_allocation_is_deterministic(self):
-        policy = SlackRedistributionPolicy(
-            intensities({0: 0.5, 1: 0.5, 2: 0.5})
-        )
+        metric = intensities({0: 0.5, 1: 0.5, 2: 0.5})
+        policy = SlackRedistributionPolicy()
         samples = [sample(i) for i in range(3)]
-        first = policy.allocate(samples, 18.0, TABLE, FLOOR, CEILING, predict)
-        second = policy.allocate(samples, 18.0, TABLE, FLOOR, CEILING, predict)
+        args = (samples, 18.0, TABLE, FLOOR, CEILING, predict, metric)
+        first = policy.allocate(*args)
+        second = policy.allocate(*args)
         assert first.frequencies == second.frequencies
         assert first.predicted_watts == second.predicted_watts

@@ -89,6 +89,24 @@ class TestTaskKey:
         with pytest.raises(ValueError, match="policy"):
             ServingTask(WORKLOAD, "powercap", budget_watts=50.0)
 
+    def test_a_recipe_rejects_the_fields_it_ignores(self):
+        # Each would run the recipe's default under another cache key.
+        ignored = {
+            "static": dict(interval=0.2, safety=2.0, allocator="uniform"),
+            "cpuspeed": dict(
+                frequency=600e6, interval=0.2, safety=2.0, allocator="uniform"
+            ),
+            "tierdvs": dict(frequency=600e6, allocator="uniform"),
+            "elastic": dict(frequency=600e6, safety=2.0),
+        }
+        for policy, overrides in ignored.items():
+            budget = 50.0 if policy == "elastic" else None
+            for name, value in overrides.items():
+                with pytest.raises(ValueError, match=f"{name} only applies"):
+                    ServingTask(
+                        WORKLOAD, policy, budget_watts=budget, **{name: value}
+                    )
+
     def test_build_policy_covers_every_recipe(self):
         for policy in SERVING_POLICIES:
             task = ServingTask(
