@@ -38,22 +38,36 @@ __all__ = [
     "attribute_request_energy",
     "build_serving_report",
     "latency_percentile",
+    "latency_percentiles",
 ]
+
+#: the percentiles every report carries, end to end and per tier
+_QS = (50.0, 95.0, 99.0)
+
+
+def latency_percentiles(
+    values: Sequence[float], qs: Sequence[float]
+) -> List[Optional[float]]:
+    """Nearest-rank percentiles of ``values`` at each ``q`` in ``qs``.
+
+    Every ``q`` is in (0, 100]; the result is all ``None`` when
+    ``values`` is empty.  Nearest-rank is exact on the sample (always
+    returns an observed value), monotone in ``q``, and p100 is the max.
+    The sample is sorted once for every ``q``.
+    """
+    for q in qs:
+        if not 0.0 < q <= 100.0:
+            raise ValueError(f"q must be in (0, 100], got {q}")
+    if not values:
+        return [None] * len(qs)
+    ordered = sorted(values)
+    n = len(ordered)
+    return [ordered[math.ceil(q / 100.0 * n) - 1] for q in qs]
 
 
 def latency_percentile(values: Sequence[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile of ``values``; ``None`` when empty.
-
-    ``q`` is in (0, 100].  Nearest-rank is exact on the sample (always
-    returns an observed value), monotone in ``q``, and p100 is the max.
-    """
-    if not 0.0 < q <= 100.0:
-        raise ValueError(f"q must be in (0, 100], got {q}")
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = math.ceil(q / 100.0 * len(ordered))
-    return ordered[rank - 1]
+    """Nearest-rank percentile of ``values``; ``None`` when empty."""
+    return latency_percentiles(values, (q,))[0]
 
 
 def attribute_request_energy(
@@ -79,8 +93,8 @@ def attribute_request_energy(
         energies = series.node(node_id).energy_many(
             [(t0, t1) for _, t0, t1 in entries]
         )
-        for (request_id, _, _), joules in zip(entries, energies):
-            per_request[request_id] += float(joules)
+        for (request_id, _, _), joules in zip(entries, energies.tolist()):
+            per_request[request_id] += joules
     attributed = 0.0
     for request_id in sorted(per_request):
         attributed += per_request[request_id]
@@ -198,46 +212,40 @@ def build_serving_report(run, label: Optional[str] = None) -> ServingReport:
     breakdown covers every span actually served, including spans of
     requests that later timed out or were dropped downstream — that
     work happened on the tier and belongs in its statistics.
+
+    The records are walked once, counting statuses, collecting
+    latencies and bucketing spans per tier in record order; each
+    percentile list is sorted once.  A policy that embeds a governor
+    reports its :attr:`~repro.powercap.governor.CapGovernor.deepest_knob`.
     """
     governor = getattr(run.policy, "governor", None)
-    windows = getattr(governor, "windows", None)
-    escalation = None
-    if governor is not None:
-        escalation = "dvfs"
-        for actuator in getattr(governor, "actuators", []):
-            log = getattr(actuator, "log", None)
-            if not log:
-                continue
-            kinds = getattr(actuator, "kinds", ())
-            names = {k.__name__ for k in kinds}
-            if "GateNode" in names and any(
-                entry[2] in ("gate", "drain") for entry in log
-            ):
-                escalation = "gate"
-                break
-            if "SetCoreAllocation" in names:
-                escalation = "cores"
     records = run.records
-    completed = [r for r in records if r.status == "ok"]
-    dropped = sum(1 for r in records if r.status == "dropped")
-    timed_out = sum(1 for r in records if r.status == "timeout")
+    latencies = []
+    dropped = timed_out = 0
+    spans_of: Dict[str, list] = {name: [] for name in run.workload.tier_names}
+    for record in records:
+        status = record.status
+        if status == "ok":
+            latencies.append(record.latency_s)
+        elif status == "dropped":
+            dropped += 1
+        elif status == "timeout":
+            timed_out += 1
+        for span in record.spans:
+            spans_of[span.tier].append(span)
+    completed = len(latencies)
     duration = run.duration_s
-    latencies = [r.latency_s for r in completed]
 
     per_request, attributed = attribute_request_energy(run.cluster, records)
     del per_request  # report carries the ledger; callers re-derive rows
     energy = run.energy_j
 
     tiers = []
-    for name in run.workload.tier_names:
-        spans = [
-            span
-            for record in records
-            for span in record.spans
-            if span.tier == name
-        ]
-        residences = [span.residence_s for span in spans]
+    for name, spans in spans_of.items():
         served = len(spans)
+        p50, p95, p99 = latency_percentiles(
+            [span.residence_s for span in spans], _QS
+        )
         tiers.append(
             TierBreakdown(
                 tier=name,
@@ -248,31 +256,31 @@ def build_serving_report(run, label: Optional[str] = None) -> ServingReport:
                 mean_service_s=(
                     sum(s.service_s for s in spans) / served if served else 0.0
                 ),
-                p50_s=latency_percentile(residences, 50.0),
-                p95_s=latency_percentile(residences, 95.0),
-                p99_s=latency_percentile(residences, 99.0),
+                p50_s=p50,
+                p95_s=p95,
+                p99_s=p99,
             )
         )
 
+    p50, p95, p99 = latency_percentiles(latencies, _QS)
+    windows = None if governor is None else governor.windows
     return ServingReport(
         label=label
         if label is not None
         else getattr(run.policy, "name", "serving"),
         n_requests=len(records),
-        completed=len(completed),
+        completed=completed,
         dropped=dropped,
         timed_out=timed_out,
         duration_s=duration,
-        throughput_rps=len(completed) / duration if duration > 0 else 0.0,
-        p50_s=latency_percentile(latencies, 50.0),
-        p95_s=latency_percentile(latencies, 95.0),
-        p99_s=latency_percentile(latencies, 99.0),
+        throughput_rps=completed / duration if duration > 0 else 0.0,
+        p50_s=p50,
+        p95_s=p95,
+        p99_s=p99,
         energy_j=energy,
         request_energy_j=attributed,
         unattributed_energy_j=energy - attributed,
-        energy_per_request_j=(
-            energy / len(completed) if completed else None
-        ),
+        energy_per_request_j=energy / completed if completed else None,
         tiers=tuple(tiers),
         cap_feasible_windows=(
             None
@@ -280,5 +288,5 @@ def build_serving_report(run, label: Optional[str] = None) -> ServingReport:
             else sum(1 for w in windows if w.feasible)
         ),
         cap_total_windows=None if windows is None else len(windows),
-        cap_escalation=escalation,
+        cap_escalation=None if governor is None else governor.deepest_knob,
     )

@@ -239,13 +239,13 @@ def default_actuators(
     cluster: Cluster,
     cpufreqs: Dict[int, CappedCpuFreq],
     pending_target: Dict[int, float],
-) -> List[Actuator]:
+) -> Tuple[DvfsActuator, NodeGateActuator, CoreAllocationActuator]:
     """The standard actuator set: DVFS + node gating + core allocation."""
-    return [
+    return (
         DvfsActuator(cpufreqs, pending_target),
         NodeGateActuator(cluster),
         CoreAllocationActuator(cluster),
-    ]
+    )
 
 
 def dispatch_plan(

@@ -45,7 +45,7 @@ from repro.sim.process import Process
 from repro.util.records import record
 from repro.util.validation import check_fraction, check_positive
 
-from repro.powercap.actions import GateNode, GovernorPlan, SetFreqCeiling
+from repro.powercap.actions import GovernorPlan, SetFreqCeiling
 from repro.powercap.actuators import Actuator, default_actuators, dispatch_plan
 from repro.powercap.budget import PowerBudget
 from repro.powercap.elastic import ElasticPolicy
@@ -242,9 +242,10 @@ class CapGovernor:
         # it installs; the hardened path checks telemetry against it.
         self._pending_target: Dict[int, float] = {}
         #: the control plane's hands, one per action kind it can execute
-        self.actuators: List[Actuator] = default_actuators(
+        self.actuators = default_actuators(
             cluster, self.cpufreqs, self._pending_target
         )
+        _, self._gate, self._cores = self.actuators
         self._routes: Dict[type, Actuator] = {
             kind: actuator
             for actuator in self.actuators
@@ -423,7 +424,7 @@ class CapGovernor:
                 # the uniform allocator's worst-case answer, all-floors
                 # pin and empty allocation are exactly what is wanted.
                 policy = UniformCapPolicy()
-        waking = frozenset(self._routes[GateNode].waking)
+        waking = frozenset(self._gate.waking)
         core_allocation = {
             node.node_id: node.cpu.core_allocation
             for node in self.cluster.nodes
@@ -820,6 +821,15 @@ class CapGovernor:
     # ------------------------------------------------------------------
     # compliance reporting
     # ------------------------------------------------------------------
+    @property
+    def deepest_knob(self) -> str:
+        """The deepest knob actuated so far: ``"gate"`` once a node was
+        gated or drained, else ``"cores"`` once a core fraction was set,
+        else ``"dvfs"``."""
+        if any(entry[2] in ("gate", "drain") for entry in self._gate.log):
+            return "gate"
+        return "cores" if self._cores.log else "dvfs"
+
     @property
     def violation_count(self) -> int:
         """Closed windows whose measured average exceeded the limit."""

@@ -261,9 +261,17 @@ class SlackRedistributionPolicy(CapPolicy):
                 penalty = overrun(nid, nxt) - overrun(nid, cur)
             return freed / (penalty + self._EPSILON_PENALTY)
 
+        # Each node above the floor keyed by (score, -id): best
+        # watts-per-slowdown first, node id breaking ties so the
+        # allocation is deterministic.  A step changes only the stepped
+        # node's score, so only that one is re-scored.
+        keys = (
+            {nid: (step_score(nid), -nid) for nid in idx if idx[nid] > lo}
+            if total > target_watts
+            else {}
+        )
         while total > target_watts:
-            candidates = [nid for nid in idx if idx[nid] > lo]
-            if not candidates:  # everyone is at the floor already
+            if not keys:  # everyone is at the floor already
                 return CapAllocation(
                     frequencies={
                         nid: table[i].frequency for nid, i in idx.items()
@@ -271,13 +279,15 @@ class SlackRedistributionPolicy(CapPolicy):
                     predicted_watts=total,
                     feasible=False,
                 )
-            # Best watts-per-slowdown first; node id breaks ties so the
-            # allocation is deterministic.
-            best = max(candidates, key=lambda nid: (step_score(nid), -nid))
+            best = -max(keys.values())[1]
             idx[best] -= 1
             new_watts = predict(by_id[best], table[idx[best]])
             total += new_watts - watts[best]
             watts[best] = new_watts
+            if idx[best] > lo:
+                keys[best] = (step_score(best), -best)
+            else:
+                del keys[best]
         return CapAllocation(
             frequencies={nid: table[i].frequency for nid, i in idx.items()},
             predicted_watts=total,

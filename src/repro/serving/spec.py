@@ -14,12 +14,19 @@ arrival order.  Execution order inside the simulator therefore cannot
 perturb sampling — the determinism guarantee the tests pin down — and
 demands are in *cycles*, so service time scales with whatever frequency
 the node is running when the request reaches it.
+
+The stream is a pure function of the frozen spec, and a day is usually
+replayed under several policies back to back, so the last stream is
+memoised, keyed by the workload's value.  That relies on arrival
+generators being immutable (the three built-ins are frozen); a workload
+whose generator is unhashable is materialised afresh on every call.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Tuple
 
 from repro.serving.arrivals import PoissonArrivals
@@ -121,16 +128,30 @@ class ServingWorkload:
         Arrival times come from the arrival generator's own seed;
         per-tier demands are sampled here from ``random.Random(seed)``
         in arrival order, so the stream is a pure function of the spec.
+        The last workload's stream is memoised (see the module
+        docstring); an unhashable workload skips the memo.
         """
-        arrivals = self.arrivals.times(self.horizon_s)
-        rng = random.Random(self.seed)
-        out = []
-        for rid, at in enumerate(arrivals):
-            demands = tuple(
-                tier.service_cycles
-                if tier.distribution == "fixed"
-                else rng.expovariate(1.0) * tier.service_cycles
-                for tier in self.tiers
-            )
-            out.append(RequestSpec(rid, at, demands))
-        return tuple(out)
+        try:
+            hash(self)
+        except TypeError:
+            return _materialise(self)
+        return _memoised(self)
+
+
+def _materialise(workload: ServingWorkload) -> Tuple[RequestSpec, ...]:
+    arrivals = workload.arrivals.times(workload.horizon_s)
+    rng = random.Random(workload.seed)
+    out = []
+    for rid, at in enumerate(arrivals):
+        demands = tuple(
+            tier.service_cycles
+            if tier.distribution == "fixed"
+            else rng.expovariate(1.0) * tier.service_cycles
+            for tier in workload.tiers
+        )
+        out.append(RequestSpec(rid, at, demands))
+    return tuple(out)
+
+
+#: one day's stream: consecutive runs of one workload share it
+_memoised = lru_cache(maxsize=1)(_materialise)

@@ -2,7 +2,9 @@
 per-request walk, the energy ledger, and the edge cases (empty run,
 single request, shed load)."""
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,10 +15,18 @@ from repro.metrics.serving import (
     attribute_request_energy,
     build_serving_report,
     latency_percentile,
+    latency_percentiles,
 )
-from repro.serving.arrivals import PoissonArrivals
+from repro.serving.arrivals import DiurnalArrivals, MMPPArrivals, PoissonArrivals
+from repro.serving.elastic import ElasticServingPolicy
+from repro.serving.policy import (
+    CpuspeedServingPolicy,
+    StaticServingPolicy,
+    TierDvsPolicy,
+)
 from repro.serving.runner import run_serving
 from repro.serving.spec import ServingWorkload, TierSpec
+from tests.oracles import serving_report_walk
 
 
 def oracle_percentile(values, q):
@@ -74,6 +84,24 @@ class TestLatencyPercentile:
         for q in (0.0, -5.0, 100.1):
             with pytest.raises(ValueError, match="q"):
                 latency_percentile([1.0], q)
+
+
+class TestLatencyPercentiles:
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            max_size=200,
+        ),
+        st.lists(st.floats(min_value=0.001, max_value=100.0), max_size=5),
+    )
+    def test_one_sort_matches_the_oracle_at_every_q(self, values, qs):
+        assert latency_percentiles(values, qs) == [
+            oracle_percentile(values, q) for q in qs
+        ]
+
+    def test_any_q_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="q"):
+            latency_percentiles([], (50.0, 0.0))
 
 
 def small_run(**overrides):
@@ -259,3 +287,88 @@ class TestSerialisation:
         lines = report.summary_lines()
         assert lines and "quiet" in lines[0]
         assert any("n/a" in line for line in lines)
+
+
+# -- the one-pass report against the multi-pass walk --------------------
+
+#: a six-node three-tier day (DVFS floor near 60 W): 70 W throttles by
+#: frequency, 48 W must reach for cores or gating
+THREE_TIER = ServingWorkload(
+    tiers=(
+        TierSpec("frontend", nodes=2, service_cycles=2.0e6),
+        TierSpec("app", nodes=2, service_cycles=12.0e6),
+        TierSpec("storage", nodes=2, service_cycles=3.0e6),
+    ),
+    arrivals=MMPPArrivals(
+        base_rate=40.0, burst_rate=190.0, base_dwell_s=0.6,
+        burst_dwell_s=0.2, seed=3,
+    ),
+    horizon_s=4.0,
+    timeout_s=2.0,
+    seed=3,
+)
+
+POLICIES = {
+    "static": StaticServingPolicy,
+    "cpuspeed": CpuspeedServingPolicy,
+    "tierdvs": TierDvsPolicy,
+    "elastic@70W": lambda: ElasticServingPolicy(70.0),
+    "elastic@48W": lambda: ElasticServingPolicy(48.0),
+}
+
+
+class NoArrivals:
+    def times(self, horizon_s):
+        return ()
+
+
+class OneArrival:
+    def times(self, horizon_s):
+        return (0.1,)
+
+
+EDGE_RUNS = {
+    "empty": dict(arrivals=NoArrivals()),
+    "single": dict(arrivals=OneArrival()),
+    "shed": dict(
+        tiers=(
+            TierSpec("fe", nodes=1, service_cycles=1.0e6),
+            TierSpec("app", nodes=1, service_cycles=40.0e6,
+                     queue_capacity=2),
+        ),
+        arrivals=PoissonArrivals(120.0, seed=5),
+        horizon_s=1.0,
+        timeout_s=0.5,
+    ),
+    "diurnal": dict(
+        arrivals=DiurnalArrivals(base_rate=60.0, swing=0.6, period_s=1.0),
+    ),
+}
+
+
+class TestReportVsWalk:
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_every_policy(self, policy):
+        run = run_serving(THREE_TIER, POLICIES[policy]())
+        report = build_serving_report(run)
+        assert report == serving_report_walk(run)
+        if policy == "elastic@48W":
+            assert report.cap_escalation in ("cores", "gate")
+
+    @pytest.mark.parametrize("case", list(EDGE_RUNS))
+    def test_edge_runs(self, case):
+        run = small_run(**EDGE_RUNS[case])
+        assert build_serving_report(run) == serving_report_walk(run)
+        label = build_serving_report(run, label="x")
+        assert label == serving_report_walk(run, label="x")
+
+
+class TestCapEscalation:
+    def test_a_governor_that_cannot_say_raises(self, run):
+        """A governor without ``deepest_knob`` is an error, not a run
+        reported as ``"dvfs"``."""
+        stub = SimpleNamespace(
+            name="stub", governor=SimpleNamespace(windows=[])
+        )
+        with pytest.raises(AttributeError, match="deepest_knob"):
+            build_serving_report(dataclasses.replace(run, policy=stub))

@@ -28,6 +28,14 @@ version of a fast path in ``repro``:
   prediction from the telemetry model and calls ``policy.plan`` every
   window, where the governor carries an unchanged node's row and an
   unchanged window's plan.
+* :func:`redist_allocate_walk` is ``SlackRedistributionPolicy.allocate``
+  re-scoring every node above the floor at every step, where the policy
+  re-scores only the node it stepped;
+* :func:`serving_report_walk` builds a ``ServingReport`` with one pass
+  over the records per tier, one sort per percentile and the
+  actuator-log reading of the deepest knob, where
+  ``build_serving_report`` walks the records once and sorts each
+  percentile list once.
 
 :func:`using_walks` installs the first two in place of the bulk paths,
 so a whole experiment can run on the walks and be compared with the
@@ -38,13 +46,20 @@ import bisect
 import dataclasses
 import enum
 import json
+import math
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
 from repro.hardware.activity import BUSY_STATES, CpuActivity
 from repro.hardware.cpu import _CYCLE_EPSILON, SimCPU
 from repro.hardware.network import NetworkFabric
+from repro.metrics.serving import (
+    ServingReport,
+    TierBreakdown,
+    attribute_request_energy,
+)
 from repro.powercap.governor import CapGovernor
+from repro.powercap.policy import CapAllocation, UniformCapPolicy
 from repro.powercap.telemetry import (
     compute_intensity,
     demand_power,
@@ -324,3 +339,160 @@ class ReplanWalk(CapGovernor):
             demand_power(self._model, self._table, demand, point),
         )
 
+
+def redist_allocate_walk(
+    policy, samples, target_watts, table, floor, ceiling, predict, intensity
+):
+    """``SlackRedistributionPolicy.allocate`` re-scoring every candidate
+    at every step."""
+    by_id = {s.node_id: s for s in samples}
+    level = {nid: intensity(s) for nid, s in by_id.items()}
+    if (
+        not level
+        or max(level.values()) - min(level.values())
+        < policy._BALANCE_THRESHOLD
+    ):
+        # Nothing to tell apart (or no node to allocate at all).
+        return UniformCapPolicy().allocate(
+            samples, target_watts, table, floor, ceiling, predict,
+            intensity,
+        )
+    lo = table.index_of(floor.frequency)
+    hi = table.index_of(ceiling.frequency)
+    idx = {s.node_id: hi for s in samples}
+    watts = {s.node_id: predict(s, table[hi]) for s in samples}
+    total = sum(watts.values())
+
+    def overrun(nid, point):
+        ratio = level[nid] * (by_id[nid].frequency / point.frequency)
+        return max(0.0, ratio - 1.0)
+
+    def step_score(nid):
+        cur, nxt = table[idx[nid]], table[idx[nid] - 1]
+        freed = watts[nid] - predict(by_id[nid], nxt)
+        if level[nid] >= policy._SATURATION:
+            penalty = cur.frequency / nxt.frequency - 1.0
+        else:
+            penalty = overrun(nid, nxt) - overrun(nid, cur)
+        return freed / (penalty + policy._EPSILON_PENALTY)
+
+    while total > target_watts:
+        candidates = [nid for nid in idx if idx[nid] > lo]
+        if not candidates:  # everyone is at the floor already
+            return CapAllocation(
+                frequencies={
+                    nid: table[i].frequency for nid, i in idx.items()
+                },
+                predicted_watts=total,
+                feasible=False,
+            )
+        # Best watts-per-slowdown first; node id breaks ties so the
+        # allocation is deterministic.
+        best = max(candidates, key=lambda nid: (step_score(nid), -nid))
+        idx[best] -= 1
+        new_watts = predict(by_id[best], table[idx[best]])
+        total += new_watts - watts[best]
+        watts[best] = new_watts
+    return CapAllocation(
+        frequencies={nid: table[i].frequency for nid, i in idx.items()},
+        predicted_watts=total,
+        feasible=True,
+    )
+
+
+def _percentile_walk(values, q):
+    """Nearest-rank percentile with one sort per call."""
+    if not 0.0 < q <= 100.0:
+        raise ValueError(f"q must be in (0, 100], got {q}")
+    if not values:
+        return None
+    ordered = sorted(values)
+    rank = math.ceil(q / 100.0 * len(ordered))
+    return ordered[rank - 1]
+
+
+def serving_report_walk(run, label=None):
+    """``build_serving_report`` with a pass over the records per tier."""
+    governor = getattr(run.policy, "governor", None)
+    windows = getattr(governor, "windows", None)
+    escalation = None
+    if governor is not None:
+        escalation = "dvfs"
+        for actuator in getattr(governor, "actuators", []):
+            log = getattr(actuator, "log", None)
+            if not log:
+                continue
+            kinds = getattr(actuator, "kinds", ())
+            names = {k.__name__ for k in kinds}
+            if "GateNode" in names and any(
+                entry[2] in ("gate", "drain") for entry in log
+            ):
+                escalation = "gate"
+                break
+            if "SetCoreAllocation" in names:
+                escalation = "cores"
+    records = run.records
+    completed = [r for r in records if r.status == "ok"]
+    dropped = sum(1 for r in records if r.status == "dropped")
+    timed_out = sum(1 for r in records if r.status == "timeout")
+    duration = run.duration_s
+    latencies = [r.latency_s for r in completed]
+
+    per_request, attributed = attribute_request_energy(run.cluster, records)
+    del per_request  # report carries the ledger; callers re-derive rows
+    energy = run.energy_j
+
+    tiers = []
+    for name in run.workload.tier_names:
+        spans = [
+            span
+            for record in records
+            for span in record.spans
+            if span.tier == name
+        ]
+        residences = [span.residence_s for span in spans]
+        served = len(spans)
+        tiers.append(
+            TierBreakdown(
+                tier=name,
+                served=served,
+                mean_wait_s=(
+                    sum(s.wait_s for s in spans) / served if served else 0.0
+                ),
+                mean_service_s=(
+                    sum(s.service_s for s in spans) / served if served else 0.0
+                ),
+                p50_s=_percentile_walk(residences, 50.0),
+                p95_s=_percentile_walk(residences, 95.0),
+                p99_s=_percentile_walk(residences, 99.0),
+            )
+        )
+
+    return ServingReport(
+        label=label
+        if label is not None
+        else getattr(run.policy, "name", "serving"),
+        n_requests=len(records),
+        completed=len(completed),
+        dropped=dropped,
+        timed_out=timed_out,
+        duration_s=duration,
+        throughput_rps=len(completed) / duration if duration > 0 else 0.0,
+        p50_s=_percentile_walk(latencies, 50.0),
+        p95_s=_percentile_walk(latencies, 95.0),
+        p99_s=_percentile_walk(latencies, 99.0),
+        energy_j=energy,
+        request_energy_j=attributed,
+        unattributed_energy_j=energy - attributed,
+        energy_per_request_j=(
+            energy / len(completed) if completed else None
+        ),
+        tiers=tuple(tiers),
+        cap_feasible_windows=(
+            None
+            if windows is None
+            else sum(1 for w in windows if w.feasible)
+        ),
+        cap_total_windows=None if windows is None else len(windows),
+        cap_escalation=escalation,
+    )

@@ -9,11 +9,13 @@ from repro.hardware.scaling import tech_node
 from repro.hardware.spec import ClusterSpec, NodeSpec
 from repro.powercap import (
     Actuator,
+    CapGovernor,
     CoreAllocationActuator,
     DvfsActuator,
     GateNode,
     GovernorPlan,
     NodeGateActuator,
+    PowerBudget,
     SetCoreAllocation,
     SetFreqCeiling,
     WakeNode,
@@ -201,3 +203,46 @@ class TestCoreAllocationActuator:
         assert finish_time(0.5) == pytest.approx(
             2.0 * finish_time(1.0), rel=1e-9
         )
+
+
+class TestDeepestKnob:
+    """The governor reads its own gate and core actuators' logs."""
+
+    def make_governor(self):
+        cluster = make_cluster()
+        return cluster, CapGovernor(cluster, PowerBudget(cluster_watts=50.0))
+
+    def apply(self, governor, *actions):
+        governor._apply_plan(GovernorPlan(actions, 0.0, True))
+
+    def test_frequency_only_is_dvfs(self):
+        _, governor = self.make_governor()
+        self.apply(governor, SetFreqCeiling(node_id=0, frequency=600 * MHZ))
+        assert governor.deepest_knob == "dvfs"
+
+    def test_a_core_fraction_is_cores(self):
+        _, governor = self.make_governor()
+        self.apply(governor, SetCoreAllocation(node_id=1, fraction=0.5))
+        assert governor.deepest_knob == "cores"
+
+    def test_a_gate_outranks_cores(self):
+        _, governor = self.make_governor()
+        self.apply(
+            governor,
+            SetCoreAllocation(node_id=1, fraction=0.5),
+            GateNode(node_id=0),
+        )
+        assert governor.deepest_knob == "gate"
+
+    def test_a_pending_drain_is_gate(self):
+        cluster, governor = self.make_governor()
+        cluster.engine.process(busy(cluster.nodes[0], 0.3))
+        cluster.engine.run(until=0.1)
+        self.apply(governor, GateNode(node_id=0))
+        assert cluster.nodes[0].cpu.powered  # draining, not yet gated
+        assert governor.deepest_knob == "gate"
+
+    def test_a_wake_alone_is_not_gate(self):
+        _, governor = self.make_governor()
+        self.apply(governor, WakeNode(node_id=0))  # already powered: no-op
+        assert governor.deepest_knob == "dvfs"

@@ -1,14 +1,20 @@
 """Unit tests for the cap-allocation policies (synthetic telemetry)."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware import PENTIUM_M_1400
+from repro.hardware.dvfs import DVFSTable, OperatingPoint
 from repro.powercap import (
     NodeWindowSample,
     SlackRedistributionPolicy,
     UniformCapPolicy,
 )
 from repro.util.units import MHZ
+from tests.oracles import redist_allocate_walk
 
 TABLE = PENTIUM_M_1400
 FLOOR = TABLE.slowest
@@ -147,3 +153,88 @@ class TestRedistribution:
         second = policy.allocate(*args)
         assert first.frequencies == second.frequencies
         assert first.predicted_watts == second.predicted_watts
+
+
+# -- the incremental greedy against the re-score-everything walk --------
+
+#: intensities drawn from a few shared levels as well as freely, so ties
+#: in score (broken by node id) and saturated nodes both occur
+_levels = st.sampled_from([0.0, 0.1, 0.5, 0.95, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def windows(draw):
+    """A random ladder with floor/ceiling, one window of samples on it
+    (node ids unique, in random order) and each sample's intensity."""
+    mhz = draw(
+        st.lists(st.integers(200, 3000), min_size=1, max_size=7, unique=True)
+    )
+    table = DVFSTable(
+        [OperatingPoint(m * MHZ, 0.8 + m / 3000.0) for m in mhz]
+    )
+    lo = draw(st.integers(0, len(table) - 1))
+    hi = draw(st.integers(lo, len(table) - 1))
+    ids = draw(st.lists(st.integers(0, 40), max_size=8, unique=True))
+    samples = [
+        sample(
+            nid,
+            busy=draw(st.floats(0.0, 1.0)),
+            frequency=table[draw(st.integers(0, len(table) - 1))].frequency,
+        )
+        for nid in ids
+    ]
+    level = {nid: draw(_levels) for nid in ids}
+    return table, table[lo], table[hi], samples, level
+
+
+def ladder_predict(s, point):
+    """Base watts plus busy-scaled dynamic power in f·V² (convex in f)."""
+    return 4.0 + 12.0 * s.busy_fraction * point.fv2() / 3.0e9
+
+
+def assert_same_allocation(got, want):
+    assert list(got.frequencies.items()) == list(want.frequencies.items())
+    assert struct.pack("<d", got.predicted_watts) == struct.pack(
+        "<d", want.predicted_watts
+    )
+    assert got.feasible is want.feasible
+
+
+class TestRedistributionMatchesTheWalk:
+    """``allocate`` re-scores only the stepped node; the walk re-scores
+    every candidate at every step.  Same frequencies in the same order,
+    bitwise the same predicted watts, same feasibility."""
+
+    @given(window=windows(), target=st.floats(-10.0, 120.0))
+    @settings(max_examples=300, deadline=None)
+    def test_random_windows(self, window, target):
+        table, floor, ceiling, samples, level = window
+        args = (
+            samples, target, table, floor, ceiling, ladder_predict,
+            intensities(level),
+        )
+        policy = SlackRedistributionPolicy()
+        assert_same_allocation(
+            policy.allocate(*args), redist_allocate_walk(policy, *args)
+        )
+
+    @pytest.mark.parametrize(
+        "level, target",
+        [
+            ({0: 0.5, 1: 0.5, 2: 0.55}, 18.0),  # balanced: uniform answer
+            ({0: 1.0, 1: 0.1, 2: 0.4}, 5.0),  # infeasible: all floors
+            ({0: 1.0, 1: 0.1, 2: 0.4}, 22.0),  # feasible after some steps
+            ({0: 1.0, 1: 0.1, 2: 0.4}, 100.0),  # no step at all
+            ({}, 10.0),  # empty window
+        ],
+    )
+    def test_named_cases(self, level, target):
+        samples = [sample(nid) for nid in level]
+        args = (
+            samples, target, TABLE, FLOOR, CEILING, predict,
+            intensities(level),
+        )
+        policy = SlackRedistributionPolicy()
+        assert_same_allocation(
+            policy.allocate(*args), redist_allocate_walk(policy, *args)
+        )

@@ -1,8 +1,13 @@
 """The serving data path: queue discipline, spans, drops, timeouts."""
 
+from dataclasses import dataclass
+from typing import List
+
 import pytest
 
+from repro.serving import spec as spec_module
 from repro.serving.arrivals import PoissonArrivals
+from repro.serving.policy import TierDvsPolicy
 from repro.serving.records import REQUEST_STATUSES
 from repro.serving.runner import run_serving
 from repro.serving.spec import RequestSpec, ServingWorkload, TierSpec
@@ -174,3 +179,57 @@ class TestRecords:
         spec = RequestSpec(0, 0.0, (1.0,))
         with pytest.raises(AttributeError):
             spec.arrival_s = 1.0
+
+
+@dataclass
+class ListArrivals:
+    """A mutable (so unhashable) arrival generator."""
+
+    instants: List[float]
+
+    def times(self, horizon_s):
+        return tuple(t for t in self.instants if t < horizon_s)
+
+
+class TestStreamMemo:
+    def test_equal_workloads_share_one_materialisation(self):
+        a, b = workload(), workload()
+        assert a is not b and a == b
+        assert a.requests() is b.requests()
+
+    def test_a_different_seed_does_not(self):
+        a = workload()
+        other = workload(seed=1)
+        assert other.requests() is not a.requests()
+        assert other.requests() != workload().requests()
+
+    def test_at_most_one_stream_is_retained(self):
+        a, b = workload(), workload(seed=1)
+        first = a.requests()
+        b.requests()
+        again = a.requests()
+        assert again == first and again is not first  # evicted by b
+        info = spec_module._memoised.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+
+    def test_an_unhashable_arrival_generator_still_runs(self):
+        arrivals = ListArrivals([0.1, 0.2, 0.3])
+        w = workload(arrivals=arrivals)
+        with pytest.raises(TypeError):
+            hash(w)
+        assert len(w.requests()) == 3
+        arrivals.instants.append(0.4)  # no memo to go stale
+        assert len(w.requests()) == 4
+        run = run_serving(w)
+        assert [r.status for r in run.records] == ["ok"] * 4
+
+    def test_a_warm_memo_is_bit_neutral(self):
+        a = workload()
+        b = workload(arrivals=PoissonArrivals(60.0, seed=3), seed=4)
+        spec_module._memoised.cache_clear()
+        cold = run_serving(a, TierDvsPolicy())
+        run_serving(a, TierDvsPolicy())
+        run_serving(b, TierDvsPolicy())
+        warm = run_serving(a, TierDvsPolicy())
+        assert warm.records == cold.records
+        assert warm.energy_j == cold.energy_j
