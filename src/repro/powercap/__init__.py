@@ -36,6 +36,7 @@ from repro.powercap.actuators import (
     NodeGateActuator,
     default_actuators,
     dispatch_plan,
+    lower_plan,
 )
 from repro.powercap.budget import PowerBudget
 from repro.powercap.elastic import ELASTIC_KNOBS, ElasticPolicy
@@ -71,6 +72,7 @@ __all__ = [
     "WakeNode",
     "default_actuators",
     "dispatch_plan",
+    "lower_plan",
     "PowerBudget",
     "CapGovernor",
     "CapGovernorConfig",

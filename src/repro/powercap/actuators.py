@@ -21,6 +21,8 @@ execution is what lets one control loop drive three knobs:
 
 ``default_actuators`` builds the set every
 :class:`~repro.powercap.governor.CapGovernor` routes its plans through.
+``lower_plan`` resolves a plan's routes once, and ``dispatch_plan``
+walks the result each window the plan is applied.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "NodeGateActuator",
     "default_actuators",
     "dispatch_plan",
+    "lower_plan",
 ]
 
 
@@ -72,7 +75,9 @@ class DvfsActuator:
     ``pending_target`` is the governor's believed-applied bookkeeping
     dict (shared by reference): the hardened control path checks next
     window's telemetry against it to catch stuck regulators, so the
-    actuator must record every ceiling it installs there.
+    actuator must record every ceiling it installs there
+    (:func:`dispatch_plan` records it too, for a ceiling it finds
+    already in place).
     """
 
     kinds = (SetFreqCeiling,)
@@ -88,15 +93,6 @@ class DvfsActuator:
     def apply(self, action: SetFreqCeiling) -> None:
         cpufreq = self.cpufreqs[action.node_id]
         frequency = action.frequency
-        if (
-            frequency == cpufreq.ceiling
-            and not action.drive_down
-            and cpufreq.current_frequency >= frequency
-        ):
-            # The ceiling in place, already reached: set_ceiling would
-            # no-op and nothing below would switch the clock.
-            self.pending_target[action.node_id] = frequency
-            return
         cpufreq.set_ceiling(frequency)
         if action.drive_down:
             # Containment (rejoin/reboot): force the actual clock down
@@ -248,10 +244,19 @@ def default_actuators(
     )
 
 
-def dispatch_plan(
+def lower_plan(
     plan: GovernorPlan, routes: Dict[Type, Actuator]
-) -> None:
-    """Apply a plan's actions in order through the routing table."""
+) -> Tuple[tuple, ...]:
+    """Resolve a plan's actions against a routing table, once per plan.
+
+    Each action becomes an ``(actuator, action, cpufreq, cpu)`` step, in
+    plan order.  ``cpufreq`` and ``cpu`` are the node's
+    :class:`CappedCpuFreq` and CPU for a plain ceiling move (no
+    ``drive_down``) routed to a :class:`DvfsActuator`, the one step
+    :func:`dispatch_plan` may find already in place, and ``None`` for
+    every other action.
+    """
+    steps = []
     for action in plan.actions:
         actuator = routes.get(type(action))
         if actuator is None:
@@ -259,4 +264,32 @@ def dispatch_plan(
                 f"no actuator registered for {type(action).__name__}; "
                 f"routes cover {sorted(k.__name__ for k in routes)}"
             )
+        cpufreq = cpu = None
+        if isinstance(actuator, DvfsActuator) and not action.drive_down:
+            cpufreq = actuator.cpufreqs[action.node_id]
+            cpu = cpufreq.node.cpu
+        steps.append((actuator, action, cpufreq, cpu))
+    return tuple(steps)
+
+
+def dispatch_plan(steps: Tuple[tuple, ...]) -> None:
+    """Apply a lowered plan's steps in order (see :func:`lower_plan`).
+
+    A plain ceiling move whose ceiling is already in place and reached
+    only records ``pending_target``: :meth:`DvfsActuator.apply` would
+    find ``set_ceiling`` a no-op and nothing below the ceiling to drive
+    up.  Every other step, a containment ``drive_down`` or a clock
+    below its ceiling included, goes to its actuator.  The check reads
+    the ceiling and the clock from their fields (``ceiling`` and
+    ``current_frequency`` return them), as telemetry reads the CPU's.
+    """
+    for actuator, action, cpufreq, cpu in steps:
+        if cpufreq is not None:
+            frequency = action.frequency
+            if (
+                frequency == cpufreq._ceiling
+                and cpu._point.frequency >= frequency
+            ):
+                actuator.pending_target[action.node_id] = frequency
+                continue
         actuator.apply(action)

@@ -46,7 +46,12 @@ from repro.util.records import record
 from repro.util.validation import check_fraction, check_positive
 
 from repro.powercap.actions import GovernorPlan, SetFreqCeiling
-from repro.powercap.actuators import Actuator, default_actuators, dispatch_plan
+from repro.powercap.actuators import (
+    Actuator,
+    default_actuators,
+    dispatch_plan,
+    lower_plan,
+)
 from repro.powercap.budget import PowerBudget
 from repro.powercap.elastic import ElasticPolicy
 from repro.powercap.monitor import InvariantMonitor
@@ -229,14 +234,19 @@ class CapGovernor:
         #: triage step (stale fallback, watchdog, stuck-frequency
         #: re-apply, rejoin containment)
         self.resilience = resilience
-        #: always-on assertion layer recording invariant breaches
-        self.monitor = InvariantMonitor(budget)
-        #: per-node capped frequency setters; a composing DVS strategy
-        #: drives its nodes through these (see PowerCapStrategy.prepare)
+        #: per-node capped frequency setters, in node-id order; a
+        #: composing DVS strategy drives its nodes through these (see
+        #: PowerCapStrategy.prepare)
         self.cpufreqs: Dict[int, CappedCpuFreq] = {
             node.node_id: CappedCpuFreq(node, cluster.calibration)
             for node in cluster.nodes
         }
+        # (node id, cpu, cpufreq) by position, in node-id order
+        self._positions = tuple(
+            (nid, cf.node.cpu, cf) for nid, cf in self.cpufreqs.items()
+        )
+        #: always-on assertion layer recording invariant breaches
+        self.monitor = InvariantMonitor(budget, self._positions)
         # What the governor *believes* it applied per node — shared by
         # reference with the DVFS actuator, which records every ceiling
         # it installs; the hardened path checks telemetry against it.
@@ -277,6 +287,9 @@ class CapGovernor:
         self._carried: Dict[int, tuple] = {}
         # The last planned window's key and the policy's plan for it.
         self._planned: tuple = (None, None)
+        # The last applied plan, its lower_plan steps, frequencies and
+        # gated node ids (see _lowered).
+        self._lowering: tuple = (None, (), {}, ())
         #: whether a window's plan may be reused (see :func:`_keyed`)
         self._plans_from_key = _keyed(self.policy)
         self._telemetry = ClusterTelemetry(cluster)
@@ -394,10 +407,25 @@ class CapGovernor:
             self._rows[sample.node_id] = entry
         return entry[1][point.frequency]
 
+    def _lowered(self, plan: GovernorPlan) -> tuple:
+        """``(plan, steps, frequencies, gated node ids)``, built once per
+        plan object: a steady window reuses its plan, and with it these.
+        ``frequencies`` is shared by every window of the plan, so a
+        window keeps a copy."""
+        if plan is not self._lowering[0]:
+            self._lowering = (
+                plan,
+                lower_plan(plan, self._routes),
+                plan.frequencies,
+                plan.gated_node_ids,
+            )
+        return self._lowering
+
     def _apply_plan(self, plan: GovernorPlan) -> None:
         """Route a plan's actions to their actuators (daemon context)."""
-        dispatch_plan(plan, self._routes)
-        self._gated.update(plan.gated_node_ids)
+        _, steps, _, gated = self._lowered(plan)
+        dispatch_plan(steps)
+        self._gated.update(gated)
 
     def _plan_window(
         self, samples: List[NodeWindowSample], t0: float, t1: float
@@ -425,10 +453,10 @@ class CapGovernor:
                 # pin and empty allocation are exactly what is wanted.
                 policy = UniformCapPolicy()
         waking = frozenset(self._gate.waking)
-        core_allocation = {
-            node.node_id: node.cpu.core_allocation
-            for node in self.cluster.nodes
-            if node.cpu.powered
+        core_allocation = {  # the fields core_allocation and powered read
+            nid: cpu._core_scale
+            for nid, cpu, _ in self._positions
+            if cpu._powered
         }
         protected = getattr(policy, "protected", frozenset())
         # The plan key: the context's own fields, then each sample's
@@ -555,7 +583,7 @@ class CapGovernor:
         if reallocate:
             plan = self._plan_window(samples, t0, t1)
             self._apply_plan(plan)
-            frequencies = plan.frequencies
+            frequencies = dict(self._lowered(plan)[2])
             predicted, feasible = plan.predicted_watts, plan.feasible
         else:
             frequencies = {
@@ -582,15 +610,7 @@ class CapGovernor:
             )
             tracer.counter("cluster_watts", "governor", t1, avg)
         self.monitor.observe_window(
-            window,
-            target_watts=self.target_watts,
-            node_frequencies={
-                node.node_id: node.cpu.frequency
-                for node in self.cluster.nodes
-                if node.cpu.powered
-            },
-            ceilings={nid: cf.ceiling for nid, cf in self.cpufreqs.items()},
-            allocated=reallocate,
+            window, target_watts=self.target_watts, allocated=reallocate
         )
         return samples
 
@@ -713,10 +733,7 @@ class CapGovernor:
         assert cfg is not None
         present = {s.node_id: s for s in samples}
         duration = t1 - t0
-        pdu = {
-            nid: joules / duration
-            for nid, joules in self._telemetry.window_joules.items()
-        }
+        joules = self._telemetry.window_joules
         usable: List[NodeWindowSample] = []
         carved: Dict[int, float] = {}
         forced: Dict[int, float] = {}
@@ -736,13 +753,14 @@ class CapGovernor:
             if sample is None:
                 dark = self._dark_count.get(nid, 0) + 1
                 self._dark_count[nid] = dark
-                drawing = pdu.get(nid, 0.0) > cfg.dead_watts
+                pdu = joules.get(nid, 0.0) / duration  # the PDU's watts
+                drawing = pdu > cfg.dead_watts
                 if nid in self._dead:
                     if drawing:
                         # Rebooting (PDU sees it) but the agent is not
                         # back yet: contain the full-clock boot now.
                         self._contain(nid)
-                    carved[nid] = pdu.get(nid, 0.0)
+                    carved[nid] = pdu
                     forced[nid] = self._floor.frequency
                     continue
                 if dark >= cfg.dead_windows and not drawing:
@@ -755,7 +773,7 @@ class CapGovernor:
                         nid,
                         "declared-dead",
                         f"dark {dark} windows at "
-                        f"{pdu.get(nid, 0.0):.2f} W",
+                        f"{pdu:.2f} W",
                     )
                     self._contain(nid)
                     carved[nid] = 0.0
@@ -769,7 +787,7 @@ class CapGovernor:
                             nid,
                             "stale-fallback",
                             f"dark {dark} windows, still drawing "
-                            f"{pdu.get(nid, 0.0):.2f} W",
+                            f"{pdu:.2f} W",
                         )
                     stale_fallback = True
                     usable.append(self._worst_case_sample(nid, t0, t1))

@@ -23,7 +23,7 @@ recovery latency from this record.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.powercap.budget import PowerBudget
 from repro.util.records import record
@@ -51,8 +51,12 @@ class InvariantMonitor:
     NODE_OVER_CEILING = "node-over-ceiling"
     ALLOCATION_OVER_TARGET = "allocation-over-target"
 
-    def __init__(self, budget: PowerBudget):
+    def __init__(self, budget: PowerBudget, nodes: Iterable[tuple]):
+        """``nodes`` lists the watched nodes as ``(node id, cpu, cpufreq)``
+        in node-id order: each window compares a powered ``cpu``'s clock
+        with its ``cpufreq``'s ceiling, the one the governor applied."""
         self.budget = budget
+        self._nodes: Tuple[tuple, ...] = tuple(nodes)
         #: every violation observed, in window order
         self.violations: List[InvariantViolation] = []
 
@@ -62,17 +66,15 @@ class InvariantMonitor:
         window,
         *,
         target_watts: float,
-        node_frequencies: Dict[int, float],
-        ceilings: Dict[int, float],
         allocated: bool = True,
     ) -> List[InvariantViolation]:
-        """Check one closed :class:`~repro.powercap.governor.GovernorWindow`.
+        """Check one closed :class:`~repro.powercap.governor.GovernorWindow`
+        against the watched nodes as they stand at the window close.
 
-        ``node_frequencies`` maps powered nodes to their actual clock at
-        the window close; ``ceilings`` maps node ids to the governor's
-        applied ceilings.  ``allocated=False`` (the trailing partial
-        window) skips the allocation-consistency check, which only makes
-        sense when a policy actually produced the window's allocation.
+        ``allocated=False`` (the trailing partial window) skips the
+        allocation-consistency check, which only makes sense when a
+        policy actually produced the window's allocation.  A window with
+        no breach builds nothing and returns ``[]``.
         """
         found: List[InvariantViolation] = []
         limit = self.budget.limit_watts
@@ -103,11 +105,13 @@ class InvariantMonitor:
                     ),
                 )
             )
-        for node_id in sorted(node_frequencies):
-            ceiling = ceilings.get(node_id)
-            if ceiling is None:
+        # One comparison per powered node, on the fields that ``powered``,
+        # ``frequency`` and ``ceiling`` return.
+        for node_id, cpu, cpufreq in self._nodes:
+            if not cpu._powered:
                 continue
-            actual = node_frequencies[node_id]
+            actual = cpu._point.frequency
+            ceiling = cpufreq._ceiling
             if actual > ceiling * (1.0 + _EPSILON):
                 found.append(
                     InvariantViolation(

@@ -19,15 +19,23 @@ version of a fast path in ``repro``:
   their formulas on every call, where ``CpuPowerModel.rows`` and
   ``ProcStat`` read tables built once;
 * :func:`dvfs_apply_walk` runs a ceiling action's whole
-  ``set_ceiling`` → ``set_speed_now`` chain, where ``DvfsActuator.apply``
-  returns early for a ceiling that is in place and reached;
+  ``set_ceiling`` → ``set_speed_now`` chain, which ``DvfsActuator.apply``
+  must keep running in full;
+* :func:`dispatch_walk` applies every action of a plan in full, each
+  time, where ``dispatch_plan`` walks steps lowered once per plan and
+  only books a ceiling that is in place and reached;
+* :class:`DictMonitorWalk` checks node-over-ceiling from a dict of
+  powered clocks and a dict of ceilings built per window, where
+  ``InvariantMonitor`` walks a position list built at construction;
 * :class:`TelemetryBusyWalk` takes a ``ProcStatSample`` snapshot per node
   per window and calls ``utilization_since``, where ``ClusterTelemetry``
   reads position-indexed counters;
 * :class:`ReplanWalk` is a ``CapGovernor`` that evaluates every
   prediction from the telemetry model and calls ``policy.plan`` every
   window, where the governor carries an unchanged node's row and an
-  unchanged window's plan.
+  unchanged window's plan;
+* :class:`ApplyWalk` is a ``CapGovernor`` that applies and checks every
+  window through :func:`dispatch_walk` and :class:`DictMonitorWalk`;
 * :func:`redist_allocate_walk` is ``SlackRedistributionPolicy.allocate``
   re-scoring every node above the floor at every step, where the policy
   re-scores only the node it stepped;
@@ -58,7 +66,9 @@ from repro.metrics.serving import (
     TierBreakdown,
     attribute_request_energy,
 )
+from repro.powercap.actions import SetFreqCeiling
 from repro.powercap.governor import CapGovernor
+from repro.powercap.monitor import InvariantMonitor, InvariantViolation
 from repro.powercap.policy import CapAllocation, UniformCapPolicy
 from repro.powercap.telemetry import (
     compute_intensity,
@@ -284,6 +294,78 @@ def dvfs_apply_walk(actuator, action):
     actuator.pending_target[action.node_id] = frequency
 
 
+def dispatch_walk(plan, routes):
+    """Apply a plan one action at a time, in plan order: a ceiling move
+    through :func:`dvfs_apply_walk`, any other action through its
+    actuator's ``apply``."""
+    for action in plan.actions:
+        actuator = routes[type(action)]
+        if isinstance(action, SetFreqCeiling):
+            dvfs_apply_walk(actuator, action)
+        else:
+            actuator.apply(action)
+
+
+class DictMonitorWalk(InvariantMonitor):
+    """The invariant monitor checking each window from two dicts: the
+    clock of every powered node and every node's ceiling, walked in
+    sorted node-id order."""
+
+    def observe_window(self, window, *, target_watts, allocated=True):
+        node_frequencies = {
+            nid: cpu.frequency for nid, cpu, _ in self._nodes if cpu.powered
+        }
+        ceilings = {nid: cpufreq.ceiling for nid, _, cpufreq in self._nodes}
+        found = []
+        limit = self.budget.limit_watts
+        if window.cluster_avg_watts > limit * (1.0 + 1e-9):
+            found.append(
+                InvariantViolation(
+                    time=window.t1,
+                    kind=self.WINDOW_OVER_BUDGET,
+                    detail=(
+                        f"measured {window.cluster_avg_watts:.2f} W over "
+                        f"limit {limit:.2f} W"
+                    ),
+                )
+            )
+        if (
+            allocated
+            and window.feasible
+            and window.predicted_watts > target_watts * (1.0 + 1e-9)
+        ):
+            found.append(
+                InvariantViolation(
+                    time=window.t1,
+                    kind=self.ALLOCATION_OVER_TARGET,
+                    detail=(
+                        f"policy predicted {window.predicted_watts:.2f} W "
+                        f"above target {target_watts:.2f} W yet claimed "
+                        "feasible"
+                    ),
+                )
+            )
+        for node_id in sorted(node_frequencies):
+            ceiling = ceilings.get(node_id)
+            if ceiling is None:
+                continue
+            actual = node_frequencies[node_id]
+            if actual > ceiling * (1.0 + 1e-9):
+                found.append(
+                    InvariantViolation(
+                        time=window.t1,
+                        kind=self.NODE_OVER_CEILING,
+                        detail=(
+                            f"running {actual / 1e6:.0f} MHz above ceiling "
+                            f"{ceiling / 1e6:.0f} MHz"
+                        ),
+                        node_id=node_id,
+                    )
+                )
+        self.violations.extend(found)
+        return found
+
+
 class TelemetryBusyWalk:
     """The busy fractions ``ClusterTelemetry.sample`` reports, from one
     ``/proc/stat`` snapshot per node per window."""
@@ -338,6 +420,20 @@ class ReplanWalk(CapGovernor):
             predict_node_power(self._model, self._table, sample, point),
             demand_power(self._model, self._table, demand, point),
         )
+
+
+class ApplyWalk(CapGovernor):
+    """The cap governor applying each plan through :func:`dispatch_walk`
+    and checking each window through :class:`DictMonitorWalk`: nothing
+    lowered once per plan, no position list."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.monitor = DictMonitorWalk(self.budget, self._positions)
+
+    def _apply_plan(self, plan):
+        dispatch_walk(plan, self._routes)
+        self._gated.update(plan.gated_node_ids)
 
 
 def redist_allocate_walk(

@@ -21,6 +21,7 @@ from repro.powercap import (
     WakeNode,
     default_actuators,
     dispatch_plan,
+    lower_plan,
 )
 from repro.util.units import MHZ
 
@@ -61,7 +62,7 @@ class TestProtocol:
             actions=(GateNode(node_id=0),), predicted_watts=0.0, feasible=True
         )
         with pytest.raises(TypeError, match="no actuator registered"):
-            dispatch_plan(plan, routes)
+            dispatch_plan(lower_plan(plan, routes))
 
 
 class TestDvfsActuator:

@@ -10,12 +10,14 @@
 
 import pytest
 
+import repro.powercap.strategy as strategy_module
 from repro.analysis.runner import run_measured
 from repro.dvs.strategy import DynamicStrategy, StaticStrategy
 from repro.faults import FaultInjector, FaultPlan, TelemetryDropout
 from repro.hardware import PENTIUM_M_1400
 from repro.hardware.cluster import Cluster
 from repro.powercap import (
+    CapGovernor,
     CapGovernorConfig,
     ElasticPolicy,
     PowerBudget,
@@ -300,3 +302,37 @@ class TestEveryNodeDark:
             )
             policy = SlackRedistributionPolicy()
             assert policy.allocate(*args) == UniformCapPolicy().allocate(*args)
+
+
+class TestWindowViews:
+    def test_windows_of_one_reused_plan_share_no_mapping(self, monkeypatch):
+        """Each window owns its ``frequencies``: a key added to one window's
+        mapping as it closes shows up in no other window, nor in the next
+        window of the same plan."""
+        plans = []
+
+        class Poisoning(CapGovernor):
+            def _plan_window(self, *args):
+                plans.append(super()._plan_window(*args))
+                return plans[-1]
+
+            def _close_window(self, reallocate):
+                samples = super()._close_window(reallocate)
+                if samples:
+                    self.windows[-1].frequencies[-len(self.windows)] = 0.0
+                return samples
+
+        monkeypatch.setattr(strategy_module, "CapGovernor", Poisoning)
+        strategy = PowerCapStrategy(
+            PowerBudget(cluster_watts=85.0),
+            policy=SlackRedistributionPolicy(),
+            config=CapGovernorConfig(interval=0.02),
+        )
+        workload = SyntheticMix(
+            1.0, 0.0, 0.0, iteration_seconds=0.1, iterations=4, n_ranks=4
+        )
+        run_measured(workload, strategy)
+        windows = strategy.governor.windows[: len(plans)]
+        assert any(a is b for a, b in zip(plans, plans[1:])), "no plan reused"
+        for i, (window, plan) in enumerate(zip(windows, plans)):
+            assert window.frequencies == {**plan.frequencies, -(i + 1): 0.0}

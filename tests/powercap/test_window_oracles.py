@@ -14,7 +14,14 @@ full walks in ``tests/oracles.py`` leave it:
 * a governor that carries an unchanged node's prediction row and an
   unchanged window's plan applies the same plans, and leaves the same
   windows, repairs, monitor violations, ceiling logs and power timelines,
-  as :class:`~tests.oracles.ReplanWalk`, which carries nothing.
+  as :class:`~tests.oracles.ReplanWalk`, which carries nothing;
+* a plan lowered once and dispatched window after window leaves the
+  same ceiling logs, ``pending_target``, clocks, transition counters,
+  power timelines and gate and core logs as applying every action in
+  full each window, through reboots at full clock, stuck regulators,
+  containment ``drive_down`` moves, an inner controller's clock moves
+  and gating; a faulted closed loop gives the same windows, violations
+  and timelines as :class:`~tests.oracles.ApplyWalk`.
 """
 
 from hypothesis import example, given, settings
@@ -50,11 +57,20 @@ from repro.powercap import (
     SlackRedistributionPolicy,
     UniformCapPolicy,
     WakeNode,
+    default_actuators,
+    dispatch_plan,
+    lower_plan,
 )
 from repro.powercap.telemetry import ClusterTelemetry
 from repro.workloads.synthetic import SyntheticMix
 
-from tests.oracles import ReplanWalk, TelemetryBusyWalk, dvfs_apply_walk
+from tests.oracles import (
+    ApplyWalk,
+    ReplanWalk,
+    TelemetryBusyWalk,
+    dispatch_walk,
+    dvfs_apply_walk,
+)
 
 N_NODES = 2
 N_POINTS = 5  # the paper's ladder
@@ -515,3 +531,233 @@ def test_a_steady_run_plans_only_when_a_window_changes():
     assert fast == walk
     assert walk_plans == len(walk["plans"]) - 1  # all but the initial install
     assert fast_plans < walk_plans / 2
+
+
+# ---------------------------------------------------------------------------
+# a plan lowered once against every action applied in full
+# ---------------------------------------------------------------------------
+
+PLAN_NODES = 3
+plan_node_ids = st.integers(min_value=0, max_value=PLAN_NODES - 1)
+
+plan_actions = st.one_of(
+    st.tuples(
+        st.just("ceiling"),
+        plan_node_ids,
+        point_indices,
+        st.booleans(),  # drive_down
+        st.sampled_from([0.0, 0.0, 0.0, 1.0e6]),  # off-ladder offset
+    ),
+    st.tuples(st.just("ceiling"), plan_node_ids, point_indices),
+    st.tuples(st.just("gate"), plan_node_ids),
+    st.tuples(st.just("wake"), plan_node_ids, st.none() | point_indices),
+    st.tuples(st.just("cores"), plan_node_ids, st.sampled_from([0.5, 1.0])),
+)
+
+between_windows = st.one_of(
+    st.tuples(st.just("window")),
+    st.tuples(st.just("replan"), st.integers(min_value=0, max_value=2)),
+    st.tuples(st.just("reboot"), plan_node_ids),
+    st.tuples(st.just("stuck"), plan_node_ids, st.booleans()),
+    st.tuples(st.just("contain"), plan_node_ids, point_indices),
+    st.tuples(st.just("inner"), plan_node_ids, point_indices),
+    st.tuples(st.just("busy"), plan_node_ids),
+    st.tuples(st.just("gate now"), plan_node_ids),
+    st.tuples(st.just("wake now"), plan_node_ids),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.01, 0.6])),
+)
+
+
+def busy(node, seconds):
+    yield from node.cpu.run_cycles(seconds * node.cpu.frequency)
+
+
+class PlanRig:
+    """One cluster with the governor's actuator set, applying plans
+    through ``dispatch_plan`` (lowered once per plan) or the walk."""
+
+    def __init__(self, walk: bool, plans):
+        self.cluster = Cluster.from_spec(ClusterSpec.homogeneous(PLAN_NODES))
+        for node in self.cluster.nodes:
+            node.cpu.enable_power_gating()
+        self.cpufreqs = {
+            node.node_id: CappedCpuFreq(node, self.cluster.calibration)
+            for node in self.cluster.nodes
+        }
+        self.pending = {}
+        self.actuators = default_actuators(
+            self.cluster, self.cpufreqs, self.pending
+        )
+        self.routes = {
+            kind: actuator
+            for actuator in self.actuators
+            for kind in actuator.kinds
+        }
+        self.walk = walk
+        self.plans = [self.build(actions) for actions in plans]
+        self.steps = [lower_plan(plan, self.routes) for plan in self.plans]
+        self.current = 0
+
+    def build(self, actions) -> GovernorPlan:
+        table = self.cluster.table
+        built = []
+        for op in actions:
+            kind, nid = op[0], op[1]
+            if kind == "ceiling":
+                drive_down, offset = op[3:] if len(op) == 5 else (False, 0.0)
+                frequency = table[op[2]].frequency + offset
+                built.append(SetFreqCeiling(nid, frequency, drive_down))
+            elif kind == "gate":
+                built.append(GateNode(nid))
+            elif kind == "wake":
+                boot = None if op[2] is None else table[op[2]].frequency
+                built.append(WakeNode(nid, boot))
+            else:
+                built.append(SetCoreAllocation(nid, op[2]))
+        return GovernorPlan(tuple(built), 0.0, True)
+
+    def run(self, op) -> None:
+        kind = op[0]
+        table = self.cluster.table
+        if kind == "window":
+            if self.walk:
+                dispatch_walk(self.plans[self.current], self.routes)
+            else:
+                dispatch_plan(self.steps[self.current])
+        elif kind == "replan":
+            self.current = op[1] % len(self.plans)
+        elif kind == "reboot":
+            cpu = self.cluster.nodes[op[1]].cpu
+            if cpu.powered:
+                cpu.power_off()
+                cpu.power_on()  # at the fastest point, whatever the ceiling
+        elif kind == "stuck":
+            self.cluster.nodes[op[1]].cpu.dvfs_stuck = op[2]
+        elif kind == "contain":
+            self.routes[SetFreqCeiling].apply(
+                SetFreqCeiling(op[1], table[op[2]].frequency, drive_down=True)
+            )
+        elif kind == "inner":
+            self.cpufreqs[op[1]].set_speed_now(table[op[2]].frequency)
+        elif kind == "busy":
+            node = self.cluster.nodes[op[1]]
+            self.cluster.engine.process(busy(node, 0.05))
+        elif kind == "gate now":
+            self.routes[GateNode].apply(GateNode(op[1]))
+        elif kind == "wake now":
+            self.routes[WakeNode].apply(WakeNode(op[1]))
+        else:
+            engine = self.cluster.engine
+            engine.run(until=engine.now + op[1])
+
+    def observed(self):
+        _, gate, cores = self.actuators
+        return {
+            "pending": dict(self.pending),
+            "nodes": [
+                (
+                    self.cpufreqs[node.node_id].ceiling_changes,
+                    node.cpu.frequency,
+                    node.cpu.powered,
+                    node.cpu.core_allocation,
+                    node.cpu.transition_count,
+                    node.cpu.refused_transitions,
+                    node.timeline.segments(),
+                )
+                for node in self.cluster.nodes
+            ],
+            "gate": (list(gate.log), sorted(gate.waking), sorted(gate.draining)),
+            "cores": list(cores.log),
+        }
+
+
+@given(
+    plans=st.lists(
+        st.lists(plan_actions, min_size=1, max_size=6), min_size=1, max_size=3
+    ),
+    ops=st.lists(between_windows, max_size=40),
+)
+# A reused plan after a reboot at full clock, a stuck regulator, a
+# containment move and an inner controller lowering the clock.
+@example(
+    plans=[[("ceiling", nid, 2) for nid in range(PLAN_NODES)]],
+    ops=[
+        ("window",),
+        ("window",),
+        ("reboot", 0),
+        ("window",),
+        ("stuck", 1, True),
+        ("inner", 2, 0),
+        ("contain", 1, 0),
+        ("window",),
+        ("stuck", 1, False),
+        ("window",),
+    ],
+)
+# A containment move in the plan contains every reboot it is reused
+# after.
+@example(
+    plans=[[("ceiling", 0, 1, True, 0.0), ("ceiling", 1, 1)]],
+    ops=[("window",), ("reboot", 0), ("reboot", 1), ("window",)],
+)
+# Gate and wake under a reused plan: a busy node drains, a wake boots.
+@example(
+    plans=[
+        [("gate", 0), ("ceiling", 1, 4), ("cores", 2, 0.5)],
+        [("wake", 0, None), ("ceiling", 0, 1, True, 0.0)],
+    ],
+    ops=[
+        ("busy", 0),
+        ("window",),
+        ("advance", 0.01),
+        ("window",),
+        ("advance", 0.6),
+        ("replan", 1),
+        ("window",),
+        ("advance", 0.6),
+        ("window",),
+        ("window",),
+    ],
+)
+@settings(max_examples=200, deadline=None)
+def test_a_lowered_plan_dispatches_as_the_full_walk(plans, ops):
+    fast, walk = PlanRig(walk=False, plans=plans), PlanRig(walk=True, plans=plans)
+    for op in ops + [("window",)]:
+        fast.run(op)
+        walk.run(op)
+        assert fast.observed() == walk.observed()
+
+
+def test_a_ceiling_in_place_is_booked_without_its_actuator():
+    plans = [[("ceiling", nid, 2) for nid in range(PLAN_NODES)]]
+    rig = PlanRig(walk=False, plans=plans)
+    dvfs = rig.routes[SetFreqCeiling]
+    calls = []
+    apply = dvfs.apply
+    dvfs.apply = lambda action: (calls.append(action), apply(action))
+    rig.run(("window",))
+    assert len(calls) == PLAN_NODES  # the first window moves every ceiling
+    rig.pending.clear()
+    rig.run(("inner", 1, 0))  # an inner controller lowers node 1's clock
+    rig.run(("window",))
+    assert [a.node_id for a in calls[PLAN_NODES:]] == [1]
+    frequency = rig.cluster.table[2].frequency
+    assert rig.pending == {nid: frequency for nid in range(PLAN_NODES)}
+
+
+@given(
+    policy=st.sampled_from(POLICIES),
+    hardened=st.booleans(),
+    budget=st.sampled_from([45.0, 62.0, 85.0]),
+    mix=st.sampled_from([(1.0, 0.0, 0.0), (0.2, 0.2, 0.6)]),
+    fault_plan=st.builds(FaultPlan, faults, seed=st.integers(0, 3)),
+)
+@settings(max_examples=25, deadline=None)
+def test_a_faulted_closed_loop_applies_and_checks_as_the_walk(
+    policy, hardened, budget, mix, fault_plan
+):
+    hardened = hardened and not policy.startswith("elastic")
+    args = (policy, hardened, 0.5, budget, mix, fault_plan)
+    fast, _ = closed_loop(CapGovernor, *args)
+    walk, _ = closed_loop(ApplyWalk, *args)
+    assert fast == walk
