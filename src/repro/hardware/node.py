@@ -37,11 +37,20 @@ class NodeFaultState:
         Optional ``(true_watts, now) -> observed_watts`` transform
         applied to the node's reported window average (meter noise /
         outlier spikes).  ``None`` means the meter reads true.
+
+    Setting a switch moves the owning node's change stamp.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, node: Optional["Node"] = None) -> None:
         self.telemetry_dark: bool = False
         self.power_noise: Optional[Callable[[float, float], float]] = None
+        self._node = node  # last, so that setting up moves no stamp
+
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        node = self.__dict__.get("_node")
+        if node is not None and name != "_node":
+            node.stamp += 1
 
 
 class Node:
@@ -81,7 +90,10 @@ class Node:
             cycles_per_work=cycles_per_work,
         )
         self._nic_active = False
-        self.faults = NodeFaultState()
+        #: change stamp: moves whenever anything telemetry reads of the
+        #: node may have changed (every power write, every fault switch)
+        self.stamp = 0
+        self.faults = NodeFaultState(self)
         cpu = self.cpu
         self.timeline = PowerTimeline(
             engine.now,
@@ -110,6 +122,7 @@ class Node:
     def _update_power(self) -> None:
         """Write the node's draw now to its timeline.  Runs after every
         CPU flip, so it reads the CPU's validated fields directly."""
+        self.stamp += 1
         cpu = self.cpu
         model = self.power_model
         if cpu._powered:
@@ -147,6 +160,7 @@ class Node:
         node.procstat = shallow_copy(self.procstat)
         node.cpu = self.cpu.clone(node.procstat, node._update_power)
         node.faults = shallow_copy(self.faults)
+        node.faults._node = node
         node.timeline = self.timeline.copy()
         return node
 

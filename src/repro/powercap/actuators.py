@@ -272,7 +272,7 @@ def lower_plan(
     return tuple(steps)
 
 
-def dispatch_plan(steps: Tuple[tuple, ...]) -> None:
+def dispatch_plan(steps: Tuple[tuple, ...]) -> bool:
     """Apply a lowered plan's steps in order (see :func:`lower_plan`).
 
     A plain ceiling move whose ceiling is already in place and reached
@@ -282,7 +282,12 @@ def dispatch_plan(steps: Tuple[tuple, ...]) -> None:
     below its ceiling included, goes to its actuator.  The check reads
     the ceiling and the clock from their fields (``ceiling`` and
     ``current_frequency`` return them), as telemetry reads the CPU's.
+
+    Returns whether every step was only booked: dispatching the same
+    steps again, with no clock, ceiling or booking moved since, would
+    book the same ceilings and nothing else.
     """
+    booked = True
     for actuator, action, cpufreq, cpu in steps:
         if cpufreq is not None:
             frequency = action.frequency
@@ -293,3 +298,5 @@ def dispatch_plan(steps: Tuple[tuple, ...]) -> None:
                 actuator.pending_target[action.node_id] = frequency
                 continue
         actuator.apply(action)
+        booked = False
+    return booked

@@ -287,9 +287,18 @@ class CapGovernor:
         self._carried: Dict[int, tuple] = {}
         # The last planned window's key and the policy's plan for it.
         self._planned: tuple = (None, None)
+        # The books (gated, waking, protected and booked ceilings) of the
+        # last window that planned from a key with nothing carved, while
+        # no carried tuple has moved since; None otherwise.  A steady
+        # window whose books are these reuses its plan (see _plan_window).
+        self._settled: Optional[tuple] = None
         # The last applied plan, its lower_plan steps, frequencies and
         # gated node ids (see _lowered).
         self._lowering: tuple = (None, (), {}, ())
+        # The last applied plan if its dispatch only booked ceilings in
+        # place and every window since was steady, else None: applying
+        # it again would book the same ceilings.
+        self._booked: Optional[GovernorPlan] = None
         #: whether a window's plan may be reused (see :func:`_keyed`)
         self._plans_from_key = _keyed(self.policy)
         self._telemetry = ClusterTelemetry(cluster)
@@ -327,7 +336,7 @@ class CapGovernor:
         """:meth:`_demand_of` as the plan's per-sample intensity metric."""
         return self._demand_of(sample.node_id)
 
-    def _observe_demand(self, samples: List[NodeWindowSample]) -> None:
+    def _observe_demand(self, samples: List[NodeWindowSample]) -> bool:
         """Fold a window's measured intensities into the high-water marks
         and build each sample's prediction row, in one pass.
 
@@ -341,6 +350,10 @@ class CapGovernor:
         A node whose avg watts, busy fraction and frequency are ``==``
         its carried ones keeps its α; if its folded demand is ``==`` too,
         it keeps its row and the carried tuple itself.
+
+        Returns whether the window is steady: these are the telemetry's
+        samples of a window in which no node's change stamp moved, and
+        every node kept its carried tuple.
         """
         decay = self.config.demand_decay
         demand = self._demand
@@ -348,6 +361,7 @@ class CapGovernor:
         watts = self._watts
         spin = self._spin
         carried = self._carried
+        steady = samples is self._telemetry.unchanged
         rows = {}
         for s in samples:
             nid = s.node_id
@@ -358,14 +372,23 @@ class CapGovernor:
             else:
                 alpha = solve_busy_alpha(s, base_power, watts)
                 last = None
-            measured = s.busy_fraction * alpha  # = compute_intensity(s)
-            demand[nid] = max(measured, decay * demand.get(nid, 1.0))
-            level = max(demand[nid], spin)  # = _demand_of(nid)
+            measured = inputs[1] * alpha  # = compute_intensity(s)
+            # folded = max(measured, decayed), level = max(folded, spin)
+            # (= _demand_of(nid)), written out: max keeps its first
+            # argument on a tie
+            decayed = decay * demand.get(nid, 1.0)
+            folded = decayed if decayed > measured else measured
+            demand[nid] = folded
+            level = spin if spin > folded else folded
             if last is None or last[2] != level:
                 last = (nid, inputs, level, alpha, self._row(s, alpha))
                 carried[nid] = last
+                steady = False
             rows[nid] = (s, last[4], last)
         self._rows = rows
+        if not steady:
+            self._settled = None
+        return steady
 
     def _row(self, sample: NodeWindowSample, alpha: float) -> Dict[float, float]:
         """Predicted watts at every ladder frequency: mix carryover vs
@@ -422,15 +445,32 @@ class CapGovernor:
         return self._lowering
 
     def _apply_plan(self, plan: GovernorPlan) -> None:
-        """Route a plan's actions to their actuators (daemon context)."""
+        """Route a plan's actions to their actuators (daemon context).
+
+        A steady window's plan whose last dispatch only booked ceilings
+        in place is in place still: no clock moved (no change stamp
+        did) and nothing but a dispatch moves a ceiling or a booking.
+        """
         _, steps, _, gated = self._lowered(plan)
-        dispatch_plan(steps)
+        if plan is not self._booked:
+            self._booked = plan if dispatch_plan(steps) else None
         self._gated.update(gated)
 
     def _plan_window(
-        self, samples: List[NodeWindowSample], t0: float, t1: float
+        self,
+        samples: List[NodeWindowSample],
+        t0: float,
+        t1: float,
+        steady: bool = False,
     ) -> GovernorPlan:
-        """One window's decision: the pipeline of the module docstring."""
+        """One window's decision: the pipeline of the module docstring.
+
+        A ``steady`` window (see :meth:`_observe_demand`) whose books are
+        those of the last settled window reuses that window's plan: its
+        triage would carve nothing and change no book (each node's last
+        sample would repeat the values it holds), and its plan key would
+        be the settled window's, node by node.
+        """
         # Reconcile the gating books first: a node the actuator finished
         # waking is powered again (its fresh sample is already in
         # ``samples``) and stops paying its suspend reserve.
@@ -439,14 +479,23 @@ class CapGovernor:
                 self._gated.discard(nid)
                 self._dark_count[nid] = 0
         policy = self.policy
+        # (under resilience, gated nodes are carved at their suspend draw)
+        gated = frozenset(self._gated) if self.resilience is None else frozenset()
+        protected = getattr(policy, "protected", frozenset())
+        if steady and self._settled == (
+            gated, self._gate.waking, protected, self._pending_target
+        ):
+            return self._planned[1]
+        self._booked = None
         target = self.target_watts
-        gated = frozenset(self._gated)
         carved: Dict[int, float] = {}
         forced: Dict[int, float] = {}
+        carved_watts = 0.0  # a plain loop: sum() compensates on 3.12+
         if self.resilience is not None:
             samples, carved, forced, stale = self._triage(samples, t0, t1)
-            target = target - sum(carved.values())
-            gated = frozenset()  # carved at their suspend draw instead
+            for watts in carved.values():
+                carved_watts += watts
+            target = target - carved_watts
             if stale or target <= 0 or not samples:
                 # Blind, out of headroom, or nothing left to allocate:
                 # the uniform allocator's worst-case answer, all-floors
@@ -458,7 +507,8 @@ class CapGovernor:
             for nid, cpu, _ in self._positions
             if cpu._powered
         }
-        protected = getattr(policy, "protected", frozenset())
+        if policy is not self.policy:
+            protected = getattr(policy, "protected", frozenset())
         # The plan key: the context's own fields, then each sample's
         # carried inputs and row.  A stand-in or carried-forward sample
         # has none, and the stale fallback is not the governor's policy.
@@ -471,8 +521,15 @@ class CapGovernor:
                     key = None
                     break
                 key.append(entry[2])
+        # A window planned from a key with nothing carved settles its
+        # books; triage checks the clocks against the booked ceilings.
+        self._settled = (
+            (gated, waking, protected, dict(self._pending_target))
+            if key is not None and not carved
+            else None
+        )
         if key is not None and key == self._planned[0]:
-            plan = self._planned[1]  # a steady window: same inputs, same plan
+            plan = self._planned[1]  # same inputs, same plan
         else:
             plan = policy.plan(
                 PlanContext(
@@ -503,7 +560,7 @@ class CapGovernor:
                     SetFreqCeiling(node_id=nid, frequency=frequency)
                     for nid, frequency in forced.items()
                 ),
-                predicted_watts=plan.predicted_watts + sum(carved.values()),
+                predicted_watts=plan.predicted_watts + carved_watts,
                 feasible=plan.feasible,
             )
         return plan
@@ -579,9 +636,9 @@ class CapGovernor:
         for joules in self._telemetry.window_joules.values():
             total += joules
         avg = total / (t1 - t0)
-        self._observe_demand(samples)
+        steady = self._observe_demand(samples)
         if reallocate:
-            plan = self._plan_window(samples, t0, t1)
+            plan = self._plan_window(samples, t0, t1, steady)
             self._apply_plan(plan)
             frequencies = dict(self._lowered(plan)[2])
             predicted, feasible = plan.predicted_watts, plan.feasible
@@ -860,9 +917,11 @@ class CapGovernor:
 
     def achieved_average_watts(self) -> float:
         """Duration-weighted average cluster power over all windows."""
-        total_t = sum(w.duration for w in self.windows)
+        total_t = 0.0  # plain loops: sum() compensates on 3.12+
+        joules = 0.0
+        for w in self.windows:
+            total_t += w.duration
+            joules += w.cluster_avg_watts * w.duration
         if total_t <= 0:
             return 0.0
-        return (
-            sum(w.cluster_avg_watts * w.duration for w in self.windows) / total_t
-        )
+        return joules / total_t

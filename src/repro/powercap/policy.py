@@ -140,16 +140,21 @@ class UniformCapPolicy(CapPolicy):
         lo = table.index_of(floor.frequency)
         hi = table.index_of(ceiling.frequency)
         # Highest common frequency whose predicted total fits the target.
+        # Totals fold left in sample order: sum() compensates on 3.12+.
         for idx in range(hi, lo - 1, -1):
             point = table[idx]
-            total = sum(predict(s, point) for s in samples)
+            total = 0.0
+            for s in samples:
+                total += predict(s, point)
             if total <= target_watts:
                 return CapAllocation(
                     frequencies={s.node_id: point.frequency for s in samples},
                     predicted_watts=total,
                     feasible=True,
                 )
-        total = sum(predict(s, floor) for s in samples)
+        total = 0.0
+        for s in samples:
+            total += predict(s, floor)
         return CapAllocation(
             frequencies={s.node_id: floor.frequency for s in samples},
             predicted_watts=total,
@@ -226,7 +231,9 @@ class SlackRedistributionPolicy(CapPolicy):
         hi = table.index_of(ceiling.frequency)
         idx = {s.node_id: hi for s in samples}
         watts = {s.node_id: predict(s, table[hi]) for s in samples}
-        total = sum(watts.values())
+        total = 0.0  # a left fold: sum() compensates on 3.12+
+        for node_watts in watts.values():
+            total += node_watts
 
         def overrun(nid: int, point: OperatingPoint) -> float:
             """Predicted fraction by which the node overshoots the barrier.

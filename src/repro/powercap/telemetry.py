@@ -20,7 +20,7 @@ self-calibrating.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NoReturn
+from typing import Dict, List, Mapping, NoReturn, Optional
 
 from repro.hardware.activity import CpuActivity
 from repro.hardware.cluster import Cluster
@@ -28,7 +28,6 @@ from repro.hardware.dvfs import DVFSTable, OperatingPoint
 from repro.hardware.node import Node
 from repro.hardware.power import NodePowerModel
 from repro.hardware.procstat import busy_share
-from repro.hardware.timeline import EnergyCursor
 from repro.util.records import record
 
 __all__ = [
@@ -82,13 +81,13 @@ class ClusterTelemetry:
         self._prev_time = now
         # Per-node state by position, in node-id order: one pass over
         # these lists is one window.
-        self._nodes: List[Node] = list(cluster.nodes)
-        self._ids = [node.node_id for node in self._nodes]
+        nodes: List[Node] = list(cluster.nodes)
+        self._ids = [node.node_id for node in nodes]
         #: each node's ``/proc/stat`` busy and busy+idle seconds at the
         #: last window close
         self._prev_busy: List[float] = []
         self._prev_total: List[float] = []
-        for node in self._nodes:
+        for node in nodes:
             snapshot = node.procstat.snapshot()
             self._prev_busy.append(snapshot.busy)
             self._prev_total.append(snapshot.total)
@@ -101,11 +100,23 @@ class ClusterTelemetry:
         # rounding depends on the whole trace before the window and
         # would perturb control trajectories.  Batch/offline consumers
         # (profiles, attribution, figures) use the frozen series instead.
-        self._meters: List[EnergyCursor] = [
-            node.timeline.cursor(now) for node in self._nodes
+        # (node, node id, cpu, /proc/stat, energy cursor) by position:
+        self._positions = [
+            (
+                node, node.node_id, node.cpu, node.cpu.procstat,
+                node.timeline.cursor(now),
+            )
+            for node in nodes
         ]
+        # Each node's change stamp at the last window close (-1: read it
+        # in full next window) and whether that window saw its sample.
+        self._stamps: List[int] = [-1] * len(nodes)
+        self._visible: List[bool] = [False] * len(nodes)
         #: node id → joules over the last closed window, in node order
         self.window_joules: Dict[int, float] = {}
+        #: the last window's samples if no node's change stamp moved
+        #: during it, else ``None``
+        self.unchanged: Optional[List[NodeWindowSample]] = None
 
     @property
     def window_start(self) -> float:
@@ -129,7 +140,11 @@ class ClusterTelemetry:
         The window is one pass per node that closes the CPU's
         accounting segment and reads the ``/proc/stat`` counters, the
         power and fault switches and the clock from the hardware's own
-        fields, not through their accessors.
+        fields, not through their accessors.  A node whose change stamp
+        has not moved since the last window close ran one segment
+        through this window, so it keeps that close's visibility and
+        skips the switches; a node under power noise is read in full
+        every window.
         """
         now = self.cluster.engine.now
         t0 = self._prev_time
@@ -137,15 +152,14 @@ class ClusterTelemetry:
             return []
         duration = now - t0
         prev_busy, prev_total = self._prev_busy, self._prev_total
-        meters = self._meters
+        stamps, visible = self._stamps, self._visible
+        moved = False
         samples = []
         joules_by_position = []
-        for i, node in enumerate(self._nodes):
+        for i, (node, node_id, cpu, stat, meter) in enumerate(self._positions):
             # Close the open accounting segment before reading the
             # counters, as the cpuspeed daemon must.
-            cpu = node.cpu
             cpu._close_segment()
-            stat = cpu.procstat
             busy = stat._busy
             total = busy + stat._idle
             busy_fraction = busy_share(busy - prev_busy[i], total - prev_total[i])
@@ -153,23 +167,28 @@ class ClusterTelemetry:
             prev_total[i] = total
             # Advance every node's meter (dark nodes too — their windows
             # must stay aligned for when visibility returns).
-            joules = meters[i].advance(now)
+            joules = meter.advance(now)
             joules_by_position.append(joules)
-            faults = node.faults
-            if not cpu._powered or faults.telemetry_dark:
-                continue
             avg_watts = joules / duration
-            noise = faults.power_noise
-            if noise is not None:
-                avg_watts = noise(avg_watts, now)
-            samples.append(
-                NodeWindowSample(
-                    node.node_id, t0, now, avg_watts, busy_fraction,
-                    cpu._point.frequency,
+            stamp = node.stamp
+            if stamp != stamps[i]:
+                moved = True
+                faults = node.faults
+                noise = faults.power_noise
+                stamps[i] = stamp if noise is None else -1
+                visible[i] = cpu._powered and not faults.telemetry_dark
+                if noise is not None and visible[i]:
+                    avg_watts = noise(avg_watts, now)
+            if visible[i]:
+                samples.append(
+                    NodeWindowSample(
+                        node_id, t0, now, avg_watts, busy_fraction,
+                        cpu._point.frequency,
+                    )
                 )
-            )
         self.window_joules = dict(zip(self._ids, joules_by_position))
         self._prev_time = now
+        self.unchanged = None if moved else samples
         return samples
 
 

@@ -36,6 +36,12 @@ version of a fast path in ``repro``:
   unchanged window's plan;
 * :class:`ApplyWalk` is a ``CapGovernor`` that applies and checks every
   window through :func:`dispatch_walk` and :class:`DictMonitorWalk`;
+* :class:`TelemetryWalk` samples every node's switches, ``/proc/stat``
+  snapshot and meter each window through their accessors, where
+  ``ClusterTelemetry`` skips the switches of a node whose change stamp
+  has not moved, and :class:`FullWindowWalk` is a ``CapGovernor`` on it:
+  no window is steady, so every window triages, builds its plan key and
+  dispatches its plan;
 * :func:`redist_allocate_walk` is ``SlackRedistributionPolicy.allocate``
   re-scoring every node above the floor at every step, where the policy
   re-scores only the node it stepped;
@@ -71,6 +77,7 @@ from repro.powercap.governor import CapGovernor
 from repro.powercap.monitor import InvariantMonitor, InvariantViolation
 from repro.powercap.policy import CapAllocation, UniformCapPolicy
 from repro.powercap.telemetry import (
+    NodeWindowSample,
     compute_intensity,
     demand_power,
     predict_node_power,
@@ -436,6 +443,61 @@ class ApplyWalk(CapGovernor):
         self._gated.update(plan.gated_node_ids)
 
 
+class TelemetryWalk:
+    """``ClusterTelemetry`` with every node read in full every window:
+    its switches through ``telemetry_visible`` and ``faults``, its busy
+    fraction from ``/proc/stat`` snapshots, its joules from its own
+    cursor.  It never reports a window unchanged."""
+
+    unchanged = None
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+        now = cluster.engine.now
+        self.window_start = now
+        self.previous = {
+            node.node_id: node.procstat.snapshot() for node in cluster.nodes
+        }
+        self.meters = {
+            node.node_id: node.timeline.cursor(now) for node in cluster.nodes
+        }
+        self.window_joules = {}
+
+    def sample(self):
+        now = self.cluster.engine.now
+        t0 = self.window_start
+        if now <= t0:
+            return []
+        samples = []
+        joules = {}
+        for node in self.cluster.nodes:
+            nid = node.node_id
+            node.cpu.finalize()
+            snapshot = node.procstat.snapshot()
+            busy = snapshot.utilization_since(self.previous[nid])
+            self.previous[nid] = snapshot
+            joules[nid] = self.meters[nid].advance(now)
+            if not node.telemetry_visible:
+                continue
+            watts = joules[nid] / (now - t0)
+            if node.faults.power_noise is not None:
+                watts = node.faults.power_noise(watts, now)
+            samples.append(
+                NodeWindowSample(nid, t0, now, watts, busy, node.cpu.frequency)
+            )
+        self.window_joules = joules
+        self.window_start = now
+        return samples
+
+
+class FullWindowWalk(CapGovernor):
+    """The cap governor on :class:`TelemetryWalk`: no window is steady."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._telemetry = TelemetryWalk(self.cluster)
+
+
 def redist_allocate_walk(
     policy, samples, target_watts, table, floor, ceiling, predict, intensity
 ):
@@ -457,7 +519,9 @@ def redist_allocate_walk(
     hi = table.index_of(ceiling.frequency)
     idx = {s.node_id: hi for s in samples}
     watts = {s.node_id: predict(s, table[hi]) for s in samples}
-    total = sum(watts.values())
+    total = 0.0  # the policy's left fold, on every interpreter
+    for node_watts in watts.values():
+        total += node_watts
 
     def overrun(nid, point):
         ratio = level[nid] * (by_id[nid].frequency / point.frequency)

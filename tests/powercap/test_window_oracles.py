@@ -66,6 +66,7 @@ from repro.workloads.synthetic import SyntheticMix
 
 from tests.oracles import (
     ApplyWalk,
+    FullWindowWalk,
     ReplanWalk,
     TelemetryBusyWalk,
     dispatch_walk,
@@ -761,3 +762,196 @@ def test_a_faulted_closed_loop_applies_and_checks_as_the_walk(
     fast, _ = closed_loop(CapGovernor, *args)
     walk, _ = closed_loop(ApplyWalk, *args)
     assert fast == walk
+
+
+# ---------------------------------------------------------------------------
+# a steady window against the full window pipeline
+# ---------------------------------------------------------------------------
+
+#: switches flipped right after a window closes, at the same instant
+FLIPS = ("dark", "noise", "power", "cores", "clock", "stuck", "ceiling")
+
+
+def flip(governor, kind: str, nid: int) -> None:
+    node = governor.cluster.nodes[nid]
+    cpu = node.cpu
+    if kind == "dark":
+        node.faults.telemetry_dark = not node.faults.telemetry_dark
+    elif kind == "noise":
+        noisy = node.faults.power_noise is None
+        node.faults.power_noise = (lambda watts, now: watts + 0.25) if noisy else None
+    elif kind == "power":  # a crash, rejoining three windows later
+        if cpu.powered:
+            cpu.enable_power_gating()
+            cpu.power_off()
+    elif kind == "rejoin":
+        if not cpu.powered and not cpu.suspended:
+            cpu.power_on()
+    elif kind == "cores":
+        if cpu.powered:
+            cpu.set_core_allocation(0.5 if cpu.core_allocation == 1.0 else 1.0)
+    elif kind == "stuck":
+        cpu.dvfs_stuck = not cpu.dvfs_stuck
+    elif kind == "ceiling":  # a containment move, as triage makes
+        floor = node.table.slowest.frequency
+        governor._routes[SetFreqCeiling].apply(SetFreqCeiling(nid, floor))
+    else:  # an inner controller's clock move, under the ceiling
+        governor.cpufreqs[nid].set_speed_now(node.table.slowest.frequency)
+
+
+def windowed(governor_cls, flips):
+    """``recorded(governor_cls)`` that also logs each closed window's
+    samples and triage calls, and makes the ``flips`` due after it."""
+
+    class Windowed(recorded(governor_cls)):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.window_samples = []
+            self.triages = 0
+
+        def _triage(self, *args):
+            self.triages += 1
+            return super()._triage(*args)
+
+        def _close_window(self, reallocate):
+            samples = super()._close_window(reallocate)
+            self.window_samples.append(
+                [
+                    (s.node_id, s.t0, s.t1, s.avg_watts, s.busy_fraction, s.frequency)
+                    for s in samples
+                ]
+            )
+            closed = len(self.window_samples)
+            for after, kind, nid in flips:
+                if after == closed:
+                    flip(self, kind, nid)
+                elif kind == "power" and after + 3 == closed:
+                    flip(self, "rejoin", nid)
+            return samples
+
+    return Windowed
+
+
+def steady_loop(governor_cls, policy, hardened, budget, mix, fault_plan, flips):
+    """One faulted capped run with same-instant flips: what it leaves
+    behind window by window, and how many windows it triaged."""
+
+    def factory():
+        cluster = Cluster.from_spec(ClusterSpec.homogeneous(RANKS + SPARE))
+        FaultInjector(cluster, fault_plan).install()
+        return cluster
+
+    policy = make_policy(policy)
+    if isinstance(policy, ElasticPolicy):
+        policy.protected = frozenset(range(RANKS))
+    strategy = PowerCapStrategy(
+        PowerBudget(cluster_watts=budget),
+        policy=policy,
+        config=CapGovernorConfig(interval=INTERVAL),
+        resilience=ResilienceConfig() if hardened else None,
+    )
+    workload = SyntheticMix(*mix, iteration_seconds=0.1, iterations=4, n_ranks=RANKS)
+    original = strategy_module.CapGovernor
+    strategy_module.CapGovernor = windowed(governor_cls, flips)
+    try:
+        run = run_measured(workload, strategy, cluster_factory=factory)
+    finally:
+        strategy_module.CapGovernor = original
+    governor = strategy.governor
+    observed = {
+        "point": (run.point.energy, run.point.delay),
+        "samples": governor.window_samples,
+        "windows": governor.windows,
+        "plans": governor.plans,
+        "repairs": governor.repair_log,
+        "violations": governor.monitor.violations,
+        "ceilings": {
+            nid: cf.ceiling_changes for nid, cf in governor.cpufreqs.items()
+        },
+        "pending": governor._pending_target,
+        "gate": list(governor._gate.log),
+        "cores": list(governor._cores.log),
+        "timelines": [node.timeline.segments() for node in run.cluster.nodes],
+        "procstat": [node.procstat.snapshot() for node in run.cluster.nodes],
+    }
+    return observed, governor.triages
+
+
+flip_lists = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=24),
+        st.sampled_from(FLIPS),
+        st.integers(0, RANKS + SPARE - 1),
+    ),
+    max_size=5,
+)
+
+#: a compute-bound run whose windows settle within a few
+SETTLED = dict(policy="redist", hardened=True, budget=85.0, mix=(1.0, 0.0, 0.0))
+
+
+@given(
+    policy=st.sampled_from(POLICIES),
+    hardened=st.booleans(),
+    budget=st.sampled_from([45.0, 62.0, 85.0]),
+    mix=st.sampled_from([(1.0, 0.0, 0.0), (0.2, 0.2, 0.6)]),
+    fault_plan=st.builds(FaultPlan, faults, seed=st.integers(0, 3)),
+    flips=flip_lists,
+)
+# One flip of each switch on a settled node, right after a window
+# closes: the next window must see it although nothing else moved.
+@example(**SETTLED, fault_plan=FaultPlan(), flips=[(12, "dark", 1), (16, "dark", 1)])
+@example(**SETTLED, fault_plan=FaultPlan(), flips=[(12, "noise", 2), (15, "noise", 2)])
+@example(**SETTLED, fault_plan=FaultPlan(), flips=[(12, "power", 3)])
+@example(**SETTLED, fault_plan=FaultPlan(), flips=[(12, "cores", 4), (14, "clock", 5)])
+# A ceiling booked under a stuck regulator moves no clock: the next
+# window's triage must still see the node stuck.
+@example(
+    **SETTLED, fault_plan=FaultPlan(), flips=[(12, "stuck", 2), (12, "ceiling", 2)]
+)
+# Dropouts, noise, a crash and rejoin and a stuck regulator, hardened.
+@example(
+    **SETTLED,
+    fault_plan=FaultPlan(
+        (
+            TelemetryDropout(0, at=0.04, duration=0.02),
+            TelemetryNoise(1, at=0.06, duration=0.04, sigma_watts=0.5),
+            NodeCrash(2, at=0.13, downtime=0.04),
+            DvfsStuck(3, at=0.1, duration=0.2),
+        ),
+        seed=1,
+    ),
+    flips=[],
+)
+# Gating, waking and core moves under the elastic control plane.
+@example(
+    policy="elastic",
+    hardened=False,
+    budget=45.0,
+    mix=(0.2, 0.2, 0.6),
+    fault_plan=FaultPlan(),
+    flips=[(6, "cores", 0)],
+)
+@settings(max_examples=40, deadline=None)
+def test_steady_windows_match_the_full_window_walk(
+    policy, hardened, budget, mix, fault_plan, flips
+):
+    """Window by window, the samples, plans, windows, repairs, monitor
+    violations, ceilings, bookings, gate and core logs, power timelines
+    and ``/proc/stat`` counters of a run whose steady windows skip the
+    switches, triage, the plan key and the dispatch equal the full
+    pipeline's."""
+    hardened = hardened and not policy.startswith("elastic")
+    args = (policy, hardened, budget, mix, fault_plan, flips)
+    fast, _ = steady_loop(CapGovernor, *args)
+    walk, _ = steady_loop(FullWindowWalk, *args)
+    assert fast == walk
+
+
+def test_a_settled_run_triages_only_the_windows_that_moved():
+    args = dict(SETTLED, fault_plan=FaultPlan(), flips=[])
+    fast, fast_triages = steady_loop(CapGovernor, **args)
+    walk, walk_triages = steady_loop(FullWindowWalk, **args)
+    assert fast == walk
+    assert walk_triages == len(walk["windows"]) - 1  # all but the last
+    assert fast_triages < walk_triages / 2
